@@ -44,10 +44,9 @@ type report struct {
 	Go   string `json:"go"`
 	OS   string `json:"os"`
 	Arch string `json:"arch"`
-	// CPUs is the logical CPU count of the measuring machine — required
-	// context for the ParallelQFT numbers: the partitioned engine cannot
-	// beat the serial one on a single-CPU box no matter how well it
-	// scales, so speedups are only meaningful relative to this.
+	// CPUs is the logical CPU count of the measuring machine.  The
+	// sweep benchmarks fan points out across workers, so their
+	// throughput scales with it; compare reports taken on equal counts.
 	CPUs int `json:"cpus"`
 	// Generated is the RFC 3339 wall-clock time of the run.
 	Generated string `json:"generated"`
@@ -79,10 +78,6 @@ type entry struct {
 	// distributed-sweep benchmark (0 for benchmarks that don't report
 	// it).
 	PointsPerSec float64 `json:"points_per_sec,omitempty"`
-	// SpeedupVsSerial is, for ParallelQFT entries with partitions > 1,
-	// the events/sec ratio against the partitions=1 entry of the same
-	// mesh (0 elsewhere).  Interpret it against CPUs.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 }
 
 func main() {
@@ -125,7 +120,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: %s...\n", b.name)
 		rep.Benchmarks = append(rep.Benchmarks, measure(b.name, b.fn))
 	}
-	fillSpeedups(rep.Benchmarks)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -182,14 +176,6 @@ func benchmarks() []namedBench {
 			fn:   perfbench.QFTRun(cfg.Layout, cfg.Policy),
 		})
 	}
-	for _, edge := range perfbench.ParallelQFTEdges {
-		for _, parts := range perfbench.ParallelQFTPartitions {
-			list = append(list, namedBench{
-				name: parallelName(edge, parts),
-				fn:   perfbench.ParallelQFT(edge, parts),
-			})
-		}
-	}
 	for _, mode := range perfbench.TraceModes {
 		list = append(list, namedBench{
 			name: traceName(mode),
@@ -204,38 +190,6 @@ func benchmarks() []namedBench {
 // traceName is the report name of one TraceQFT mode.
 func traceName(mode string) string {
 	return "TraceQFT/trace=" + mode
-}
-
-// parallelName is the report name of one ParallelQFT cell.
-func parallelName(edge, partitions int) string {
-	return fmt.Sprintf("ParallelQFT/mesh=%dx%d/partitions=%d", edge, edge, partitions)
-}
-
-// fillSpeedups derives SpeedupVsSerial for every ParallelQFT entry with
-// partitions > 1 from the partitions=1 entry of the same mesh.
-func fillSpeedups(entries []entry) {
-	serial := make(map[int]float64)
-	for _, edge := range perfbench.ParallelQFTEdges {
-		for i := range entries {
-			if entries[i].Name == parallelName(edge, 1) {
-				serial[edge] = entries[i].EventsPerSec
-			}
-		}
-		base := serial[edge]
-		if base <= 0 {
-			continue
-		}
-		for _, parts := range perfbench.ParallelQFTPartitions {
-			if parts == 1 {
-				continue
-			}
-			for i := range entries {
-				if entries[i].Name == parallelName(edge, parts) && entries[i].EventsPerSec > 0 {
-					entries[i].SpeedupVsSerial = entries[i].EventsPerSec / base
-				}
-			}
-		}
-	}
 }
 
 // measure runs one benchmark body through testing.Benchmark and
@@ -287,28 +241,9 @@ func validate(data []byte) error {
 		}
 		seen[e.Name] = true
 	}
-	// The ParallelQFT matrix must be complete and carry throughput:
-	// every (mesh, partitions) cell, each with a positive events/sec,
-	// and a derived speedup on every multi-partition cell.  A report
-	// missing them cannot track the parallel engine's trajectory.
 	byName := make(map[string]entry, len(rep.Benchmarks))
 	for _, e := range rep.Benchmarks {
 		byName[e.Name] = e
-	}
-	for _, edge := range perfbench.ParallelQFTEdges {
-		for _, parts := range perfbench.ParallelQFTPartitions {
-			name := parallelName(edge, parts)
-			e, ok := byName[name]
-			if !ok {
-				return fmt.Errorf("missing benchmark %q", name)
-			}
-			if e.EventsPerSec <= 0 {
-				return fmt.Errorf("%s: events/sec = %g", name, e.EventsPerSec)
-			}
-			if parts > 1 && e.SpeedupVsSerial <= 0 {
-				return fmt.Errorf("%s: speedup_vs_serial = %g", name, e.SpeedupVsSerial)
-			}
-		}
 	}
 	// The tracer-overhead trio must be complete with positive
 	// throughput, or the report cannot answer "what does telemetry

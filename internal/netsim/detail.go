@@ -51,49 +51,9 @@ func RunDetailed(cfg Config, prog workload.Program) (Result, *Detail, error) {
 // RunDetailedContext is RunDetailed with cancellation: the event loop
 // polls ctx and aborts with the context's error when it is cancelled.
 func RunDetailedContext(ctx context.Context, cfg Config, prog workload.Program) (Result, *Detail, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	if err := prog.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	if prog.Qubits > cfg.Grid.Tiles() {
-		return Result{}, nil, fmt.Errorf("netsim: %d qubits exceed %d tiles", prog.Qubits, cfg.Grid.Tiles())
-	}
-
-	s := &simulator{cfg: cfg}
-	plan, err := s.planPartition()
+	s, err := execute(ctx, cfg, prog)
 	if err != nil {
 		return Result{}, nil, err
-	}
-	if plan != nil {
-		// Parallel mode: the coupled model executes inside region 0 of
-		// the partitioned engine; see parallel.go for the decomposition
-		// contract.
-		s.engine = plan.engine.Region(0).Engine
-	} else {
-		s.engine = sim.New()
-	}
-	if err := s.build(prog); err != nil {
-		return Result{}, nil, err
-	}
-	s.tryIssue()
-	if plan != nil {
-		err = plan.run(ctx)
-	} else {
-		_, err = s.engine.RunContext(ctx, 0)
-	}
-	if err != nil {
-		return Result{}, nil, fmt.Errorf("netsim: run aborted: %w", err)
-	}
-	if s.err != nil {
-		// A structured mid-run abort (blocked route, partitioned pair,
-		// exhausted resend budget): the event loop drained cleanly, the
-		// error explains why the program could not complete.
-		return Result{}, nil, s.err
-	}
-	if !s.sch.Done() {
-		return Result{}, nil, &StallError{Completed: s.sch.Completed(), Total: s.sch.Len()}
 	}
 
 	d := &Detail{Grid: cfg.Grid}
@@ -114,6 +74,40 @@ func RunDetailedContext(ctx context.Context, cfg Config, prog workload.Program) 
 		d.GeneratorUtil[i] = g.Utilization()
 	}
 	return s.result(prog), d, nil
+}
+
+// execute validates the inputs, builds the simulator and runs its event
+// loop to completion, returning the drained simulator for RunDetailed
+// to summarize.
+func execute(ctx context.Context, cfg Config, prog workload.Program) (*simulator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	if prog.Qubits > cfg.Grid.Tiles() {
+		return nil, fmt.Errorf("netsim: %d qubits exceed %d tiles", prog.Qubits, cfg.Grid.Tiles())
+	}
+
+	s := &simulator{cfg: cfg, engine: sim.New()}
+	if err := s.build(prog); err != nil {
+		return nil, err
+	}
+	s.tryIssue()
+	if _, err := s.engine.RunContext(ctx, 0); err != nil {
+		return nil, fmt.Errorf("netsim: run aborted: %w", err)
+	}
+	if s.err != nil {
+		// A structured mid-run abort (blocked route, partitioned pair,
+		// exhausted resend budget): the event loop drained cleanly, the
+		// error explains why the program could not complete.
+		return nil, s.err
+	}
+	if !s.sch.Done() {
+		return nil, &StallError{Completed: s.sch.Completed(), Total: s.sch.Len()}
+	}
+	return s, nil
 }
 
 // Heatmap renders one per-tile metric as an ASCII grid: each tile shows

@@ -118,15 +118,6 @@ type Config struct {
 	// Seed drives the failure-injection and fault-materialization RNG;
 	// runs with equal seeds are reproducible.
 	Seed int64
-	// Parallel requests the domain-decomposed event engine: the mesh is
-	// cut into that many contiguous row bands and the run executes on a
-	// conservative partitioned engine whose lookahead is the minimum
-	// latency of a cut-crossing hop.  0 and 1 select the serial engine;
-	// any value is clamped to the grid height.  Parallel execution is an
-	// engine choice, not a model change — results are byte-identical to
-	// a serial run of the same Config, which is why the field is
-	// excluded from result cache keys.
-	Parallel int
 	// Trace attaches a telemetry tracer to the run: it is bound to the
 	// mesh at build time and sampled at its interval boundaries through
 	// the engine's probe hook, recording per-router occupancy, per-link
@@ -134,8 +125,7 @@ type Config struct {
 	// default) disables tracing at the cost of one nil check per event.
 	// A tracer is an observer, never part of the model — a traced run
 	// executes the same events and produces a byte-identical Result —
-	// which is why the field, like Parallel, is excluded from result
-	// cache keys.
+	// which is why the field is excluded from result cache keys.
 	Trace *trace.Tracer
 }
 
@@ -185,9 +175,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Faults.Validate(c.Grid); err != nil {
 		return fmt.Errorf("netsim: %w", err)
-	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("netsim: parallel region count must be >= 0, got %d", c.Parallel)
 	}
 	return nil
 }

@@ -22,14 +22,6 @@ func BenchmarkQFT(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelQFT(b *testing.B) {
-	for _, edge := range ParallelQFTEdges {
-		for _, parts := range ParallelQFTPartitions {
-			b.Run(fmt.Sprintf("mesh=%dx%d/partitions=%d", edge, edge, parts), ParallelQFT(edge, parts))
-		}
-	}
-}
-
 func BenchmarkSweep(b *testing.B) {
 	b.Run("workers=8", SweepWorkers(8))
 }

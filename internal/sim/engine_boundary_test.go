@@ -86,53 +86,6 @@ func TestRunContextSkipsTombstonedHead(t *testing.T) {
 	}
 }
 
-// TestRunUntilWithTombstonedHead covers RunUntil against a cancelled
-// event at the front of the queue, in both positions relative to the
-// horizon: the tombstone must neither run nor stop the live event
-// behind it, and a tombstone-only queue must still advance the clock to
-// exactly t.
-func TestRunUntilWithTombstonedHead(t *testing.T) {
-	t.Run("live event within horizon", func(t *testing.T) {
-		e := New()
-		id := e.Schedule(time.Microsecond, func() { t.Error("cancelled event ran") })
-		ran := false
-		e.Schedule(2*time.Microsecond, func() { ran = true })
-		e.Cancel(id)
-		e.RunUntil(3 * time.Microsecond)
-		if !ran {
-			t.Error("live event behind the tombstone never ran")
-		}
-		if e.Now() != 3*time.Microsecond {
-			t.Errorf("clock = %v, want 3µs", e.Now())
-		}
-	})
-	t.Run("live event beyond horizon", func(t *testing.T) {
-		e := New()
-		id := e.Schedule(time.Microsecond, func() { t.Error("cancelled event ran") })
-		e.Schedule(5*time.Microsecond, func() { t.Error("event beyond horizon ran") })
-		e.Cancel(id)
-		e.RunUntil(3 * time.Microsecond)
-		if e.Now() != 3*time.Microsecond {
-			t.Errorf("clock = %v, want 3µs (not the tombstone's 1µs)", e.Now())
-		}
-		if e.Pending() != 1 {
-			t.Errorf("pending = %d, want 1", e.Pending())
-		}
-	})
-	t.Run("only tombstones pending", func(t *testing.T) {
-		e := New()
-		id := e.Schedule(time.Microsecond, func() {})
-		e.Cancel(id)
-		e.RunUntil(2 * time.Microsecond)
-		if e.Now() != 2*time.Microsecond {
-			t.Errorf("clock = %v, want 2µs", e.Now())
-		}
-		if e.Pending() != 0 {
-			t.Errorf("pending = %d, want 0", e.Pending())
-		}
-	})
-}
-
 // TestScheduleCallOrdersWithSchedule verifies the allocation-free
 // ScheduleCall form shares the engine's FIFO ordering with Schedule:
 // interleaved calls at one instant run in scheduling order.

@@ -93,35 +93,6 @@ func TestProbeAttachMidRun(t *testing.T) {
 	}
 }
 
-// TestRunUntilSamplesTrailingBoundaries pins the window-advance path:
-// RunUntil fires every boundary between the last event and the horizon,
-// so a partitioned run advancing in quiet windows samples the same
-// instants a serial event-by-event run would.
-func TestRunUntilSamplesTrailingBoundaries(t *testing.T) {
-	e := New()
-	p := &recProbe{}
-	e.SetProbe(p, 10*time.Microsecond)
-	e.Schedule(5*time.Microsecond, func() {})
-	e.RunUntil(35 * time.Microsecond)
-
-	wantTimes := []time.Duration{10 * time.Microsecond, 20 * time.Microsecond, 30 * time.Microsecond}
-	if !reflect.DeepEqual(p.times, wantTimes) {
-		t.Errorf("sample times = %v, want %v", p.times, wantTimes)
-	}
-	if e.Now() != 35*time.Microsecond {
-		t.Errorf("clock after RunUntil = %v, want 35µs", e.Now())
-	}
-	// The horizon itself is a boundary on the next window: advancing to
-	// 40µs fires it exactly once.
-	e.RunUntil(40 * time.Microsecond)
-	if got := p.times[len(p.times)-1]; got != 40*time.Microsecond {
-		t.Errorf("boundary-at-horizon sample = %v, want 40µs", got)
-	}
-	if n := len(p.times); n != 4 {
-		t.Errorf("%d samples after second window, want 4", n)
-	}
-}
-
 // TestProbeDoesNotAlterExecution pins the observer property at the
 // engine level: an identical model runs the identical event sequence —
 // same order, same clock readings, same processed count — with and

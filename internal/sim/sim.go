@@ -280,29 +280,6 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// peek returns the earliest live heap entry, discarding any tombstones
-// that have surfaced at the top.  ok is false when no live event remains.
-func (e *Engine) peek() (top heapEntry, ok bool) {
-	for len(e.heap) > 0 {
-		top = e.heap[0]
-		if e.arena[top.slot].seq != top.seq {
-			e.heapPop()
-			continue
-		}
-		return top, true
-	}
-	return heapEntry{}, false
-}
-
-// NextEventAt returns the time of the earliest pending event, or ok ==
-// false when no live event remains.  It does not advance the clock; the
-// partitioned engine uses it to compute the global horizon of a
-// conservative window.
-func (e *Engine) NextEventAt() (time.Duration, bool) {
-	top, ok := e.peek()
-	return top.at, ok
-}
-
 // Run executes events until none remain or the event budget is
 // exhausted, returning the number executed.  A budget of 0 means
 // unlimited.
@@ -349,26 +326,6 @@ func (e *Engine) RunContext(ctx context.Context, budget uint64) (uint64, error) 
 			return n, nil
 		}
 		n++
-	}
-}
-
-// RunUntil executes events with time at or before t, then advances the
-// clock to t.  Events scheduled after t remain pending.
-func (e *Engine) RunUntil(t time.Duration) {
-	for {
-		top, ok := e.peek()
-		if !ok || top.at > t {
-			break
-		}
-		e.Step()
-	}
-	if e.probe != nil && t >= e.probeNext {
-		// Boundaries between the last event and t fire now, so a window
-		// advance samples the same instants a serial run would.
-		e.runProbe(t)
-	}
-	if t > e.now {
-		e.now = t
 	}
 }
 

@@ -123,25 +123,6 @@ func TestEngineRunBudget(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := New()
-	var hits int
-	e.Schedule(time.Microsecond, func() { hits++ })
-	e.Schedule(2*time.Microsecond, func() { hits++ })
-	e.Schedule(5*time.Microsecond, func() { hits++ })
-	e.RunUntil(3 * time.Microsecond)
-	if hits != 2 {
-		t.Errorf("hits = %d, want 2", hits)
-	}
-	if e.Now() != 3*time.Microsecond {
-		t.Errorf("clock = %v, want 3µs", e.Now())
-	}
-	e.Run(0)
-	if hits != 3 {
-		t.Errorf("final hits = %d, want 3", hits)
-	}
-}
-
 func TestEngineProcessedCount(t *testing.T) {
 	e := New()
 	for i := 0; i < 7; i++ {

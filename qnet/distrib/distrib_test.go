@@ -193,42 +193,6 @@ func TestWorkerExecute(t *testing.T) {
 	}
 }
 
-// TestWorkerRunParallelism runs the same shard on a serial worker and
-// on one driving every simulation through the parallel event engine;
-// the emitted results must be identical point for point (parallelism is
-// an engine choice, never a result change).
-func TestWorkerRunParallelism(t *testing.T) {
-	spec := testSpec(t)
-	execute := func(w *Worker) map[int]PointResult {
-		var mu sync.Mutex
-		got := make(map[int]PointResult)
-		err := w.Execute(context.Background(), Job{Space: spec, Indices: []int{0, 2, 4}}, func(pr PointResult) error {
-			mu.Lock()
-			defer mu.Unlock()
-			got[pr.Index] = pr
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	serial := execute(NewWorker())
-	parallel := execute(NewWorker(WithWorkerRunParallelism(4)))
-	if len(parallel) != len(serial) {
-		t.Fatalf("parallel worker emitted %d points, serial %d", len(parallel), len(serial))
-	}
-	for idx, want := range serial {
-		got, ok := parallel[idx]
-		if !ok {
-			t.Fatalf("index %d missing from parallel worker", idx)
-		}
-		if got != want {
-			t.Errorf("index %d: parallel %+v, serial %+v", idx, got, want)
-		}
-	}
-}
-
 // TestLoopbackParity is the core acceptance test: a sweep sharded
 // across two loopback workers returns a point set byte-identical to
 // the single-process Sweep over the same Space.

@@ -141,12 +141,7 @@ func keyFor(cfg netsim.Config, prog qnet.Program) Key {
 	}
 	hashInt(h, seed)
 
-	// Config.Parallel is deliberately NOT hashed: parallelism is an
-	// engine choice, not a model change — a parallel run is byte-
-	// identical to the serial run of the same config, so a cached serial
-	// result must answer a parallel request and vice versa.
-	//
-	// Config.Trace is deliberately NOT hashed either: a tracer observes
+	// Config.Trace is deliberately NOT hashed: a tracer observes
 	// the run through the engine's probe hook without scheduling events,
 	// so a traced run's Result is byte-identical to an untraced one —
 	// the tracer is an observer, not part of the model.  (A traced Run

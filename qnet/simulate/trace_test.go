@@ -76,18 +76,16 @@ func TestTraceObserverParity(t *testing.T) {
 }
 
 // TestTraceExportDeterministic pins the export's reproducibility: the
-// same configuration traced twice yields byte-identical exports, and a
-// parallel run at partitions 2 and 4 yields the same bytes as serial —
-// the probe fires at the same simulated instants regardless of the
-// engine choice.
+// same configuration traced twice yields byte-identical exports — the
+// probe fires at the same simulated instants on every run.
 func TestTraceExportDeterministic(t *testing.T) {
 	grid := testGrid(t, 5)
 	prog := qnet.QFT(grid.Tiles())
 	base := tracedBaseOptions()
 
-	runTraced := func(extra ...Option) string {
+	runTraced := func() string {
 		t.Helper()
-		m, err := New(grid, HomeBase, append(base[:len(base):len(base)], extra...)...)
+		m, err := New(grid, HomeBase, base...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,16 +100,10 @@ func TestTraceExportDeterministic(t *testing.T) {
 	if second := runTraced(); second != first {
 		t.Error("rerun of the same traced configuration changed the export bytes")
 	}
-	for _, n := range []int{2, 4} {
-		if got := runTraced(WithParallelism(n)); got != first {
-			t.Errorf("parallel=%d traced export differs from serial", n)
-		}
-	}
 }
 
-// TestTraceExcludedFromCacheKey pins the cache contract: like
-// WithParallelism, a tracer never changes the result, so it never
-// changes the content address.
+// TestTraceExcludedFromCacheKey pins the cache contract: a tracer
+// never changes the result, so it never changes the content address.
 func TestTraceExcludedFromCacheKey(t *testing.T) {
 	grid := testGrid(t, 4)
 	prog := qnet.QFT(grid.Tiles())
@@ -181,16 +173,14 @@ func TestTraceBypassesCacheReadButStores(t *testing.T) {
 	}
 }
 
-// TestTraceCancelNoLeak cancels traced parallel runs mid-flight and
-// requires Run to return promptly without leaking goroutines — the
-// tracer adds no teardown of its own, and the partitioned engine's
-// workers must exit with the probe attached exactly as without it.
+// TestTraceCancelNoLeak cancels traced runs mid-flight and requires Run
+// to return promptly without leaking goroutines — the tracer adds no
+// teardown of its own, so a probed run must stop on cancellation
+// exactly as an unprobed one does.
 func TestTraceCancelNoLeak(t *testing.T) {
 	grid := testGrid(t, 8)
 	prog := qnet.QFT(grid.Tiles())
-	m, err := New(grid, HomeBase,
-		WithResources(2, 2, 2),
-		WithParallelism(4))
+	m, err := New(grid, HomeBase, WithResources(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,7 @@
 //
 //	POST /v1/jobs             submit a shard (JSON distrib.Job)
 //	GET  /v1/jobs/{id}/stream newline-delimited JSON results
-//	GET  /v1/healthz          liveness
-//	GET  /v1/status           live worker telemetry (JSON distrib.Status)
+//	GET  /v1/status           live worker telemetry, liveness and drain state (JSON distrib.Status)
 //	GET/PUT /v1/store/...     the local store, when -serve-store is set
 //
 // Usage:
@@ -29,9 +28,10 @@
 // store instead of running one beside the coordinator.
 //
 // On SIGTERM (or SIGINT) the daemon drains instead of dying: it
-// refuses new jobs with 503 "draining", answers healthz the same way
-// so coordinators stop dispatching to it, finishes the shards already
-// in flight (up to -drain-timeout), then exits 0.
+// refuses new jobs with 503 "draining" and reports Draining in
+// /v1/status, so coordinators stop dispatching to it without declaring
+// it dead, finishes the shards already in flight (up to
+// -drain-timeout), then exits 0.
 package main
 
 import (
@@ -85,10 +85,7 @@ func main() {
 	defer server.Close()
 
 	mux := http.NewServeMux()
-	mux.Handle("/v1/jobs", server.Handler())
-	mux.Handle("/v1/jobs/", server.Handler())
-	mux.Handle("/v1/healthz", server.Handler())
-	mux.Handle("/v1/status", server.Handler())
+	mux.Handle("/", server.Handler())
 	if *serveStore {
 		mux.Handle("/v1/store/", distrib.NewStoreServer(store).Handler())
 	}

@@ -2,9 +2,8 @@
 // a Store wrapper that replay a seeded chaos.Schedule against any
 // inner implementation, so every coordinator failure path — injected
 // latency, refused dispatches, mid-stream truncation, duplicated
-// result lines, health-probe flaps, store read misses and dropped
-// writes — is exercisable deterministically in process, with no
-// sockets and no real failures.
+// result lines, Status-probe flaps, store read misses and dropped
+// writes — is exercisable deterministically, with no real failures.
 
 package distrib
 
@@ -39,7 +38,7 @@ func NewChaos(inner Transport, sched *chaos.Schedule) *Chaos {
 // errRefused is the cause of an injected connection refusal.
 var errRefused = errors.New("chaos: connection refused")
 
-// errProbeDropped is the cause of an injected health-probe flap.
+// errProbeDropped is the cause of an injected Status-probe flap.
 var errProbeDropped = errors.New("chaos: probe dropped")
 
 // Run applies one Dispatch decision around the inner transport's Run:
@@ -82,22 +81,13 @@ func (c *Chaos) Run(ctx context.Context, worker string, job Job, emit func(Point
 	return err
 }
 
-// Healthy probes through the inner transport, with injected flaps: a
+// Status fetches through the inner transport, with injected flaps: a
 // flapped probe fails even though the worker is alive.  A draining
-// verdict passes through un-flapped, so chaos never turns a draining
+// answer passes through un-flapped, so chaos never turns a draining
 // worker into a dead-looking one.
-func (c *Chaos) Healthy(ctx context.Context, worker string) error {
-	err := c.inner.Healthy(ctx, worker)
-	if err == nil && c.sched.Flap() {
-		return &TransportError{Worker: worker, Op: "healthz", Err: errProbeDropped}
-	}
-	return err
-}
-
-// Status fetches through the inner transport, with injected flaps.
 func (c *Chaos) Status(ctx context.Context, worker string) (Status, error) {
 	st, err := c.inner.Status(ctx, worker)
-	if err == nil && c.sched.Flap() {
+	if err == nil && !st.Draining && c.sched.Flap() {
 		return Status{}, &TransportError{Worker: worker, Op: "status", Err: errProbeDropped}
 	}
 	return st, err

@@ -1,7 +1,7 @@
 // Package chaos generates seeded fault schedules for the distributed
 // sweep service: deterministic streams of injected transport and store
 // faults — latency, connection refusal, mid-stream truncation,
-// duplicated result lines, health-probe flaps, store read misses and
+// duplicated result lines, Status-probe flaps, store read misses and
 // dropped writes — that distrib.NewChaos and distrib.NewChaosStore
 // replay against any inner transport or store.
 //
@@ -44,8 +44,8 @@ type Config struct {
 	// Duplicate is the probability a dispatch re-delivers every result
 	// line once — the overlap a retried stream produces.
 	Duplicate float64
-	// Flap is the probability a healthz or status probe fails even
-	// though the worker is alive.
+	// Flap is the probability a Status probe fails even though the
+	// worker answered as alive.
 	Flap float64
 	// StoreMiss is the probability a store Get is forced to miss.
 	StoreMiss float64
@@ -96,7 +96,7 @@ type Stats struct {
 	Truncations int
 	// Duplicates counts dispatches with duplicated result lines.
 	Duplicates int
-	// Flaps counts failed-but-alive health probes.
+	// Flaps counts failed-but-alive Status probes.
 	Flaps int
 	// StoreMisses counts store Gets forced to miss.
 	StoreMisses int
@@ -158,8 +158,8 @@ func (s *Schedule) Dispatch() Dispatch {
 	return d
 }
 
-// Flap draws the decision for one health or status probe: true means
-// the probe must fail even though the worker is alive.
+// Flap draws the decision for one Status probe: true means the probe
+// must fail even though the worker is alive.
 func (s *Schedule) Flap() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

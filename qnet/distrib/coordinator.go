@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -28,22 +29,34 @@ var ErrAttemptsExhausted = errors.New("distrib: shard attempts exhausted")
 // run sweeps with Sweep; a Coordinator is safe for sequential reuse
 // (one Sweep at a time).
 type Coordinator struct {
-	transport     Transport
-	workers       []string
-	shards        int
-	attempts      int
-	backoff       time.Duration
-	backoffCap    time.Duration
-	dispatchLimit time.Duration
-	breakAfter    int
-	breakCooldown time.Duration
-	heartbeat     time.Duration
-	journalDir    string
-	store         simulate.Store
-	storeURL      string
-	logf          func(format string, args ...any)
-	progress      func(worker string, st Status)
+	transport  Transport
+	workers    []string
+	shards     int
+	attempts   int
+	backoff    time.Duration
+	heartbeat  time.Duration
+	journalDir string
+	store      simulate.Store
+	storeURL   string
+	logf       func(format string, args ...any)
+	progress   func(worker string, st Status)
 }
+
+// Failure handling scales with the retry backoff base
+// (WithRetryBackoff): the retry delay's ceiling and the circuit
+// breaker's cooldown are multiples of the base, and the breaker trips
+// after a fixed run of consecutive failed dispatches.  At the 50ms
+// default base they are 2s, 1s and 3.
+const (
+	retryCapFactor  = 40
+	cooldownFactor  = 20
+	breakerFailures = 3
+)
+
+// deadAfterMisses consecutive unanswered Status probes declare a worker
+// dead.  One is not proof: a single flapped probe must not kill a
+// healthy worker.
+const deadAfterMisses = 2
 
 // CoordinatorOption configures a Coordinator.
 type CoordinatorOption func(*Coordinator)
@@ -64,49 +77,28 @@ func WithMaxAttempts(n int) CoordinatorOption {
 }
 
 // WithRetryBackoff sets the base delay before a failed shard is
-// re-enqueued (default 50ms).  The delay doubles with each failed
-// attempt up to the WithRetryBackoffCap ceiling, with deterministic
-// jitter in [delay/2, delay] so synchronized failures desynchronize
-// their retries.
+// re-enqueued (default 50ms), and with it the timescale of retries and
+// quarantine.  The delay doubles with each failed attempt up to 40× the
+// base, with deterministic jitter in [delay/2, delay] so synchronized
+// failures desynchronize their retries.  A worker that fails 3
+// dispatches in a row is quarantined by a circuit breaker: it receives
+// no new work for a cooldown of 20× the base, then re-enters on
+// probation — one further failure re-quarantines it immediately, one
+// success restores it fully.  Quarantine is for workers that keep
+// answering but keep failing (version skew, a bad disk, a flaky link);
+// dead workers are caught by the Status probes instead.
 func WithRetryBackoff(d time.Duration) CoordinatorOption {
 	return func(c *Coordinator) { c.backoff = d }
 }
 
-// WithRetryBackoffCap sets the ceiling of the exponential retry delay
-// (default 2s).  A cap below the base collapses every retry to the
-// cap.
-func WithRetryBackoffCap(d time.Duration) CoordinatorOption {
-	return func(c *Coordinator) { c.backoffCap = d }
-}
-
-// WithDispatchTimeout bounds each shard dispatch: a transport Run that
-// has not completed within d is cancelled and counts as a failed
-// attempt (retried with backoff like any other failure).  Zero (the
-// default) leaves dispatches bounded only by the sweep context — size
-// d to the slowest legitimate shard, not the mean.
-func WithDispatchTimeout(d time.Duration) CoordinatorOption {
-	return func(c *Coordinator) { c.dispatchLimit = d }
-}
-
-// WithCircuitBreaker quarantines a worker after n consecutive failed
-// shard dispatches: the worker receives no new work for the cooldown,
-// then re-enters on probation — one further failure re-quarantines it
-// immediately, one success restores it fully.  Quarantine is for
-// workers that keep answering but keep failing (version skew, a bad
-// disk, a flaky link); genuinely dead workers are handled by the
-// healthz/heartbeat path instead.  n <= 0 disables the breaker.  The
-// default is 3 failures with a 1s cooldown.
-func WithCircuitBreaker(n int, cooldown time.Duration) CoordinatorOption {
-	return func(c *Coordinator) { c.breakAfter, c.breakCooldown = n, cooldown }
-}
-
 // WithHeartbeat enables active liveness probing: every worker's Status
-// is fetched at this period, and two consecutive failed fetches mark
-// the worker dead and abort its in-flight shard (which then
-// reassigns).  Each successful beat also feeds the WithProgress
-// callback, so heartbeats double as live progress/telemetry probes.
-// Zero (the default) relies on in-band detection only — a dead worker
-// is noticed when its result stream breaks.
+// is fetched at this period, and two consecutive unanswered probes
+// (counting the probes that follow a failed dispatch) mark the worker
+// dead and abort its in-flight shard, which then reassigns.  Each
+// answered beat also feeds the WithProgress callback, so heartbeats
+// double as live progress/telemetry probes.  Zero (the default) relies
+// on in-band detection only — a dead worker is noticed when its result
+// stream breaks.
 func WithHeartbeat(d time.Duration) CoordinatorOption {
 	return func(c *Coordinator) { c.heartbeat = d }
 }
@@ -160,15 +152,12 @@ func NewCoordinator(t Transport, workers []string, opts ...CoordinatorOption) (*
 		return nil, &qnet.ConfigError{Field: "Workers", Value: 0, Reason: "need at least one worker"}
 	}
 	c := &Coordinator{
-		transport:     t,
-		workers:       workers,
-		shards:        4 * len(workers),
-		attempts:      len(workers) + 2,
-		backoff:       50 * time.Millisecond,
-		backoffCap:    2 * time.Second,
-		breakAfter:    3,
-		breakCooldown: time.Second,
-		logf:          func(string, ...any) {},
+		transport: t,
+		workers:   workers,
+		shards:    4 * len(workers),
+		attempts:  len(workers) + 2,
+		backoff:   50 * time.Millisecond,
+		logf:      func(string, ...any) {},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -205,8 +194,8 @@ type Report struct {
 	Mismatches int
 	// MismatchDetails are the first mismatches' metric deltas.
 	MismatchDetails []string
-	// Quarantines counts circuit-breaker trips across the fleet
-	// (WithCircuitBreaker): workers sidelined for a cooldown after
+	// Quarantines counts circuit-breaker trips across the fleet (see
+	// WithRetryBackoff): workers sidelined for a cooldown after
 	// consecutive failed dispatches.
 	Quarantines int
 	// QuarantinesByWorker counts circuit-breaker trips per worker (nil
@@ -244,21 +233,23 @@ func (r *Report) String() string {
 	return out
 }
 
-// shardState is one shard's dispatch bookkeeping.
+// shardState is one shard's dispatch bookkeeping.  Only the goroutine
+// holding the shard touches attempts.
 type shardState struct {
 	Shard
 	attempts int
 }
 
 // retryDelay computes the re-enqueue delay for a shard's k-th failed
-// attempt: base doubled per attempt, capped, then jittered into
-// [d/2, d] by a deterministic hash of the (shard, attempt) pair — no
-// RNG, so retry timing is reproducible while synchronized failures
-// still fan out.
-func retryDelay(base, ceil time.Duration, shard, attempt int) time.Duration {
+// attempt: base doubled per attempt, capped at retryCapFactor times
+// the base, then jittered into [d/2, d] by a deterministic hash of the
+// (shard, attempt) pair — no RNG, so retry timing is reproducible
+// while synchronized failures still fan out.
+func retryDelay(base time.Duration, shard, attempt int) time.Duration {
 	if base <= 0 {
 		return 0
 	}
+	ceil := retryCapFactor * base
 	d := base
 	for i := 1; i < attempt && d < ceil; i++ {
 		d *= 2
@@ -292,65 +283,21 @@ func resumeShard(store simulate.Store, keys []simulate.Key, indices []int) ([]Po
 	return out, true
 }
 
-// confirmDead double-checks a suspect worker after a failed dispatch.
-// One probe is not proof: a flapped healthz must not kill a healthy
-// worker, so death requires two consecutive probe failures, and a
-// draining verdict is not death at all.
-func (c *Coordinator) confirmDead(ctx context.Context, worker string) (dead, draining bool) {
-	for probe := 0; ; probe++ {
-		err := c.transport.Healthy(ctx, worker)
-		switch {
-		case err == nil:
-			return false, false
-		case errors.Is(err, ErrWorkerDraining):
-			return false, true
-		case probe == 1:
-			return true, false
-		}
-		select {
-		case <-time.After(10 * time.Millisecond):
-		case <-ctx.Done():
-			return false, false
-		}
-	}
-}
-
 // Sweep expands the spec, shards it across the fleet, and returns the
 // merged points in expansion order — the same contract as
 // simulate.Sweep over the same space — plus the operational Report.
 // Per-point simulation failures are recorded in SweepPoint.Err exactly
 // like the single-process engine; Sweep itself fails only when a shard
 // exhausts its attempts (ErrAttemptsExhausted), every worker dies or
-// drains with shards outstanding, or ctx is cancelled.
+// drains with shards outstanding, or ctx is cancelled.  Every goroutine
+// a Sweep starts has exited by the time it returns, so the Report is
+// final.
 func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.SweepPoint, *Report, error) {
-	space, err := spec.Space()
+	pts, keys, err := c.expand(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	pts, err := space.Points()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// With a store attached, every point's content key is known up
-	// front (the same machine validation single-process Sweep performs
-	// eagerly); the keys drive the merge-time sanity check and the
-	// journal's resume path.
-	var keys []simulate.Key
-	if c.store != nil {
-		keys = make([]simulate.Key, len(pts))
-		for i, pt := range pts {
-			m, err := space.Machine(pt)
-			if err != nil {
-				return nil, nil, err
-			}
-			keys[i] = m.CacheKey(pt.Program)
-		}
-	}
-
 	shards := PlanShards(len(pts), c.shards)
-	rep := &Report{Shards: len(shards), ShardsByWorker: make(map[string]int)}
-
 	var jnl *journal
 	if c.journalDir != "" {
 		if jnl, err = openJournal(c.journalDir, spec, len(shards)); err != nil {
@@ -359,358 +306,469 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.Swe
 		defer jnl.close()
 	}
 
-	ctx, cancelSweep := context.WithCancel(ctx)
-	defer cancelSweep()
+	r := newSweepRun(ctx, c, spec, keys, jnl, shards, len(pts))
+	defer r.cancel()
+	for _, w := range c.workers {
+		r.dispatchers.Add(1)
+		go r.dispatch(w)
+		if c.heartbeat > 0 {
+			r.background.Add(1)
+			go r.heartbeat(w)
+		}
+	}
+	// Dispatch ends once the last shard lands or the run fails.  Then
+	// stop the heartbeats, probes and retry timers and join them, so
+	// nothing touches the Report after it is returned.
+	r.dispatchers.Wait()
+	r.stopBackground()
+	r.background.Wait()
+	return r.result(pts)
+}
 
-	var (
-		mu        sync.Mutex
-		merged    = make(map[int]PointResult, len(pts))
-		remaining = len(shards)
-		dead      = make(map[string]bool, len(c.workers))
-		draining  = make(map[string]bool, len(c.workers))
-		failure   error
-	)
-	allDone := make(chan struct{})
-	pending := make(chan *shardState, len(shards))
-	for i := range shards {
-		sh := &shardState{Shard: shards[i]}
+// expand resolves the spec's run points and, with a store attached,
+// every point's content key up front (the same machine validation
+// single-process Sweep performs eagerly); the keys drive the
+// merge-time sanity check and the journal's resume path.
+func (c *Coordinator) expand(spec SpaceSpec) ([]simulate.Point, []simulate.Key, error) {
+	space, err := spec.Space()
+	if err != nil {
+		return nil, nil, err
+	}
+	pts, err := space.Points()
+	if err != nil || c.store == nil {
+		return pts, nil, err
+	}
+	keys := make([]simulate.Key, len(pts))
+	for i, pt := range pts {
+		m, err := space.Machine(pt)
+		if err != nil {
+			return nil, nil, err
+		}
+		keys[i] = m.CacheKey(pt.Program)
+	}
+	return pts, keys, nil
+}
+
+// workerState is a worker's standing in one sweep.  States only
+// advance: live, then draining, then dead.
+type workerState int
+
+const (
+	workerLive     workerState = iota // takes new shards
+	workerDraining                    // alive, but refuses new work
+	workerDead                        // declared dead
+)
+
+// workerRec is one worker's record in a sweep.
+type workerRec struct {
+	state  workerState
+	cancel context.CancelFunc // aborts the in-flight dispatch; nil when idle
+	misses int                // consecutive unanswered Status probes
+}
+
+// sweepRun is the state of one Sweep, owned by its methods: the
+// per-worker dispatch loops and heartbeats, retries, and the merge.
+type sweepRun struct {
+	c    *Coordinator
+	spec SpaceSpec
+	keys []simulate.Key // per-point store keys; nil without a store
+	jnl  *journal       // nil without WithJournal
+
+	ctx            context.Context // cancelled when the run fails or the caller gives up
+	cancel         context.CancelFunc
+	bgCtx          context.Context // heartbeats, probes and retry timers: ctx, also cancelled once dispatch ends
+	stopBackground context.CancelFunc
+	pending        chan *shardState // sized to the shard count, so a send never blocks
+	allDone        chan struct{}    // closed when the last shard completes
+	dispatchers    sync.WaitGroup   // the per-worker dispatch loops
+	background     sync.WaitGroup   // heartbeats and retry timers
+
+	mu        sync.Mutex // guards everything below
+	rep       *Report
+	merged    []PointResult // by point index, valid where have is set
+	have      []uint64      // bitset: which points are merged
+	remaining int           // shards not yet complete
+	workers   map[string]*workerRec
+	failure   error // the first failure, which ended the run
+}
+
+// newSweepRun sets up a run over the planned shards.  A shard the
+// journal records complete is merged straight from the shared store
+// when the store still holds every one of its points; every other
+// shard is queued for dispatch.
+func newSweepRun(ctx context.Context, c *Coordinator, spec SpaceSpec, keys []simulate.Key, jnl *journal, shards []Shard, points int) *sweepRun {
+	r := &sweepRun{
+		c: c, spec: spec, keys: keys, jnl: jnl,
+		pending:   make(chan *shardState, len(shards)),
+		allDone:   make(chan struct{}),
+		rep:       &Report{Shards: len(shards), ShardsByWorker: make(map[string]int)},
+		merged:    make([]PointResult, points),
+		have:      make([]uint64, (points+63)/64),
+		remaining: len(shards),
+		workers:   make(map[string]*workerRec, len(c.workers)),
+	}
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	r.bgCtx, r.stopBackground = context.WithCancel(r.ctx)
+	for _, w := range c.workers {
+		r.workers[w] = &workerRec{}
+	}
+	for _, sh := range shards {
 		if jnl != nil && keys != nil && jnl.done[sh.ID] {
 			if prs, ok := resumeShard(c.store, keys, sh.Indices); ok {
 				for _, pr := range prs {
-					merged[pr.Index] = pr
-					rep.CacheHits++
+					_ = r.merge(pr) // plan indices are always in range
 				}
-				rep.ResumedShards++
-				remaining--
+				r.rep.ResumedShards++
+				r.remaining--
 				continue
 			}
 		}
-		pending <- sh
+		r.pending <- &shardState{Shard: sh}
 	}
-	if rep.ResumedShards > 0 {
-		c.logf("distrib: journal resumed %d of %d shards from the store", rep.ResumedShards, len(shards))
+	if r.rep.ResumedShards > 0 {
+		c.logf("distrib: journal resumed %d of %d shards from the store", r.rep.ResumedShards, len(shards))
 	}
-	if remaining == 0 {
-		close(allDone)
+	if r.remaining == 0 {
+		close(r.allDone)
 	}
+	return r
+}
 
-	fail := func(err error) {
-		mu.Lock()
-		if failure == nil {
-			failure = err
+// dispatch is one worker's loop: take a shard, run it, settle the
+// outcome, until the run ends or the worker can take no new work.
+func (r *sweepRun) dispatch(worker string) {
+	defer r.dispatchers.Done()
+	failures := 0 // consecutive failed dispatches, for the circuit breaker
+	for {
+		sh := r.take(worker)
+		if sh == nil {
+			return
 		}
-		mu.Unlock()
-		cancelSweep()
-	}
-
-	// unavailable counts workers that can take no new work.  Callers
-	// hold mu.
-	unavailable := func() int {
-		n := 0
-		for _, w := range c.workers {
-			if dead[w] || draining[w] {
-				n++
+		err := r.run(worker, sh)
+		switch {
+		case err == nil:
+			failures = 0
+			r.complete(worker, sh)
+		case r.ctx.Err() != nil:
+			return
+		case errors.Is(err, ErrWorkerDraining):
+			// Not a failure: the worker refused new work.  Hand the
+			// shard back with its attempt un-counted.
+			if sh.attempts--; sh.attempts > 0 {
+				r.mu.Lock()
+				r.rep.Reassignments--
+				r.mu.Unlock()
 			}
-		}
-		return n
-	}
-
-	// merge folds one streamed point in, deduplicating overlap from
-	// reassigned shards and sanity-checking fresh results against the
-	// shared store.
-	merge := func(pr PointResult) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if pr.Index < 0 || pr.Index >= len(pts) {
-			return fmt.Errorf("distrib: streamed point index %d out of range", pr.Index)
-		}
-		if _, dup := merged[pr.Index]; dup {
-			rep.DuplicatePoints++
-			return nil
-		}
-		merged[pr.Index] = pr
-		if pr.Cached {
-			rep.CacheHits++
-		}
-		if keys != nil && !pr.Cached && pr.Err == "" {
-			if prev, ok := c.store.Get(keys[pr.Index]); ok {
-				if d := simulate.Diff(prev, pr.Result); !d.IsZero() {
-					rep.Mismatches++
-					if len(rep.MismatchDetails) < 8 {
-						rep.MismatchDetails = append(rep.MismatchDetails,
-							fmt.Sprintf("index %d: %s", pr.Index, d))
-					}
+			r.pending <- sh
+			r.setState(worker, workerDraining)
+			return
+		default:
+			// A broken stream usually means a dead worker: schedule the
+			// retry, then ask the worker's Status, as the heartbeat does.
+			if !r.retry(worker, sh, err) || r.confirm(worker) != workerLive {
+				return
+			}
+			// Alive but failing: after breakerFailures in a row,
+			// quarantine it, then let it back on probation, one failure
+			// away from the next quarantine.
+			if failures++; failures >= breakerFailures {
+				if !r.quarantine(worker, failures) {
+					return
 				}
+				failures = breakerFailures - 1
 			}
 		}
+	}
+}
+
+// take waits for the next queued shard and claims it for the worker,
+// counting every dispatch after a shard's first as a reassignment.  It
+// returns nil once the run is over or the worker takes no new work.
+func (r *sweepRun) take(worker string) *shardState {
+	var sh *shardState
+	select {
+	case <-r.ctx.Done():
+		return nil
+	case <-r.allDone:
+		return nil
+	case sh = <-r.pending:
+	}
+	r.mu.Lock()
+	live := r.workers[worker].state == workerLive
+	if live && sh.attempts > 0 {
+		r.rep.Reassignments++
+	}
+	r.mu.Unlock()
+	if !live {
+		r.pending <- sh // hand it back untaken
 		return nil
 	}
+	sh.attempts++
+	return sh
+}
 
-	markDead := func(worker string) {
-		mu.Lock()
-		if dead[worker] {
-			mu.Unlock()
+// run dispatches one shard to the worker.  The dispatch's cancel
+// handle sits in the worker's record while it runs, so a heartbeat
+// that declares the worker dead can abort it.
+func (r *sweepRun) run(worker string, sh *shardState) error {
+	ctx, cancel := context.WithCancel(r.ctx)
+	defer cancel()
+	rec := r.workers[worker]
+	r.mu.Lock()
+	rec.cancel = cancel
+	r.mu.Unlock()
+	job := Job{Space: r.spec, Indices: sh.Indices, StoreURL: r.c.storeURL}
+	err := r.c.transport.Run(ctx, worker, job, r.merge)
+	r.mu.Lock()
+	rec.cancel = nil
+	r.mu.Unlock()
+	return err
+}
+
+// complete records a shard the worker finished and journals it,
+// closing allDone when it was the last one outstanding.
+func (r *sweepRun) complete(worker string, sh *shardState) {
+	r.mu.Lock()
+	r.rep.ShardsByWorker[worker]++
+	r.remaining--
+	last := r.remaining == 0
+	r.mu.Unlock()
+	if r.jnl != nil {
+		if err := r.jnl.complete(sh.ID); err != nil {
+			r.c.logf("distrib: journal: %v", err)
+		}
+	}
+	if last {
+		close(r.allDone)
+	}
+}
+
+// retry settles a failed dispatch: a shard out of attempts fails the
+// run, any other re-enqueues after a capped exponential backoff.  It
+// reports whether the run goes on.
+func (r *sweepRun) retry(worker string, sh *shardState, err error) bool {
+	r.c.logf("distrib: shard %d attempt %d on %s failed: %v", sh.ID, sh.attempts, worker, err)
+	if sh.attempts >= r.c.attempts {
+		r.fail(fmt.Errorf("%w: shard %d failed after %d attempts: %v",
+			ErrAttemptsExhausted, sh.ID, sh.attempts, err))
+		return false
+	}
+	r.background.Add(1)
+	go r.requeue(sh, retryDelay(r.c.backoff, sh.ID, sh.attempts))
+	return true
+}
+
+// requeue puts a failed shard back on the queue once its backoff delay
+// has passed, unless the run's background work stops first.
+func (r *sweepRun) requeue(sh *shardState, delay time.Duration) {
+	defer r.background.Done()
+	t := time.NewTimer(delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		r.pending <- sh
+	case <-r.bgCtx.Done():
+	}
+}
+
+// quarantine sidelines a worker that answers probes but keeps failing
+// dispatches for the breaker's cooldown.  It reports whether the run
+// goes on.
+func (r *sweepRun) quarantine(worker string, failures int) bool {
+	r.mu.Lock()
+	r.rep.Quarantines++
+	if r.rep.QuarantinesByWorker == nil {
+		r.rep.QuarantinesByWorker = make(map[string]int)
+	}
+	r.rep.QuarantinesByWorker[worker]++
+	r.mu.Unlock()
+	cooldown := cooldownFactor * r.c.backoff
+	r.c.logf("distrib: worker %s quarantined after %d consecutive failures (cooldown %s)",
+		worker, failures, cooldown)
+	select {
+	case <-time.After(cooldown):
+		return true
+	case <-r.ctx.Done():
+	case <-r.allDone:
+	}
+	return false
+}
+
+// heartbeat probes the worker's Status every period until background
+// work stops or the worker is declared dead.  One probe serves two
+// purposes: liveness, through observe, and progress telemetry, since
+// answered probes feed WithProgress.
+func (r *sweepRun) heartbeat(worker string) {
+	defer r.background.Done()
+	t := time.NewTicker(r.c.heartbeat)
+	defer t.Stop()
+	for {
+		select {
+		case <-r.bgCtx.Done():
+			return
+		case <-t.C:
+		}
+		st, err := r.c.transport.Status(r.bgCtx, worker)
+		if r.observe(worker, st, err) == workerDead {
 			return
 		}
-		dead[worker] = true
-		rep.DeadWorkers = append(rep.DeadWorkers, worker)
-		none := unavailable() == len(c.workers) && remaining > 0
-		mu.Unlock()
-		c.logf("distrib: worker %s declared dead", worker)
-		if none {
-			fail(errors.New("distrib: every worker dead or draining with shards outstanding"))
+		if err == nil && r.c.progress != nil {
+			r.c.progress(worker, st)
 		}
 	}
+}
 
-	markDraining := func(worker string) {
-		mu.Lock()
-		if draining[worker] {
-			mu.Unlock()
-			return
+// confirm probes a worker whose dispatch just failed until it answers
+// or observe declares it dead, and returns its state.
+func (r *sweepRun) confirm(worker string) workerState {
+	for {
+		st, err := r.c.transport.Status(r.bgCtx, worker)
+		state := r.observe(worker, st, err)
+		if err == nil || state == workerDead {
+			return state
 		}
-		draining[worker] = true
-		rep.DrainingWorkers = append(rep.DrainingWorkers, worker)
-		none := unavailable() == len(c.workers) && remaining > 0
-		mu.Unlock()
-		c.logf("distrib: worker %s is draining; no new work dispatched to it", worker)
-		if none {
-			fail(errors.New("distrib: every worker dead or draining with shards outstanding"))
+		select {
+		case <-time.After(10 * time.Millisecond):
+		case <-r.bgCtx.Done():
+			return state
 		}
 	}
+}
 
-	// Per-worker cancel handles let the heartbeat monitor abort a dead
-	// worker's in-flight shard so it reassigns promptly.
-	type flight struct {
-		mu     sync.Mutex
-		cancel context.CancelFunc
+// observe is the one liveness transition, fed by heartbeats and by
+// the checks after failed dispatches alike.  An answered Status probe
+// clears the worker's misses, and marks it draining if the answer says
+// so; an unanswered probe is a miss, and deadAfterMisses in a row
+// declare it dead.  A probe that failed because the run's background
+// work was stopped proves nothing and is ignored.  It returns the
+// worker's state.
+func (r *sweepRun) observe(worker string, st Status, err error) workerState {
+	r.mu.Lock()
+	rec := r.workers[worker]
+	to := rec.state
+	switch {
+	case err == nil:
+		rec.misses = 0
+		if st.Draining {
+			to = max(to, workerDraining)
+		}
+	case r.bgCtx.Err() != nil:
+	default:
+		if rec.misses++; rec.misses >= deadAfterMisses {
+			to = workerDead
+		}
 	}
-	flights := make(map[string]*flight, len(c.workers))
-	for _, w := range c.workers {
-		flights[w] = &flight{}
+	r.mu.Unlock()
+	return r.setState(worker, to)
+}
+
+// setState advances a worker to the given state, records the step in
+// the Report, and returns the worker's state; a state never moves
+// back.  Declaring a worker dead aborts its in-flight dispatch so the
+// shard reassigns, and the run fails once no worker is left to take
+// the outstanding shards.
+func (r *sweepRun) setState(worker string, to workerState) workerState {
+	r.mu.Lock()
+	rec := r.workers[worker]
+	if to <= rec.state {
+		to = rec.state
+		r.mu.Unlock()
+		return to
 	}
+	rec.state = to
+	what := "is draining; no new work dispatched to it"
+	if to == workerDead {
+		what = "declared dead"
+		r.rep.DeadWorkers = append(r.rep.DeadWorkers, worker)
+		if rec.cancel != nil {
+			rec.cancel()
+		}
+	} else {
+		r.rep.DrainingWorkers = append(r.rep.DrainingWorkers, worker)
+	}
+	stranded := r.remaining > 0
+	for _, w := range r.workers {
+		stranded = stranded && w.state != workerLive
+	}
+	r.mu.Unlock()
+	r.c.logf("distrib: worker %s %s", worker, what)
+	if stranded {
+		r.fail(errors.New("distrib: every worker dead or draining with shards outstanding"))
+	}
+	return to
+}
 
-	var wg sync.WaitGroup
-	for _, worker := range c.workers {
-		wg.Add(1)
-		go func(worker string) {
-			defer wg.Done()
-			fl := flights[worker]
-			consecutive := 0 // failed dispatches since the last success
-			for {
-				var sh *shardState
-				select {
-				case <-ctx.Done():
-					return
-				case <-allDone:
-					return
-				case sh = <-pending:
-				}
-				mu.Lock()
-				if dead[worker] || draining[worker] {
-					mu.Unlock()
-					pending <- sh // hand back untaken
-					return
-				}
-				reassigned := sh.attempts > 0
-				if reassigned {
-					rep.Reassignments++
-				}
-				sh.attempts++
-				attempts := sh.attempts
-				mu.Unlock()
+// fail ends the run with err; the first failure wins.
+func (r *sweepRun) fail(err error) {
+	r.mu.Lock()
+	if r.failure == nil {
+		r.failure = err
+	}
+	r.mu.Unlock()
+	r.cancel()
+}
 
-				var jctx context.Context
-				var cancel context.CancelFunc
-				if c.dispatchLimit > 0 {
-					jctx, cancel = context.WithTimeout(ctx, c.dispatchLimit)
-				} else {
-					jctx, cancel = context.WithCancel(ctx)
-				}
-				fl.mu.Lock()
-				fl.cancel = cancel
-				fl.mu.Unlock()
-				job := Job{Space: spec, Indices: sh.Indices, StoreURL: c.storeURL}
-				err := c.transport.Run(jctx, worker, job, merge)
-				fl.mu.Lock()
-				fl.cancel = nil
-				fl.mu.Unlock()
-				cancel()
-
-				if err == nil {
-					consecutive = 0
-					mu.Lock()
-					rep.ShardsByWorker[worker]++
-					remaining--
-					done := remaining == 0
-					mu.Unlock()
-					if jnl != nil {
-						if jerr := jnl.complete(sh.ID); jerr != nil {
-							c.logf("distrib: journal: %v", jerr)
-						}
-					}
-					if done {
-						close(allDone)
-						return
-					}
-					continue
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if errors.Is(err, ErrWorkerDraining) {
-					// Not a failure: the worker refused new work.  Hand
-					// the shard back with its attempt un-counted and stop
-					// dispatching here.
-					mu.Lock()
-					sh.attempts--
-					if reassigned {
-						rep.Reassignments--
-					}
-					mu.Unlock()
-					pending <- sh
-					markDraining(worker)
-					return
-				}
-				c.logf("distrib: shard %d attempt %d on %s failed: %v", sh.ID, attempts, worker, err)
-				if attempts >= c.attempts {
-					fail(fmt.Errorf("%w: shard %d failed after %d attempts: %v",
-						ErrAttemptsExhausted, sh.ID, attempts, err))
-					return
-				}
-				// Re-enqueue after a capped exponential backoff with
-				// deterministic jitter.  The timer goroutine parks on the
-				// sweep's lifetime channels, so a cancelled sweep never
-				// has a pending retry fire into it (the buffered channel
-				// also guarantees the send cannot block).
-				sst := sh
-				delay := retryDelay(c.backoff, c.backoffCap, sh.ID, attempts)
-				go func() {
-					t := time.NewTimer(delay)
-					defer t.Stop()
-					select {
-					case <-t.C:
-						pending <- sst
-					case <-ctx.Done():
-					case <-allDone:
-					}
-				}()
-				// A broken stream usually means a dead worker; confirm
-				// out of band (twice — one flapped probe is not proof)
-				// and stop pulling work if so.
-				if isDead, isDraining := c.confirmDead(ctx, worker); isDead {
-					markDead(worker)
-					return
-				} else if isDraining {
-					markDraining(worker)
-					return
-				}
-				// The worker is alive but failing.  After breakAfter
-				// consecutive failures, quarantine it for the cooldown,
-				// then re-enter on probation: one more failure trips the
-				// breaker again immediately.
-				consecutive++
-				if c.breakAfter > 0 && consecutive >= c.breakAfter {
-					mu.Lock()
-					rep.Quarantines++
-					if rep.QuarantinesByWorker == nil {
-						rep.QuarantinesByWorker = make(map[string]int)
-					}
-					rep.QuarantinesByWorker[worker]++
-					mu.Unlock()
-					c.logf("distrib: worker %s quarantined after %d consecutive failures (cooldown %s)",
-						worker, consecutive, c.breakCooldown)
-					select {
-					case <-time.After(c.breakCooldown):
-					case <-ctx.Done():
-						return
-					case <-allDone:
-						return
-					}
-					consecutive = c.breakAfter - 1
+// merge folds one streamed point in: overlap that a reassigned shard
+// re-delivers is dropped (first result wins), and fresh results are
+// sanity-checked against the shared store.
+func (r *sweepRun) merge(pr PointResult) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := pr.Index
+	if i < 0 || i >= len(r.merged) {
+		return fmt.Errorf("distrib: streamed point index %d out of range", i)
+	}
+	word, bit := i/64, uint64(1)<<(i%64)
+	if r.have[word]&bit != 0 {
+		r.rep.DuplicatePoints++
+		return nil
+	}
+	r.have[word] |= bit
+	r.merged[i] = pr
+	if pr.Cached {
+		r.rep.CacheHits++
+	}
+	if r.keys != nil && !pr.Cached && pr.Err == "" {
+		if prev, ok := r.c.store.Get(r.keys[i]); ok {
+			if d := simulate.Diff(prev, pr.Result); !d.IsZero() {
+				r.rep.Mismatches++
+				if len(r.rep.MismatchDetails) < 8 {
+					r.rep.MismatchDetails = append(r.rep.MismatchDetails, fmt.Sprintf("index %d: %s", i, d))
 				}
 			}
-		}(worker)
-	}
-
-	// Heartbeat monitor: each beat fetches the worker's live Status, so
-	// one probe serves two purposes — liveness (workers that stop
-	// answering are marked dead and their in-flight shards aborted) and
-	// progress telemetry (successful beats feed WithProgress).
-	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
-	if c.heartbeat > 0 {
-		for _, worker := range c.workers {
-			go func(worker string) {
-				misses := 0
-				t := time.NewTicker(c.heartbeat)
-				defer t.Stop()
-				for {
-					select {
-					case <-hbCtx.Done():
-						return
-					case <-allDone:
-						return
-					case <-t.C:
-					}
-					st, err := c.transport.Status(hbCtx, worker)
-					if err != nil {
-						if errors.Is(err, ErrWorkerDraining) {
-							markDraining(worker)
-							misses = 0
-							continue
-						}
-						if misses++; misses >= 2 {
-							markDead(worker)
-							fl := flights[worker]
-							fl.mu.Lock()
-							if fl.cancel != nil {
-								fl.cancel()
-							}
-							fl.mu.Unlock()
-							return
-						}
-						continue
-					}
-					misses = 0
-					if st.Draining {
-						markDraining(worker)
-					}
-					if c.progress != nil {
-						c.progress(worker, st)
-					}
-				}
-			}(worker)
 		}
 	}
+	return nil
+}
 
-	wg.Wait()
-	mu.Lock()
-	err = failure
-	mu.Unlock()
+// result builds Sweep's return values.  Every goroutine of the run has
+// been joined by now, so the state is read without the lock.
+func (r *sweepRun) result(pts []simulate.Point) ([]simulate.SweepPoint, *Report, error) {
+	err := r.failure
 	if err == nil {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-		}
+		err = r.ctx.Err()
 	}
-	if err == nil && len(merged) != len(pts) {
-		err = fmt.Errorf("distrib: merged %d of %d points", len(merged), len(pts))
+	merged := 0
+	for _, w := range r.have {
+		merged += bits.OnesCount64(w)
+	}
+	if err == nil && merged != len(pts) {
+		err = fmt.Errorf("distrib: merged %d of %d points", merged, len(pts))
 	}
 	if err != nil {
-		return nil, rep, err
+		return nil, r.rep, err
 	}
-
 	out := make([]simulate.SweepPoint, len(pts))
 	for i, pt := range pts {
-		pr := merged[i]
-		sp := simulate.SweepPoint{Point: pt, Result: pr.Result, Cached: pr.Cached}
+		pr := r.merged[i]
+		out[i] = simulate.SweepPoint{Point: pt, Result: pr.Result, Cached: pr.Cached}
 		if pr.Err != "" {
-			sp.Err = errors.New(pr.Err)
+			out[i].Err = errors.New(pr.Err)
 		}
-		out[i] = sp
 	}
-	rep.Points = len(out)
-	if c.store != nil {
-		rep.Store = c.store.Stats()
+	r.rep.Points = len(out)
+	if r.c.store != nil {
+		r.rep.Store = r.c.store.Stats()
 	}
-	return out, rep, nil
+	return out, r.rep, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/qnet/distrib/chaos"
 	"repro/qnet/simulate"
 )
 
@@ -92,10 +93,9 @@ func TestAllWorkersDrainingFails(t *testing.T) {
 }
 
 // TestHTTPServerDrain covers the server side of graceful shutdown: a
-// draining server answers healthz with 503 "draining", refuses new
-// submissions the same way, keeps /v1/status alive with Draining set,
-// and Drain blocks until every accepted job has streamed its terminal
-// line.
+// draining server refuses new submissions with 503 "draining", keeps
+// /v1/status alive with Draining set, and Drain blocks until every
+// accepted job has streamed its terminal line.
 func TestHTTPServerDrain(t *testing.T) {
 	spec := testSpec(t)
 	srv := NewServer(NewWorker())
@@ -104,8 +104,8 @@ func TestHTTPServerDrain(t *testing.T) {
 	defer ts.Close()
 	tr := NewHTTPTransport()
 
-	if err := tr.Healthy(context.Background(), ts.URL); err != nil {
-		t.Fatalf("healthy before drain: %v", err)
+	if st, err := tr.Status(context.Background(), ts.URL); err != nil || st.Draining {
+		t.Fatalf("status before drain: %+v, %v", st, err)
 	}
 
 	// Accept one job pre-drain, but do not read its stream yet.
@@ -126,16 +126,7 @@ func TestHTTPServerDrain(t *testing.T) {
 		t.Fatal("Draining() false after StartDrain")
 	}
 
-	// healthz now refuses with the draining marker...
-	err := tr.Healthy(context.Background(), ts.URL)
-	if !errors.Is(err, ErrWorkerDraining) {
-		t.Fatalf("healthz during drain: %v, want ErrWorkerDraining", err)
-	}
-	var terr *TransportError
-	if !errors.As(err, &terr) || terr.Op != "healthz" {
-		t.Fatalf("healthz drain error not structured: %#v", err)
-	}
-	// ...new submissions are refused the same way...
+	// New submissions are refused with the draining marker...
 	resp2 := submitJob(t, ts.URL, spec, []int{1})
 	b, _ := io.ReadAll(resp2.Body)
 	resp2.Body.Close()
@@ -143,10 +134,14 @@ func TestHTTPServerDrain(t *testing.T) {
 		t.Fatalf("submit during drain: status %d body %q", resp2.StatusCode, b)
 	}
 	// ...the transport maps that refusal to ErrWorkerDraining...
-	err = tr.Run(context.Background(), ts.URL, Job{Space: spec, Indices: []int{1}},
+	err := tr.Run(context.Background(), ts.URL, Job{Space: spec, Indices: []int{1}},
 		func(PointResult) error { return nil })
 	if !errors.Is(err, ErrWorkerDraining) {
 		t.Fatalf("Run during drain: %v, want ErrWorkerDraining", err)
+	}
+	var terr *TransportError
+	if !errors.As(err, &terr) || terr.Op != "submit" {
+		t.Fatalf("drain refusal not structured: %#v", err)
 	}
 	// ...but status stays answerable, flagged draining.
 	st, err := tr.Status(context.Background(), ts.URL)
@@ -237,4 +232,24 @@ func submitJob(t *testing.T, base string, spec SpaceSpec, indices []int) *http.R
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// TestLoopbackDrainSurvivesFlap: chaos flaps only the probes a worker
+// answered as alive.  A draining worker's answer is a verdict, not
+// liveness noise; flapping it would let chaos turn a drain into a
+// death.  Flap: 1 flaps every probe it is allowed to.
+func TestLoopbackDrainSurvivesFlap(t *testing.T) {
+	lb := NewLoopback()
+	lb.Add("w0", NewWorker())
+	lb.Add("w1", NewWorker())
+	lb.Drain("w0")
+	tr := NewChaos(lb, chaos.New(chaos.Config{Flap: 1}))
+
+	st, err := tr.Status(context.Background(), "w0")
+	if err != nil || !st.Draining {
+		t.Fatalf("draining worker's status under Flap 1: %+v, %v; want Draining and no error", st, err)
+	}
+	if _, err := tr.Status(context.Background(), "w1"); !errors.Is(err, errProbeDropped) {
+		t.Fatalf("live worker's probe under Flap 1: %v, want a dropped probe", err)
+	}
 }

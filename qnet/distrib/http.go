@@ -4,8 +4,7 @@
 //
 //	POST /v1/jobs             <- JSON Job, -> 202 + {"id": "..."}
 //	GET  /v1/jobs/{id}/stream -> newline-delimited JSON stream lines
-//	GET  /v1/healthz          -> 200 "ok"
-//	GET  /v1/status           -> 200 + JSON Status (live worker telemetry)
+//	GET  /v1/status           -> 200 + JSON Status (live telemetry, liveness, drain)
 //
 // Each stream line carries either one finished point, a terminal
 // worker-side error, or the terminal done marker; a stream that ends
@@ -31,15 +30,12 @@ import (
 // jobsPath is the URL prefix of the job endpoints.
 const jobsPath = "/v1/jobs"
 
-// healthzPath is the liveness endpoint.
-const healthzPath = "/v1/healthz"
-
-// statusPath is the live worker-telemetry endpoint.
+// statusPath is the live worker-telemetry endpoint, which doubles as
+// the liveness probe.
 const statusPath = "/v1/status"
 
-// drainingBody is the body a draining server answers healthz probes
-// and job submissions with (alongside 503); the client maps it to
-// ErrWorkerDraining.
+// drainingBody is the body a draining server answers job submissions
+// with (alongside 503); the client maps it to ErrWorkerDraining.
 const drainingBody = "draining"
 
 // streamLine is one newline-delimited JSON line of a job's result
@@ -98,11 +94,11 @@ func NewServer(w *Worker) *Server {
 // an error line.
 func (s *Server) Close() { s.cancel() }
 
-// StartDrain flips the server into draining mode: /v1/healthz answers
-// 503 "draining", /v1/status sets Status.Draining, and new job
-// submissions are refused with 503 — while jobs already accepted keep
-// executing and streaming.  Draining is one-way; use Drain to also
-// wait for the in-flight work.
+// StartDrain flips the server into draining mode: /v1/status sets
+// Status.Draining and new job submissions are refused with 503
+// "draining", while jobs already accepted keep executing and
+// streaming.  Draining is one-way; use Drain to also wait for the
+// in-flight work.
 func (s *Server) StartDrain() {
 	s.mu.Lock()
 	s.draining = true
@@ -159,13 +155,6 @@ func (s *Server) drained() bool {
 // should also serve the fleet store).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(healthzPath, func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() {
-			http.Error(w, drainingBody, http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
 	mux.HandleFunc(statusPath, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -352,7 +341,7 @@ func (t *HTTPTransport) Run(ctx context.Context, worker string, job Job, emit fu
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		if isDrainingResponse(resp.StatusCode, acceptBody) {
+		if resp.StatusCode == http.StatusServiceUnavailable && bytes.Contains(acceptBody, []byte(drainingBody)) {
 			return &TransportError{Worker: worker, Op: "submit", Err: ErrWorkerDraining}
 		}
 		return &TransportError{Worker: worker, Op: "submit", Err: fmt.Errorf("status %s", resp.Status)}
@@ -412,64 +401,31 @@ func (t *HTTPTransport) Run(ctx context.Context, worker string, job Job, emit fu
 	return &TransportError{Worker: worker, Op: "stream", Err: ErrTruncatedStream}
 }
 
-// isDrainingResponse reports whether a response is a draining server's
-// 503 + "draining" refusal.
-func isDrainingResponse(status int, body []byte) bool {
-	return status == http.StatusServiceUnavailable &&
-		strings.Contains(strings.TrimSpace(string(body)), drainingBody)
-}
-
 // Status fetches the worker's /v1/status telemetry snapshot with a
-// short deadline layered under ctx.
+// short deadline layered under ctx.  Every failure is a *TransportError
+// with Op "status"; a draining worker still answers, with
+// Status.Draining set.
 func (t *HTTPTransport) Status(ctx context.Context, worker string) (Status, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimSuffix(worker, "/")+statusPath, nil)
 	if err != nil {
-		return Status{}, err
+		return Status{}, &TransportError{Worker: worker, Op: "status", Err: err}
 	}
 	resp, err := t.Client.Do(req)
 	if err != nil {
-		return Status{}, err
+		return Status{}, &TransportError{Worker: worker, Op: "status", Err: err}
 	}
 	var st Status
 	decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&st)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return Status{}, fmt.Errorf("distrib: status from %s: %s", worker, resp.Status)
+		return Status{}, &TransportError{Worker: worker, Op: "status", Err: fmt.Errorf("status %s", resp.Status)}
 	}
 	if decErr != nil {
-		return Status{}, fmt.Errorf("distrib: status from %s: %w", worker, decErr)
+		return Status{}, &TransportError{Worker: worker, Op: "status", Err: decErr}
 	}
 	return st, nil
-}
-
-// Healthy probes the worker's /v1/healthz endpoint with a short
-// deadline layered under ctx.  A draining worker (503 "draining")
-// reports ErrWorkerDraining — alive, finishing in-flight shards, but
-// accepting no new work — distinct from a dead one.
-func (t *HTTPTransport) Healthy(ctx context.Context, worker string) error {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(worker, "/")+healthzPath, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := t.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if isDrainingResponse(resp.StatusCode, body) {
-			return &TransportError{Worker: worker, Op: "healthz", Err: ErrWorkerDraining}
-		}
-		return fmt.Errorf("distrib: %s unhealthy: %s", worker, resp.Status)
-	}
-	return nil
 }

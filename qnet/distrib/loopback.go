@@ -52,7 +52,7 @@ func (l *Loopback) Add(name string, w *Worker) {
 }
 
 // Kill marks the named worker dead: its in-flight jobs abort, and
-// every later Run or Healthy against it fails.
+// every later Run or Status against it fails.
 func (l *Loopback) Kill(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -71,9 +71,9 @@ func (lw *loopbackWorker) die() {
 }
 
 // Drain marks the named worker draining, mirroring a sweepd that
-// received SIGTERM: new Runs are refused with ErrWorkerDraining and
-// Healthy reports the same, while jobs already in flight finish and
-// Status keeps answering with Draining set — healthy but unavailable.
+// received SIGTERM: new Runs are refused with ErrWorkerDraining, while
+// jobs already in flight finish and Status keeps answering with
+// Draining set — healthy but unavailable.
 func (l *Loopback) Drain(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -151,7 +151,7 @@ func (l *Loopback) Run(ctx context.Context, worker string, job Job, emit func(Po
 }
 
 // Status returns the named worker's live telemetry snapshot, failing
-// like Healthy for unknown or dead workers.
+// for unknown or dead workers.
 func (l *Loopback) Status(_ context.Context, worker string) (Status, error) {
 	l.mu.Lock()
 	lw := l.workers[worker]
@@ -168,20 +168,4 @@ func (l *Loopback) Status(_ context.Context, worker string) (Status, error) {
 	st := w.Status()
 	st.Draining = draining
 	return st, nil
-}
-
-// Healthy reports the named worker's liveness.
-func (l *Loopback) Healthy(_ context.Context, worker string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lw := l.workers[worker]
-	switch {
-	case lw == nil:
-		return fmt.Errorf("distrib: unknown loopback worker %q", worker)
-	case lw.dead:
-		return fmt.Errorf("distrib: loopback worker %q is dead", worker)
-	case lw.draining:
-		return &TransportError{Worker: worker, Op: "healthz", Err: ErrWorkerDraining}
-	}
-	return nil
 }

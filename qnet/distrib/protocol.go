@@ -22,7 +22,7 @@
 //
 // The wire protocol is deliberately small (three HTTP endpoints per
 // worker — POST /v1/jobs, GET /v1/jobs/{id}/stream as
-// newline-delimited JSON, GET /v1/healthz — plus a key/value store
+// newline-delimited JSON, GET /v1/status — plus a key/value store
 // API on the coordinator), and the Transport interface keeps it
 // pluggable: the in-process Loopback transport runs the whole
 // subsystem, including injected worker death, without opening a

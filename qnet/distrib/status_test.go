@@ -3,7 +3,9 @@ package distrib
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,8 +75,8 @@ func TestWorkerTelemetryObserverParity(t *testing.T) {
 }
 
 // TestLoopbackStatus pins the loopback transport's Status routing: a
-// live worker's snapshot comes through, an unknown name and a dead
-// worker error like Healthy does.
+// live worker's snapshot comes through, and an unknown name and a dead
+// worker are errors.
 func TestLoopbackStatus(t *testing.T) {
 	lb := NewLoopback()
 	w := NewWorker()
@@ -137,6 +139,88 @@ func TestCoordinatorProgressCallback(t *testing.T) {
 	}
 }
 
+// stuckProbeTransport keeps a heartbeat mid-probe as a sweep ends: its
+// first Status probe fails, every later one blocks until its context is
+// cancelled, and Run holds each dispatch back until a probe is stuck.
+type stuckProbeTransport struct {
+	Transport
+	stuck    chan struct{} // closed when the second probe starts blocking
+	released chan struct{} // closed when that probe returns
+
+	mu     sync.Mutex
+	probes int
+}
+
+// Status fails the first probe and blocks every later one.
+func (s *stuckProbeTransport) Status(ctx context.Context, worker string) (Status, error) {
+	s.mu.Lock()
+	s.probes++
+	n := s.probes
+	s.mu.Unlock()
+	switch n {
+	case 1:
+		return Status{}, errors.New("test: probe lost")
+	case 2:
+		close(s.stuck)
+		defer close(s.released)
+	}
+	<-ctx.Done()
+	return Status{}, ctx.Err()
+}
+
+// Run waits until a probe is stuck, then forwards.
+func (s *stuckProbeTransport) Run(ctx context.Context, worker string, job Job, emit func(PointResult) error) error {
+	select {
+	case <-s.stuck:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return s.Transport.Run(ctx, worker, job, emit)
+}
+
+// TestReportFinalWhenSweepReturns: nothing a Sweep starts outlives it.
+// The only worker is one heartbeat miss down and mid-probe when its
+// last shard lands.  Sweep must cancel that probe, must not count the
+// cancelled probe as the second miss that declares a healthy worker
+// dead, and must join the heartbeat before it builds the Report, so the
+// Report it returns never changes afterwards.
+func TestReportFinalWhenSweepReturns(t *testing.T) {
+	spec := testSpec(t)
+	before := runtime.NumGoroutine()
+	lb := NewLoopback()
+	lb.Add("w0", NewWorker())
+	tr := &stuckProbeTransport{Transport: lb, stuck: make(chan struct{}), released: make(chan struct{})}
+	coord, err := NewCoordinator(tr, []string{"w0"}, WithHeartbeat(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := coord.Sweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tr.released:
+	default:
+		t.Error("a heartbeat probe was still running when Sweep returned")
+	}
+	returned := rep.String()
+	if len(rep.DeadWorkers) != 0 {
+		t.Errorf("healthy worker declared dead: %s", returned)
+	}
+
+	// Let whatever the sweep left running finish, then require that it
+	// changed nothing.
+	select {
+	case <-tr.released:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stuck probe was never cancelled")
+	}
+	waitGoroutines(t, before)
+	if later := rep.String(); later != returned {
+		t.Fatalf("Report changed after Sweep returned:\nat return: %s\nlater:     %s", returned, later)
+	}
+}
+
 // TestHTTPStatusEndpoint pins the wire path: /v1/status serves the
 // worker's snapshot as JSON and HTTPTransport.Status decodes it.
 func TestHTTPStatusEndpoint(t *testing.T) {
@@ -164,11 +248,13 @@ func TestHTTPStatusEndpoint(t *testing.T) {
 			t.Errorf("status JSON %s missing field %q", data, field)
 		}
 	}
-	// A vanished worker turns into a transport error, which the
-	// heartbeat counts as a miss.
+	// A vanished worker turns into a structured transport error, which
+	// the coordinator counts as a miss.
 	ts.Close()
-	if _, err := NewHTTPTransport().Status(context.Background(), ts.URL); err == nil {
-		t.Error("closed worker server reported a status")
+	_, err = NewHTTPTransport().Status(context.Background(), ts.URL)
+	var terr *TransportError
+	if !errors.As(err, &terr) || terr.Op != "status" || terr.Worker != ts.URL {
+		t.Errorf("closed worker server: %#v, want a *TransportError with Op \"status\"", err)
 	}
 }
 

@@ -15,11 +15,10 @@ import (
 // the shard reassigns, never partially merges.
 var ErrTruncatedStream = errors.New("distrib: result stream truncated")
 
-// ErrWorkerDraining marks a worker that refused a dispatch or probe
-// because it is draining: alive, finishing its in-flight shards, but
-// accepting no new work.  The coordinator treats it as
-// healthy-but-unavailable — it stops dispatching to the worker without
-// declaring it dead.
+// ErrWorkerDraining marks a worker that refused a dispatch because it
+// is draining: alive, finishing its in-flight shards, but accepting no
+// new work.  The coordinator treats it as healthy-but-unavailable — it
+// stops dispatching to the worker without declaring it dead.
 var ErrWorkerDraining = errors.New("distrib: worker is draining")
 
 // TransportError is the structured failure of one transport call: the
@@ -29,8 +28,7 @@ var ErrWorkerDraining = errors.New("distrib: worker is draining")
 type TransportError struct {
 	// Worker is the worker name (for HTTPTransport, its base URL).
 	Worker string
-	// Op is the operation that failed: "submit", "stream", "healthz"
-	// or "status".
+	// Op is the operation that failed: "submit", "stream" or "status".
 	Op string
 	// Err is the underlying cause.
 	Err error
@@ -57,11 +55,10 @@ type Transport interface {
 	// an unreachable worker or a worker-side failure is an error (the
 	// coordinator's cue to reassign the shard).
 	Run(ctx context.Context, worker string, job Job, emit func(PointResult) error) error
-	// Healthy probes the named worker's liveness.
-	Healthy(ctx context.Context, worker string) error
 	// Status fetches the named worker's live telemetry snapshot —
 	// shard progress plus, for telemetry-enabled workers, the event
-	// rate and router occupancy of the runs in flight.  It doubles as
-	// a liveness probe: an unreachable or dead worker is an error.
+	// rate and router occupancy of the runs in flight.  It is also the
+	// coordinator's only liveness probe: an unreachable or dead worker
+	// is an error, and a draining one answers with Status.Draining set.
 	Status(ctx context.Context, worker string) (Status, error)
 }

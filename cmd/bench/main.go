@@ -159,11 +159,15 @@ type namedBench struct {
 }
 
 // benchmarks enumerates the report's benchmark suite in fixed order:
-// the engine micro-benchmarks, the cancellation regression sizes, the
-// full-run layout x policy matrix, the 8-worker sweep and the
-// 2-worker distributed sweep.
+// the engine and waiter micro-benchmarks, the cancellation regression
+// sizes, the full-run layout x policy matrix, the 8-worker sweep and
+// the 2-worker distributed sweep.
 func benchmarks() []namedBench {
-	list := []namedBench{{name: "EngineSchedule", fn: perfbench.EngineSchedule}}
+	list := []namedBench{
+		{name: "EngineSchedule", fn: perfbench.EngineSchedule},
+		{name: "ResourceServe", fn: perfbench.ResourceServe},
+		{name: "SemaphoreCycle", fn: perfbench.SemaphoreCycle},
+	}
 	for _, n := range perfbench.CancelPendingSizes {
 		list = append(list, namedBench{
 			name: fmt.Sprintf("EngineCancel/pending=%d", n),

@@ -140,12 +140,10 @@ func TestNetworkLatency(t *testing.T) {
 
 func TestNetworkAccounting(t *testing.T) {
 	n, _ := NewNetwork(phys.IonTrap2006(), 600)
-	for i := 0; i < 5; i++ {
-		n.RecordTeleport()
-	}
-	for i := 0; i < 3; i++ {
-		n.RecordPurify()
-	}
+	n.RecordTeleports(2)
+	n.RecordTeleports(3)
+	n.RecordPurifies(3)
+	n.RecordPurifies(0)
 	messages, bits, teleports, purifies := n.Stats()
 	if messages != 8 || teleports != 5 || purifies != 3 {
 		t.Errorf("messages=%d teleports=%d purifies=%d", messages, teleports, purifies)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/route"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -81,15 +82,16 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 	}
 
 	ch := &channelRun{
-		sim: s,
-		src: src,
-		dst: dst,
+		sim:   s,
+		src:   src,
+		dst:   dst,
+		dirs:  dirs,
+		tiles: tiles,
 		done: func() {
 			s.latencies.Add(float64(s.engine.Now() - start))
 			done()
 		},
 	}
-	ch.base = batchFlight{ch: ch, dirs: dirs, tiles: tiles}
 	if s.faults != nil {
 		ch.budget = dropBudgetPerBatch * uint64(s.numBatches)
 	}
@@ -128,10 +130,11 @@ func (s *simulator) routeChannel(src, dst mesh.Coord) ([]mesh.Direction, error) 
 type channelRun struct {
 	sim      *simulator
 	src, dst mesh.Coord
-	// base is the channel's setup-time path, shared read-only by every
-	// batch that follows it; resent batches of an adaptive policy may
-	// fly a fresher path (see resend).
-	base    batchFlight
+	// dirs and tiles are the channel's setup-time path, shared read-only
+	// by every batch that flies it; resent batches of an adaptive policy
+	// may fly a fresher path (see resend).
+	dirs    []mesh.Direction
+	tiles   []mesh.Coord
 	outputs int
 	done    func()
 	// attempts counts batch transmissions (initial sends plus drop and
@@ -142,26 +145,66 @@ type channelRun struct {
 	finished bool
 }
 
-// batchFlight is the path one batch flies: a dirs/tiles pair the hop
-// chain indexes into.  It is immutable once built — in-flight batches
-// release storage by indexing their own path, so a path is never
-// mutated while any batch references it.  All initial batches share
-// the channel's base flight; only adaptive-policy resends allocate a
+// batch is the reusable record of one batch in flight.  It is the
+// argument of every stage of the hop/arrive pipeline — package-level
+// func(any) continuations run through sim's call forms — so moving a
+// batch captures no closure.  A record is taken from the simulator's
+// free list when the batch is first sent, kept across its resends and
+// returned once the batch outputs its purified pair (or is abandoned by
+// an aborted run).
+//
+// The path a batch flies (dirs, tiles) is immutable once built:
+// in-flight batches release storage by indexing their own path, so a
+// path is never mutated while any batch references it.  Initial batches
+// fly the channel's setup-time path; only adaptive-policy resends fly a
 // fresh one.
-type batchFlight struct {
+type batch struct {
 	ch    *channelRun
 	dirs  []mesh.Direction
 	tiles []mesh.Coord
+	// hop is the hop in flight, from tiles[hop] to tiles[hop+1]; link is
+	// the canonical index of the mesh link it crosses.
+	hop, link int
+	// lo and hi are the tile indices of the endpoint purifiers, in the
+	// canonical acquisition order.
+	lo, hi int
+	next   *batch // free-list link
 }
 
+// newBatch takes a batch record off the free list, minting one only
+// when the list is empty.
+func (s *simulator) newBatch(ch *channelRun) *batch {
+	b := s.freeBatches
+	if b == nil {
+		s.batchRecords++
+		b = &batch{}
+	} else {
+		s.freeBatches = b.next
+	}
+	b.ch = ch
+	return b
+}
+
+// freeBatch returns a finished batch's record to the free list, dropping
+// its references so a finished channel can be collected.
+func (s *simulator) freeBatch(b *batch) {
+	*b = batch{next: s.freeBatches}
+	s.freeBatches = b
+}
+
+// storage returns the incoming-storage credits at tile for a batch that
+// travelled in direction dir: it arrives from the opposite direction.
+func (s *simulator) storage(tile mesh.Coord, dir mesh.Direction) *sim.Semaphore {
+	return s.nodes[s.cfg.Grid.Index(tile)].Storage(dir.Opposite())
+}
+
+// startBatch sends one of the channel's initial batches along its
+// setup-time path.
 func (ch *channelRun) startBatch() {
-	if ch.sim.err != nil {
+	if ch.sim.err != nil || !ch.admit() {
 		return
 	}
-	if !ch.admit() {
-		return
-	}
-	ch.base.hop(0)
+	ch.sim.newBatch(ch).fly(ch.dirs, ch.tiles)
 }
 
 // admit counts one batch transmission against the resend budget,
@@ -180,111 +223,123 @@ func (ch *channelRun) admit() bool {
 	return true
 }
 
-// resend injects a replacement batch after a drop or a purification
-// failure.  This is where the stale-load fix lives: an adaptive policy
-// (one without a route cache) re-routes the replacement with the
-// routers' *current* loads — the congestion that built up since channel
-// setup, read through the same counters the tracer samples — instead of
-// replaying a path chosen from a snapshot that may be long stale.
-// Deterministic policies re-fly the cached path unchanged, and healthy
-// deterministic runs never resend at all, so their results stay
+// resend re-sends batch b as a replacement after a drop or a
+// purification failure.  This is where the stale-load fix lives: an
+// adaptive policy (one without a route cache) re-routes the replacement
+// with the routers' *current* loads — the congestion that built up since
+// channel setup, read through the same counters the tracer samples —
+// instead of replaying a path chosen from a snapshot that may be long
+// stale.  Deterministic policies re-fly the cached path unchanged, and
+// healthy deterministic runs never resend at all, so their results stay
 // byte-identical to the pre-fix simulator.  If re-routing fails (e.g. a
 // transiently blocked faulty path), the batch falls back to the
 // channel's validated setup-time path.
-func (ch *channelRun) resend() {
+func (ch *channelRun) resend(b *batch) {
 	s := ch.sim
-	if s.err != nil {
+	if s.err != nil || !ch.admit() {
+		s.freeBatch(b)
 		return
 	}
-	if !ch.admit() {
-		return
-	}
-	f := &ch.base
+	dirs, tiles := ch.dirs, ch.tiles
 	if s.routes == nil {
-		if nf := ch.reroute(); nf != nil {
-			f = nf
+		if d, t := ch.reroute(); d != nil {
+			dirs, tiles = d, t
 		}
 	}
 	if t := s.cfg.Trace; t != nil {
-		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(f.tiles[0], f.dirs[0]))
+		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(tiles[0], dirs[0]))
 		t.RecordResend(s.engine.Now(), li)
 	}
-	f.hop(0)
+	b.fly(dirs, tiles)
 }
 
 // reroute resolves a fresh path for a replacement batch under the live
 // loads, or nil to keep the setup-time path.  All shipped adaptive
 // policies are minimal, so the fresh path's hop count (and with it the
 // batch's purification and delivery latencies) matches the original.
-func (ch *channelRun) reroute() *batchFlight {
+func (ch *channelRun) reroute() ([]mesh.Direction, []mesh.Coord) {
 	s := ch.sim
 	dirs, err := s.routeChannel(ch.src, ch.dst)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	tiles, err := s.cfg.Grid.Follow(ch.src, dirs)
 	if err != nil || tiles[len(tiles)-1] != ch.dst {
-		return nil
+		return nil, nil
 	}
-	return &batchFlight{ch: ch, dirs: dirs, tiles: tiles}
+	return dirs, tiles
 }
 
-// hop advances a batch from tiles[i] to tiles[i+1].
-func (f *batchFlight) hop(i int) {
-	ch := f.ch
-	s := ch.sim
-	from := f.tiles[i]
-	to := f.tiles[i+1]
-	dir := f.dirs[i]
+// fly sends the batch along a path from its first hop.
+func (b *batch) fly(dirs []mesh.Direction, tiles []mesh.Coord) {
+	b.dirs, b.tiles, b.hop = dirs, tiles, 0
+	b.startHop()
+}
 
-	// Storage at the receiving T' node: traffic arrives from the
-	// opposite direction of travel.
-	store := s.nodes[s.cfg.Grid.Index(to)].Storage(dir.Opposite())
-	store.Acquire(func() {
-		// Link pairs from the G node of the crossed link: a dense-slice
-		// lookup via the canonical link index, no map hashing.
-		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(from, dir))
-		g := s.gnodes[li]
-		g.Serve(s.genLatency(), func() {
-			// Teleporter from the sending node's directional set, plus a
-			// turn penalty when the route changes axis at this node.
-			node := s.nodes[s.cfg.Grid.Index(from)]
-			latency := s.teleportLatency()
-			if i > 0 && f.dirs[i-1].Axis() != dir.Axis() {
-				latency += node.TurnPenalty()
-				s.turns++
-			}
-			node.TeleporterSet(dir.Axis()).Serve(latency, func() {
-				s.pairHops += uint64(s.cfg.batchPairs())
-				for k := 0; k < s.cfg.batchPairs(); k++ {
-					s.net.RecordTeleport()
-				}
-				// The batch now occupies storage at `to`; it frees its
-				// slot at the previous tile (held since the prior hop).
-				if i > 0 {
-					prev := s.nodes[s.cfg.Grid.Index(from)].Storage(f.dirs[i-1].Opposite())
-					prev.Release()
-				}
-				if ch.droppedOn(li) {
-					// The fault model dropped the batch on this link: it
-					// frees the slot it just occupied and a replacement
-					// is sent from the channel source (budget permitting).
-					store.Release()
-					s.droppedBatches++
-					if t := s.cfg.Trace; t != nil {
-						t.RecordDrop(s.engine.Now(), li)
-					}
-					ch.resend()
-					return
-				}
-				if i+1 < len(f.dirs) {
-					f.hop(i + 1)
-				} else {
-					f.arrive()
-				}
-			})
-		})
-	})
+// startHop advances the batch from tiles[hop] toward tiles[hop+1]: it
+// first needs a storage credit at the receiving T' node.
+func (b *batch) startHop() {
+	s := b.ch.sim
+	s.storage(b.tiles[b.hop+1], b.dirs[b.hop]).AcquireCall(hopStored, b)
+}
+
+// hopStored runs once the batch holds its storage credit: it takes link
+// pairs from the G node of the crossed link, a dense-slice lookup via
+// the canonical link index.
+func hopStored(a any) {
+	b := a.(*batch)
+	s := b.ch.sim
+	b.link = s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(b.tiles[b.hop], b.dirs[b.hop]))
+	s.gnodes[b.link].ServeCall(s.genLatency, hopGenerated, b)
+}
+
+// hopGenerated runs once the link pairs exist: the batch takes a
+// teleporter from the sending node's directional set, plus a turn
+// penalty when the route changes axis at this node.
+func hopGenerated(a any) {
+	b := a.(*batch)
+	s := b.ch.sim
+	i, dir := b.hop, b.dirs[b.hop]
+	node := s.nodes[s.cfg.Grid.Index(b.tiles[i])]
+	latency := s.teleportLatency
+	if i > 0 && b.dirs[i-1].Axis() != dir.Axis() {
+		latency += node.TurnPenalty()
+		s.turns++
+	}
+	node.TeleporterSet(dir.Axis()).ServeCall(latency, hopTeleported, b)
+}
+
+// hopTeleported runs once the batch has crossed the link.
+func hopTeleported(a any) {
+	b := a.(*batch)
+	ch := b.ch
+	s := ch.sim
+	i := b.hop
+	s.pairHops += uint64(s.batchPairs)
+	s.net.RecordTeleports(s.batchPairs)
+	// The batch now occupies storage at tiles[i+1]; it frees its slot at
+	// the previous tile (held since the prior hop).
+	if i > 0 {
+		s.storage(b.tiles[i], b.dirs[i-1]).Release()
+	}
+	if ch.droppedOn(b.link) {
+		// The fault model dropped the batch on this link: it frees the
+		// slot it just occupied and a replacement is sent from the
+		// channel source (budget permitting).
+		s.storage(b.tiles[i+1], b.dirs[i]).Release()
+		s.droppedBatches++
+		if t := s.cfg.Trace; t != nil {
+			t.RecordDrop(s.engine.Now(), b.link)
+		}
+		ch.resend(b)
+		return
+	}
+	if i+1 < len(b.dirs) {
+		b.hop++
+		b.startHop()
+	} else {
+		b.arrive()
+	}
 }
 
 // droppedOn draws the fault model's Bernoulli for a batch crossing the
@@ -303,50 +358,60 @@ func (ch *channelRun) droppedOn(li int) bool {
 
 // arrive runs the endpoint stages for one batch: correction, then
 // synchronized queue purification at both endpoint P nodes.
-func (f *batchFlight) arrive() {
-	ch := f.ch
-	s := ch.sim
-	last := len(f.tiles) - 1
-	dstIdx := s.cfg.Grid.Index(f.tiles[last])
-	srcIdx := s.cfg.Grid.Index(f.tiles[0])
-
+func (b *batch) arrive() {
+	s := b.ch.sim
+	// Queue purification holds one purifier unit at each endpoint,
+	// acquired in canonical index order to prevent circular wait.
+	b.lo, b.hi = s.cfg.Grid.Index(b.tiles[0]), s.cfg.Grid.Index(b.tiles[len(b.tiles)-1])
+	if b.lo > b.hi {
+		b.lo, b.hi = b.hi, b.lo
+	}
 	// Corrector: the accumulated Pauli frame costs at most two
 	// single-qubit gates, applied to each pair of the batch in parallel.
-	correct := 2 * s.cfg.Params.Times.OneQubitGate
-	s.engine.Schedule(correct, func() {
-		// Queue purification holds one purifier unit at each endpoint,
-		// acquired in canonical index order to prevent circular wait.
-		lo, hi := srcIdx, dstIdx
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		s.purify[lo].Acquire(func() {
-			s.purify[hi].Acquire(func() {
-				// Purify: free the arrival storage slot as the batch
-				// drains into the purifier.
-				storeDir := f.dirs[len(f.dirs)-1].Opposite()
-				s.nodes[dstIdx].Storage(storeDir).Release()
-				latency := s.purifyBatchLatency(len(f.dirs))
-				rounds := s.cfg.batchPairs() - 1 // tree of 2^d leaves has 2^d - 1 purifications
-				for k := 0; k < rounds; k++ {
-					s.net.RecordPurify()
-				}
-				s.engine.Schedule(latency, func() {
-					s.purify[hi].Release()
-					s.purify[lo].Release()
-					if s.cfg.PurifyFailureRate > 0 && s.rng.Float64() < s.cfg.PurifyFailureRate {
-						// The subtree is lost; send a replacement batch
-						// through the network (Figure 14's natural
-						// rebuild).
-						s.failedBatches++
-						ch.resend()
-						return
-					}
-					ch.output()
-				})
-			})
-		})
-	})
+	s.engine.ScheduleCall(2*s.cfg.Params.Times.OneQubitGate, arriveCorrected, b)
+}
+
+// arriveCorrected queues the corrected batch for its first endpoint
+// purifier.
+func arriveCorrected(a any) {
+	b := a.(*batch)
+	b.ch.sim.purify[b.lo].AcquireCall(purifyLoHeld, b)
+}
+
+// purifyLoHeld queues the batch for its second endpoint purifier.
+func purifyLoHeld(a any) {
+	b := a.(*batch)
+	b.ch.sim.purify[b.hi].AcquireCall(purify, b)
+}
+
+// purify runs once both endpoint purifiers are held: the batch drains
+// into them, freeing its arrival storage slot.
+func purify(a any) {
+	b := a.(*batch)
+	s := b.ch.sim
+	last := len(b.dirs) - 1
+	s.storage(b.tiles[last+1], b.dirs[last]).Release()
+	latency := s.purifyBatchLatency(len(b.dirs))
+	s.net.RecordPurifies(s.batchPairs - 1) // tree of 2^d leaves has 2^d - 1 purifications
+	s.engine.ScheduleCall(latency, purified, b)
+}
+
+// purified frees both endpoint purifiers and outputs the batch's pair,
+// or resends a batch whose purification failed: the subtree is lost and
+// a replacement goes through the network (Figure 14's natural rebuild).
+func purified(a any) {
+	b := a.(*batch)
+	ch := b.ch
+	s := ch.sim
+	s.purify[b.hi].Release()
+	s.purify[b.lo].Release()
+	if s.cfg.PurifyFailureRate > 0 && s.rng.Float64() < s.cfg.PurifyFailureRate {
+		s.failedBatches++
+		ch.resend(b)
+		return
+	}
+	s.freeBatch(b)
+	ch.output()
 }
 
 // output counts a purified pair; when all batches have produced theirs,
@@ -363,27 +428,9 @@ func (ch *channelRun) output() {
 	// plus the classical correction round trip over the setup-time path
 	// (the channel-level delivery metric; minimal-policy resends fly
 	// paths of the same length).
-	latency := s.cfg.Params.TeleportTime(len(ch.base.dirs)*s.cfg.HopCells) +
-		s.net.Latency(len(ch.base.dirs))
+	latency := s.cfg.Params.TeleportTime(len(ch.dirs)*s.cfg.HopCells) +
+		s.net.Latency(len(ch.dirs))
 	s.engine.Schedule(latency, ch.done)
-}
-
-// genLatency is the G-node service time for one batch of link pairs.
-func (s *simulator) genLatency() time.Duration {
-	return s.cfg.Params.GenerateTime() * time.Duration(ceilDiv(s.cfg.batchPairs(), s.cfg.Generators))
-}
-
-// teleportLatency is the teleporter-set service time for one batch: the
-// set's units work in parallel, so a batch needs ceil(batch/setSize)
-// rounds of the hop-local teleport time.
-func (s *simulator) teleportLatency() time.Duration {
-	setSize := s.cfg.Teleporters / 2
-	if setSize < 1 {
-		setSize = 1
-	}
-	rounds := ceilDiv(s.cfg.batchPairs(), setSize)
-	per := s.cfg.Params.TeleportTime(s.cfg.HopCells)
-	return per * time.Duration(rounds)
 }
 
 // purifyBatchLatency is the queue-purifier makespan for one batch: the
@@ -406,7 +453,7 @@ func (s *simulator) result(prog workload.Program) Result {
 		Ops:            len(prog.Ops),
 		Channels:       s.channels,
 		LocalOps:       s.localOps,
-		PairsDelivered: s.channels * uint64(s.numBatches*s.cfg.batchPairs()),
+		PairsDelivered: s.channels * uint64(s.numBatches*s.batchPairs),
 		PairHops:       s.pairHops,
 		Turns:          s.turns,
 		Events:         s.engine.Processed(),

@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/ecc"
 	"repro/internal/fault"
+	"repro/internal/mesh"
 	"repro/internal/route"
 	"repro/internal/workload"
 )
@@ -12,14 +14,29 @@ import (
 // TestRunConservesResources is the end-of-run conservation check: a run
 // that completes must leave the simulator fully drained — no pending
 // event, no channel or gate in flight, every router's teleporter sets
-// and storage credits returned, and every purifier and generator idle
-// with an empty queue.  A leaked credit or a lost batch shows up here
-// even when the Result still looks plausible.  The cases cover every
-// routing family on both layouts, the resource-starved corner of
-// Figure 16, and the fault and failure-injection resend paths.
+// and storage credits returned, every purifier and generator idle with
+// an empty queue, and every batch record back on the free list.  A
+// leaked credit or a lost batch shows up here even when the Result
+// still looks plausible.  The cases cover every routing family on both
+// layouts, the resource-starved corner of Figure 16, and the fault and
+// failure-injection resend paths.
+//
+// On HomeBase meshes without dead links every policy routes minimally,
+// so the pair-hop count is also accounted for from the program alone:
+// each op's two channels carry every batch's pairs over the Manhattan
+// distance between the operands' homes, and each resent batch (failed
+// or dropped) adds between one hop and a mesh diameter of hops.
 func TestRunConservesResources(t *testing.T) {
 	g := grid(t, 6, 6)
 	prog := workload.QFT(g.Tiles())
+	place, err := mesh.RowMajorPlacement(g, prog.Qubits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	homeHops := 0
+	for _, op := range prog.Ops {
+		homeHops += mesh.Manhattan(place.Home(op.A), place.Home(op.B))
+	}
 	faulty := fault.Spec{DeadLinks: 0.05, Drop: 0.02}
 	cases := []struct {
 		name    string
@@ -61,8 +78,35 @@ func TestRunConservesResources(t *testing.T) {
 				if tc.rate > 0 && s.failedBatches == 0 {
 					t.Error("failing case failed no batch")
 				}
+				if layout == HomeBase && tc.spec.DeadLinks == 0 {
+					assertPairHops(t, s, cfg, homeHops)
+				}
 			})
 		}
+	}
+}
+
+// assertPairHops checks a minimally routed HomeBase run's pair-hop
+// count against homeHops, the program's summed home-to-home distance:
+// with r batches resent, pairHops exceeds the resend-free count by
+// between batchPairs·r and batchPairs·r·(W+H−2), which for r = 0 pins
+// it exactly.
+func assertPairHops(t *testing.T, s *simulator, cfg Config, homeHops int) {
+	t.Helper()
+	code, err := ecc.Steane(cfg.CodeLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchPairs := uint64(1) << uint(cfg.PurifyDepth)
+	base := 2 * uint64(code.PairsPerLogicalTeleport()) * batchPairs * uint64(homeHops)
+	r := s.failedBatches + s.droppedBatches
+	diameter := uint64(cfg.Grid.Width + cfg.Grid.Height - 2)
+	if s.pairHops < base {
+		t.Fatalf("pairHops %d below the resend-free count %d", s.pairHops, base)
+	}
+	if excess := s.pairHops - base; excess < batchPairs*r || excess > batchPairs*r*diameter {
+		t.Errorf("pairHops %d = %d + %d for %d resent batches, want excess in [%d, %d]",
+			s.pairHops, base, excess, r, batchPairs*r, batchPairs*r*diameter)
 	}
 }
 
@@ -90,5 +134,12 @@ func assertDrained(t *testing.T, s *simulator) {
 		if r := s.gnodes[i]; r.InUse() != 0 || r.QueueLen() != 0 {
 			t.Errorf("generator %v%v: %d in use, %d queued", l.From, l.Dir, r.InUse(), r.QueueLen())
 		}
+	}
+	free := 0
+	for b := s.freeBatches; b != nil; b = b.next {
+		free++
+	}
+	if s.batchRecords == 0 || free != s.batchRecords {
+		t.Errorf("%d of %d batch records returned to the free list", free, s.batchRecords)
 	}
 }

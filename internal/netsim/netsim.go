@@ -179,10 +179,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// batchPairs returns the EPR pairs per simulated batch (one purifier
-// tree's worth).
-func (c Config) batchPairs() int { return 1 << uint(c.PurifyDepth) }
-
 // Result summarizes a simulation run.
 type Result struct {
 	// Exec is the total execution time of the instruction stream,
@@ -255,6 +251,17 @@ type simulator struct {
 
 	numBatches int
 	code       ecc.Code
+	// batchPairs is the EPR pairs per simulated batch (one purifier
+	// tree's worth); genLatency and teleportLatency are the G-node and
+	// teleporter-set service times of one batch.  All three are per-run
+	// constants of the hop datapath, computed once in build.
+	batchPairs      int
+	genLatency      time.Duration
+	teleportLatency time.Duration
+	// freeBatches recycles batch records; batchRecords counts the
+	// records ever minted, so a drained run can show every one returned.
+	freeBatches  *batch
+	batchRecords int
 
 	channels       uint64
 	localOps       uint64
@@ -356,6 +363,15 @@ func (s *simulator) build(prog workload.Program) error {
 	}
 	s.code = code
 	s.numBatches = code.PairsPerLogicalTeleport()
+	s.batchPairs = 1 << uint(cfg.PurifyDepth)
+	s.genLatency = cfg.Params.GenerateTime() * time.Duration(ceilDiv(s.batchPairs, cfg.Generators))
+	// A teleporter set's units work in parallel, so a batch needs
+	// ceil(batch/setSize) rounds of the hop-local teleport time.
+	setSize := cfg.Teleporters / 2
+	if setSize < 1 {
+		setSize = 1
+	}
+	s.teleportLatency = cfg.Params.TeleportTime(cfg.HopCells) * time.Duration(ceilDiv(s.batchPairs, setSize))
 
 	switch cfg.Layout {
 	case HomeBase:
@@ -371,7 +387,7 @@ func (s *simulator) build(prog workload.Program) error {
 
 	// Storage is t cells per incoming link; we traffic in batches of
 	// batchPairs pairs.
-	storageBatches := cfg.Teleporters / cfg.batchPairs()
+	storageBatches := cfg.Teleporters / s.batchPairs
 	if storageBatches < 1 {
 		storageBatches = 1
 	}

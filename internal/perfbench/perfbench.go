@@ -1,7 +1,8 @@
 // Package perfbench is the repository's performance measurement layer:
 // reusable benchmark bodies covering the discrete-event engine's hot
-// operations (scheduling, cancellation), a full 5x5 QFT simulation per
-// layout and routing policy, and the concurrent sweep engine.
+// operations (scheduling, cancellation), the resource and semaphore
+// waiter cycles, a full 5x5 QFT simulation per layout and routing
+// policy, and the concurrent sweep engine.
 //
 // The bodies are exported plain functions taking *testing.B so that two
 // harnesses can share them: the conventional `go test -bench .` wrappers
@@ -95,6 +96,68 @@ func EngineCancel(pending int) func(*testing.B) {
 			}
 		}
 	}
+}
+
+// ResourceServe measures one Serve cycle of a one-unit resource with a
+// job in service and one queued behind it: each iteration steps the
+// engine once, completing a service, which hands the unit to the queued
+// job, whose continuation queues the next.  It uses the call form
+// (ServeCall) the netsim datapath runs on.
+func ResourceServe(b *testing.B) { benchStep(b, resourceServeLoop) }
+
+// SemaphoreCycle measures one credit hand-over of a one-credit
+// semaphore with a waiter queued: each iteration releases the credit to
+// the waiter, whose continuation queues for it again.  It uses the call
+// form (AcquireCall) the netsim datapath runs on.
+func SemaphoreCycle(b *testing.B) { benchStep(b, semaphoreCycleLoop) }
+
+// benchStep times one call per iteration of the step build returns.
+func benchStep(b *testing.B, build func() (func(), error)) {
+	step, err := build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// resourceServeLoop builds ResourceServe's resource and returns one
+// iteration of its cycle.
+func resourceServeLoop() (func(), error) {
+	e := sim.New()
+	r, err := sim.NewResource(e, "bench", 1)
+	if err != nil {
+		return nil, err
+	}
+	r.ServeCall(time.Microsecond, serveAgain, r)
+	r.ServeCall(time.Microsecond, serveAgain, r)
+	return func() { e.Step() }, nil
+}
+
+// serveAgain queues another one-microsecond job on its resource.
+func serveAgain(a any) {
+	r := a.(*sim.Resource)
+	r.ServeCall(time.Microsecond, serveAgain, r)
+}
+
+// semaphoreCycleLoop builds SemaphoreCycle's semaphore and returns one
+// iteration of its cycle.
+func semaphoreCycleLoop() (func(), error) {
+	s, err := sim.NewSemaphore("bench", 1)
+	if err != nil {
+		return nil, err
+	}
+	s.AcquireCall(acquireAgain, s)
+	return s.Release, nil
+}
+
+// acquireAgain queues for another credit of its semaphore.
+func acquireAgain(a any) {
+	s := a.(*sim.Semaphore)
+	s.AcquireCall(acquireAgain, s)
 }
 
 // QFTRun returns a benchmark running the full event-driven simulator —

@@ -10,6 +10,10 @@ import (
 
 func BenchmarkEngineSchedule(b *testing.B) { EngineSchedule(b) }
 
+func BenchmarkResourceServe(b *testing.B) { ResourceServe(b) }
+
+func BenchmarkSemaphoreCycle(b *testing.B) { SemaphoreCycle(b) }
+
 func BenchmarkEngineCancel(b *testing.B) {
 	for _, n := range CancelPendingSizes {
 		b.Run(fmt.Sprintf("pending=%d", n), EngineCancel(n))
@@ -55,5 +59,24 @@ func TestEngineStepZeroAllocWithoutProbe(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("schedule+step with no probe: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestWaiterCyclesZeroAlloc pins the ResourceServe and SemaphoreCycle
+// bodies at 0 allocs/op, as TestEngineStepZeroAllocWithoutProbe pins
+// EngineSchedule: a waiter queued in the call form is recycled, never
+// re-allocated.
+func TestWaiterCyclesZeroAlloc(t *testing.T) {
+	for name, build := range map[string]func() (func(), error){
+		"ResourceServe":  resourceServeLoop,
+		"SemaphoreCycle": semaphoreCycleLoop,
+	} {
+		step, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, allocs)
+		}
 	}
 }

@@ -149,7 +149,9 @@ func TestCancelStaleAndForeignIDs(t *testing.T) {
 
 // TestReserveMakesSchedulingAllocationFree pins the arena design's
 // core promise: after Reserve covers the backlog, a schedule/step
-// cycle performs zero heap allocations.
+// cycle performs zero heap allocations.  The call-form waiters keep
+// it: a ServeCall cycle and an AcquireCall cycle, each with a waiter
+// queued, allocate nothing once warm.
 func TestReserveMakesSchedulingAllocationFree(t *testing.T) {
 	e := New()
 	e.Reserve(512)
@@ -164,6 +166,51 @@ func TestReserveMakesSchedulingAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("schedule/step cycle allocated %.1f objects per run, want 0", allocs)
 	}
+
+	// One job in service on a one-unit resource and one queued behind
+	// it; every completion hands the unit over and queues the next job.
+	r, err := NewResource(e, "r", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ServeCall(time.Microsecond, serveAgain, r)
+	r.ServeCall(time.Microsecond, serveAgain, r)
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := 0; i < 256; i++ {
+			e.Step()
+		}
+	})
+	if allocs != 0 || r.QueueLen() != 1 {
+		t.Errorf("ServeCall cycle allocated %.1f objects per run with %d queued, want 0 with 1", allocs, r.QueueLen())
+	}
+
+	// A one-credit semaphore whose holder is always queued again behind
+	// the credit it just handed over.
+	sem, err := NewSemaphore("s", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem.AcquireCall(acquireAgain, sem)
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := 0; i < 256; i++ {
+			sem.Release()
+		}
+	})
+	if allocs != 0 || sem.Waiting() != 1 {
+		t.Errorf("AcquireCall cycle allocated %.1f objects per run with %d waiting, want 0 with 1", allocs, sem.Waiting())
+	}
+}
+
+// serveAgain queues another one-microsecond job on its resource.
+func serveAgain(a any) {
+	r := a.(*Resource)
+	r.ServeCall(time.Microsecond, serveAgain, r)
+}
+
+// acquireAgain queues for another credit of its semaphore.
+func acquireAgain(a any) {
+	s := a.(*Semaphore)
+	s.AcquireCall(acquireAgain, s)
 }
 
 // TestReserveNeverShrinks documents that a smaller Reserve is a no-op.

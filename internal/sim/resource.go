@@ -19,7 +19,7 @@ type Resource struct {
 	engine   *Engine
 	capacity int
 	inUse    int
-	waiting  []waiter
+	waiting  []call
 
 	// freeJobs recycles the per-Serve bookkeeping records, so the
 	// acquire-serve-release pattern allocates nothing in steady state.
@@ -32,22 +32,17 @@ type Resource struct {
 	lastChange time.Duration
 }
 
-// waiter is one queued acquirer: either a plain Acquire callback or a
-// Serve job record.  Exactly one field is set.
-type waiter struct {
-	fn  func()
-	job *serveJob
-}
-
 // serveJob is the reusable record of one Serve call: the service
-// latency to hold the unit for and the completion callback.  Records
-// cycle through the owning resource's free list, and the scheduled
-// completion event carries the record as its argument, so a Serve
-// performs no per-call allocation.
+// latency to hold the unit for and the completion continuation.  Records
+// cycle through the owning resource's free list; a queued Serve waits as
+// the call (serveStart, job), and the scheduled completion event carries
+// the record as its argument, so a Serve performs no per-call
+// allocation.
 type serveJob struct {
 	r       *Resource
 	latency time.Duration
-	done    func()
+	done    func(any)
+	arg     any
 	next    *serveJob // free-list link
 }
 
@@ -104,12 +99,26 @@ func (r *Resource) Acquire(job func()) {
 	if job == nil {
 		panic(fmt.Sprintf("sim: resource %q: nil job", r.Name()))
 	}
+	r.AcquireCall(runFunc, job)
+}
+
+// AcquireCall is Acquire in the call form: it runs fn(arg) once a unit is
+// held.  With fn a package-level function and arg a pointer to reusable
+// state it allocates nothing once the wait queue has grown to its
+// working size.
+func (r *Resource) AcquireCall(fn func(any), arg any) {
+	if fn == nil {
+		panic(fmt.Sprintf("sim: resource %q: nil job", r.Name()))
+	}
 	if r.inUse < r.capacity {
 		r.grab()
-		job()
+		fn(arg)
 		return
 	}
-	r.enqueue(waiter{fn: job})
+	r.waiting = append(r.waiting, call{fn, arg})
+	if len(r.waiting) > r.maxQueue {
+		r.maxQueue = len(r.waiting)
+	}
 }
 
 // Release frees a unit, immediately handing it to the oldest waiting job
@@ -125,42 +134,28 @@ func (r *Resource) Release() {
 	}
 	w := r.waiting[0]
 	copy(r.waiting, r.waiting[1:])
-	r.waiting[len(r.waiting)-1] = waiter{}
+	r.waiting[len(r.waiting)-1] = call{}
 	r.waiting = r.waiting[:len(r.waiting)-1]
 	r.grab()
-	if w.fn != nil {
-		w.fn()
-	} else {
-		w.job.start()
-	}
+	w.fn(w.arg)
 }
 
 // Serve is the common acquire-serve-release pattern: wait for a unit,
 // hold it for latency of simulated time, then run done (may be nil).
-// Unlike hand-rolling Acquire+Schedule+Release, Serve allocates nothing
-// in steady state: its bookkeeping record is recycled through a free
-// list and the completion event captures no closure.
 func (r *Resource) Serve(latency time.Duration, done func()) {
-	j := r.newJob(latency, done)
-	if r.inUse < r.capacity {
-		r.grab()
-		j.start()
+	if done == nil {
+		r.ServeCall(latency, nil, nil)
 		return
 	}
-	r.enqueue(waiter{job: j})
+	r.ServeCall(latency, runFunc, done)
 }
 
-// enqueue appends a waiter and tracks the queue high-water mark.
-func (r *Resource) enqueue(w waiter) {
-	r.waiting = append(r.waiting, w)
-	if len(r.waiting) > r.maxQueue {
-		r.maxQueue = len(r.waiting)
-	}
-}
-
-// newJob takes a serve record off the free list (or mints one) and
-// fills it for this call.
-func (r *Resource) newJob(latency time.Duration, done func()) *serveJob {
+// ServeCall is Serve in the call form, running done(arg) (done may be
+// nil) after the service.  Unlike hand-rolling Acquire+Schedule+Release
+// it allocates nothing in steady state: its bookkeeping record is
+// recycled through a free list and neither the wait nor the completion
+// event captures a closure.
+func (r *Resource) ServeCall(latency time.Duration, done func(any), arg any) {
 	j := r.freeJobs
 	if j != nil {
 		r.freeJobs = j.next
@@ -168,13 +163,14 @@ func (r *Resource) newJob(latency time.Duration, done func()) *serveJob {
 	} else {
 		j = &serveJob{r: r}
 	}
-	j.latency, j.done = latency, done
-	return j
+	j.latency, j.done, j.arg = latency, done, arg
+	r.AcquireCall(serveStart, j)
 }
 
-// start schedules the job's completion after its service latency; the
-// unit has just been granted.
-func (j *serveJob) start() {
+// serveStart runs once a Serve holds its unit: it schedules the job's
+// completion after its service latency.
+func serveStart(a any) {
+	j := a.(*serveJob)
 	j.r.engine.ScheduleCall(j.latency, serveComplete, j)
 }
 
@@ -183,13 +179,13 @@ func (j *serveJob) start() {
 // scheduling it captures no closure.
 func serveComplete(a any) {
 	j := a.(*serveJob)
-	r, done := j.r, j.done
-	j.done = nil
+	r, done, arg := j.r, j.done, j.arg
+	j.done, j.arg = nil, nil
 	j.next = r.freeJobs
 	r.freeJobs = j
 	r.Release()
 	if done != nil {
-		done()
+		done(arg)
 	}
 }
 

@@ -11,9 +11,22 @@ type Semaphore struct {
 	nameFn  func() string
 	credits int
 	limit   int
-	waiting []func()
+	waiting []call
 	maxWait int
 }
+
+// call is one queued continuation in the allocation-free (func(any),
+// any) form of Engine.ScheduleCall: with fn a package-level function and
+// arg a pointer to reusable state, queueing it captures no closure.
+// Semaphore and Resource waiters both use it.
+type call struct {
+	fn  func(any)
+	arg any
+}
+
+// runFunc adapts a plain func() continuation to the call form; a func
+// value is pointer-shaped, so boxing it in arg allocates nothing.
+func runFunc(a any) { a.(func())() }
 
 // NewSemaphore creates a semaphore holding limit credits.
 func NewSemaphore(name string, limit int) (*Semaphore, error) {
@@ -64,12 +77,23 @@ func (s *Semaphore) Acquire(fn func()) {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: semaphore %q: nil acquire function", s.Name()))
 	}
+	s.AcquireCall(runFunc, fn)
+}
+
+// AcquireCall is Acquire in the call form: it runs fn(arg) once a credit
+// is held.  With fn a package-level function and arg a pointer to
+// reusable state it allocates nothing once the waiter queue has grown to
+// its working size.
+func (s *Semaphore) AcquireCall(fn func(any), arg any) {
+	if fn == nil {
+		panic(fmt.Sprintf("sim: semaphore %q: nil acquire function", s.Name()))
+	}
 	if s.credits > 0 {
 		s.credits--
-		fn()
+		fn(arg)
 		return
 	}
-	s.waiting = append(s.waiting, fn)
+	s.waiting = append(s.waiting, call{fn, arg})
 	if len(s.waiting) > s.maxWait {
 		s.maxWait = len(s.waiting)
 	}
@@ -87,11 +111,11 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one credit, handing it to the oldest waiter if any.
 func (s *Semaphore) Release() {
 	if len(s.waiting) > 0 {
-		fn := s.waiting[0]
+		w := s.waiting[0]
 		copy(s.waiting, s.waiting[1:])
-		s.waiting[len(s.waiting)-1] = nil
+		s.waiting[len(s.waiting)-1] = call{}
 		s.waiting = s.waiting[:len(s.waiting)-1]
-		fn()
+		w.fn(w.arg)
 		return
 	}
 	if s.credits >= s.limit {

@@ -60,7 +60,7 @@ type report struct {
 // entry is one benchmark's measurement.
 type entry struct {
 	// Name is the benchmark's go-test-style name, e.g.
-	// "EngineCancel/pending=1024" or "QFT/layout=HomeBase/route=xy".
+	// "EngineSchedule" or "QFT/layout=HomeBase/route=xy".
 	Name string `json:"name"`
 	// Iterations is the measured b.N.
 	Iterations int `json:"iterations"`
@@ -159,20 +159,14 @@ type namedBench struct {
 }
 
 // benchmarks enumerates the report's benchmark suite in fixed order:
-// the engine and waiter micro-benchmarks, the cancellation regression
-// sizes, the full-run layout x policy matrix, the 8-worker sweep and
-// the 2-worker distributed sweep.
+// the engine and waiter micro-benchmarks, the full-run layout x policy
+// matrix, the tracer-overhead trio, the 8-worker sweep and the 2-worker
+// distributed sweep.
 func benchmarks() []namedBench {
 	list := []namedBench{
 		{name: "EngineSchedule", fn: perfbench.EngineSchedule},
 		{name: "ResourceServe", fn: perfbench.ResourceServe},
 		{name: "SemaphoreCycle", fn: perfbench.SemaphoreCycle},
-	}
-	for _, n := range perfbench.CancelPendingSizes {
-		list = append(list, namedBench{
-			name: fmt.Sprintf("EngineCancel/pending=%d", n),
-			fn:   perfbench.EngineCancel(n),
-		})
 	}
 	for _, cfg := range perfbench.FullRunConfigs() {
 		list = append(list, namedBench{

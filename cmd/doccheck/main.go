@@ -2,7 +2,9 @@
 // every exported identifier in the given package directories must carry
 // a doc comment, and every package must have a package-level comment.
 // CI runs it over qnet/... so the public API surface cannot silently
-// grow undocumented (the same contract revive's `exported` rule
+// grow undocumented, and over internal/sim, internal/router and
+// internal/netsim, whose exported API the simulator and the benchmark
+// module program against (the same contract revive's `exported` rule
 // enforces, without the external dependency).
 //
 // Usage:

@@ -21,21 +21,18 @@ import (
 // layouts, the resource-starved corner of Figure 16, and the fault and
 // failure-injection resend paths.
 //
-// On HomeBase meshes without dead links every policy routes minimally,
-// so the pair-hop count is also accounted for from the program alone:
-// each op's two channels carry every batch's pairs over the Manhattan
-// distance between the operands' homes, and each resent batch (failed
-// or dropped) adds between one hop and a mesh diameter of hops.
+// On meshes without dead links every policy routes minimally, so the
+// channel and pair-hop counts are also accounted for from the program
+// alone, by replaying its qubit moves (replayHomeBase, replayMobile):
+// every channel carries every batch's pairs over the Manhattan distance
+// it spans, and each resent batch (failed or dropped) adds between one
+// hop and a mesh diameter of hops.
 func TestRunConservesResources(t *testing.T) {
 	g := grid(t, 6, 6)
 	prog := workload.QFT(g.Tiles())
-	place, err := mesh.RowMajorPlacement(g, prog.Qubits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	homeHops := 0
-	for _, op := range prog.Ops {
-		homeHops += mesh.Manhattan(place.Home(op.A), place.Home(op.B))
+	replays := map[Layout]replay{
+		HomeBase:    replayHomeBase(t, g, prog),
+		MobileQubit: replayMobile(t, g, prog),
 	}
 	faulty := fault.Spec{DeadLinks: 0.05, Drop: 0.02}
 	cases := []struct {
@@ -78,27 +75,96 @@ func TestRunConservesResources(t *testing.T) {
 				if tc.rate > 0 && s.failedBatches == 0 {
 					t.Error("failing case failed no batch")
 				}
-				if layout == HomeBase && tc.spec.DeadLinks == 0 {
-					assertPairHops(t, s, cfg, homeHops)
+				if tc.spec.DeadLinks == 0 {
+					assertPairHops(t, s, cfg, replays[layout])
 				}
 			})
 		}
 	}
 }
 
-// assertPairHops checks a minimally routed HomeBase run's pair-hop
-// count against homeHops, the program's summed home-to-home distance:
-// with r batches resent, pairHops exceeds the resend-free count by
-// between batchPairs·r and batchPairs·r·(W+H−2), which for r = 0 pins
-// it exactly.
-func assertPairHops(t *testing.T, s *simulator, cfg Config, homeHops int) {
+// replay is a program's resend-free channel load: the channels its
+// layout opens and their summed Manhattan length in hops.
+type replay struct {
+	channels uint64
+	hops     int
+}
+
+// move accounts one qubit teleport from a to b; a local move opens no
+// channel.
+func (r *replay) move(a, b mesh.Coord) {
+	if a != b {
+		r.channels++
+		r.hops += mesh.Manhattan(a, b)
+	}
+}
+
+// replayHomeBase replays prog under HomeBase from the row-major homes:
+// every op teleports B from its home to A's home and back.
+func replayHomeBase(t *testing.T, g mesh.Grid, prog workload.Program) replay {
 	t.Helper()
+	place, err := mesh.RowMajorPlacement(g, prog.Qubits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r replay
+	for _, op := range prog.Ops {
+		a, b := place.Home(op.A), place.Home(op.B)
+		r.move(b, a)
+		r.move(a, b)
+	}
+	return r
+}
+
+// replayMobile replays prog in program order under MobileQubit from the
+// snake-placement homes: every op moves A to B's current tile, and a
+// qubit's last op sends it home.  The simulator runs the ops touching
+// one qubit in program order, so the replay sees the positions the
+// simulator moves between.
+func replayMobile(t *testing.T, g mesh.Grid, prog workload.Program) replay {
+	t.Helper()
+	place, err := mesh.SnakePlacement(g, prog.Qubits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]mesh.Coord, prog.Qubits)
+	for q := range pos {
+		pos[q] = place.Home(q)
+	}
+	last := make([]int, prog.Qubits)
+	for k, op := range prog.Ops {
+		last[op.A], last[op.B] = k, k
+	}
+	var r replay
+	for k, op := range prog.Ops {
+		r.move(pos[op.A], pos[op.B])
+		pos[op.A] = pos[op.B]
+		for _, q := range []int{op.A, op.B} {
+			if last[q] == k {
+				r.move(pos[q], place.Home(q))
+				pos[q] = place.Home(q)
+			}
+		}
+	}
+	return r
+}
+
+// assertPairHops checks a minimally routed run's channel and pair-hop
+// counts against its program replay: the run opens want.channels
+// channels, and with r batches resent its pairHops exceeds the
+// resend-free count by between batchPairs·r and batchPairs·r·(W+H−2),
+// which for r = 0 pins it exactly.
+func assertPairHops(t *testing.T, s *simulator, cfg Config, want replay) {
+	t.Helper()
+	if s.channels != want.channels {
+		t.Errorf("%d channels, replay opens %d", s.channels, want.channels)
+	}
 	code, err := ecc.Steane(cfg.CodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batchPairs := uint64(1) << uint(cfg.PurifyDepth)
-	base := 2 * uint64(code.PairsPerLogicalTeleport()) * batchPairs * uint64(homeHops)
+	base := uint64(code.PairsPerLogicalTeleport()) * batchPairs * uint64(want.hops)
 	r := s.failedBatches + s.droppedBatches
 	diameter := uint64(cfg.Grid.Width + cfg.Grid.Height - 2)
 	if s.pairHops < base {

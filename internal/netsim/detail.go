@@ -95,7 +95,7 @@ func execute(ctx context.Context, cfg Config, prog workload.Program) (*simulator
 		return nil, err
 	}
 	s.tryIssue()
-	if _, err := s.engine.RunContext(ctx, 0); err != nil {
+	if err := s.engine.Run(ctx); err != nil {
 		return nil, fmt.Errorf("netsim: run aborted: %w", err)
 	}
 	if s.err != nil {

@@ -335,8 +335,7 @@ func (ts traceSource) SampleOccupancy(dst []float64) {
 // SampleLinkBusy fills per-link cumulative generator busy time.
 func (ts traceSource) SampleLinkBusy(dst []time.Duration) {
 	for i, g := range ts.s.gnodes {
-		_, _, busy := g.Stats()
-		dst[i] = busy
+		dst[i] = g.Busy()
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package perfbench is the repository's performance measurement layer:
 // reusable benchmark bodies covering the discrete-event engine's hot
-// operations (scheduling, cancellation), the resource and semaphore
-// waiter cycles, a full 5x5 QFT simulation per layout and routing
-// policy, and the concurrent sweep engine.
+// operation (schedule plus step), the resource and semaphore waiter
+// cycles, a full 5x5 QFT simulation per layout and routing policy, and
+// the concurrent sweep engine.
 //
 // The bodies are exported plain functions taking *testing.B so that two
 // harnesses can share them: the conventional `go test -bench .` wrappers
@@ -50,51 +50,6 @@ func EngineSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(schedulePending*time.Microsecond, fn)
 		e.Step()
-	}
-}
-
-// EngineCancel returns a benchmark measuring one Schedule+Cancel pair
-// with `pending` unrelated events outstanding.  Running it at several
-// pending sizes is the regression pin for cancellation cost: since the
-// tombstone design landed, ns/op must stay flat as pending grows (the
-// pre-refactor engine scanned the heap linearly, so its cost grew with
-// the backlog).
-func EngineCancel(pending int) func(*testing.B) {
-	return func(b *testing.B) {
-		fn := func() {}
-		// Scheduled after the whole backlog so the victim sits at the
-		// bottom of the heap: the worst case for a scanning Cancel.
-		horizon := time.Duration(pending+2) * time.Microsecond
-		// Cancelled events leave lazy tombstones that only pops reclaim,
-		// so an unbounded schedule+cancel loop would grow the heap with
-		// b.N and bill the growth copies (and their memory) to Cancel.
-		// Rebuilding the engine off the clock every epoch keeps the
-		// measurement honest and the peak heap bounded; Reserve covers
-		// the backlog plus one epoch of tombstones, so the timed section
-		// never allocates.
-		const epoch = 1 << 15
-		var e *sim.Engine
-		reset := func() {
-			e = sim.New()
-			e.Reserve(pending + epoch + 1)
-			for i := 0; i < pending; i++ {
-				e.Schedule(time.Duration(i+1)*time.Microsecond, fn)
-			}
-		}
-		reset()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%epoch == epoch-1 {
-				b.StopTimer()
-				reset()
-				b.StartTimer()
-			}
-			id := e.Schedule(horizon, fn)
-			if !e.Cancel(id) {
-				b.Fatal("cancel of pending event failed")
-			}
-		}
 	}
 }
 
@@ -311,11 +266,6 @@ func reportEventRate(b *testing.B, eventsPerOp uint64) {
 		b.ReportMetric(float64(eventsPerOp)*float64(b.N)/secs, "events/sec")
 	}
 }
-
-// CancelPendingSizes are the backlog sizes the cancellation regression
-// benchmark runs at; flat ns/op across them proves Cancel no longer
-// scales with the pending-event count.
-var CancelPendingSizes = []int{1 << 10, 1 << 14}
 
 // FullRunConfigs enumerates the layout x policy matrix of the full-run
 // benchmark, in deterministic order.

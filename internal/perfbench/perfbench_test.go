@@ -1,7 +1,6 @@
 package perfbench
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -13,12 +12,6 @@ func BenchmarkEngineSchedule(b *testing.B) { EngineSchedule(b) }
 func BenchmarkResourceServe(b *testing.B) { ResourceServe(b) }
 
 func BenchmarkSemaphoreCycle(b *testing.B) { SemaphoreCycle(b) }
-
-func BenchmarkEngineCancel(b *testing.B) {
-	for _, n := range CancelPendingSizes {
-		b.Run(fmt.Sprintf("pending=%d", n), EngineCancel(n))
-	}
-}
 
 func BenchmarkQFT(b *testing.B) {
 	for _, cfg := range FullRunConfigs() {

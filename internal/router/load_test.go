@@ -22,6 +22,10 @@ func loadNode(t *testing.T) *Node {
 	return n
 }
 
+// hold is a job that keeps the unit it is granted: the load tests only
+// occupy units and queue waiters, never release them.
+func hold(any) {}
+
 // TestTurnPenaltyChargesPerCall asserts the ballistic turn penalty is
 // a fixed per-turn latency and that every charge is counted exactly
 // once: n calls mean n turns, each costing BallisticTime(TurnCells),
@@ -54,7 +58,7 @@ func TestAxisLoadAccountsServiceAndQueue(t *testing.T) {
 	// Occupy both, then queue a third job.
 	x := n.TeleporterSet(0)
 	for i := 0; i < 3; i++ {
-		x.Acquire(func() {})
+		x.AcquireCall(hold, nil)
 	}
 	if got := n.AxisLoad(0); got != 1.5 {
 		t.Errorf("AxisLoad(0) = %v, want 1.5 (2 busy + 1 queued over capacity 2)", got)
@@ -120,7 +124,7 @@ func TestLoadsExceedOneUnderBacklog(t *testing.T) {
 		x := n.TeleporterSet(0)
 		s := n.Storage(mesh.East)
 		for i := 0; i < c.acquires; i++ {
-			x.Acquire(func() {})
+			x.AcquireCall(hold, nil)
 			s.Acquire(func() {})
 		}
 		if got := n.AxisLoad(0); got != c.want {
@@ -144,9 +148,9 @@ func TestOccupancyAggregatesLoadCounters(t *testing.T) {
 	// 3 jobs on the X set (2 busy + 1 queued), 1 on the Y set, and 5
 	// storage acquires on East (2 credits + 3 waiters): 9 batches total.
 	for i := 0; i < 3; i++ {
-		n.TeleporterSet(0).Acquire(func() {})
+		n.TeleporterSet(0).AcquireCall(hold, nil)
 	}
-	n.TeleporterSet(1).Acquire(func() {})
+	n.TeleporterSet(1).AcquireCall(hold, nil)
 	for i := 0; i < 5; i++ {
 		n.Storage(mesh.East).Acquire(func() {})
 	}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -107,7 +108,9 @@ func TestUtilizationAveragesSets(t *testing.T) {
 	n, _ := New(e, mesh.Coord{}, allDirs(), cfg())
 	// Occupy one X teleporter for the whole sim: X util 0.5 (1 of 2), Y 0.
 	n.TeleporterSet(0).Serve(10*time.Microsecond, nil)
-	e.Run(0)
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	got := n.Utilization()
 	if got < 0.24 || got > 0.26 {
 		t.Errorf("mean utilization = %g, want 0.25", got)

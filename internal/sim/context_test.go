@@ -13,11 +13,10 @@ func TestRunContextCompletes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Schedule(time.Duration(i)*time.Microsecond, func() { ran++ })
 	}
-	n, err := e.RunContext(context.Background(), 0)
-	if err != nil {
+	if err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 || ran != 10 {
+	if n := e.Processed(); n != 10 || ran != 10 {
 		t.Errorf("ran %d events (counter %d), want 10", n, ran)
 	}
 }
@@ -27,11 +26,11 @@ func TestRunContextPreCancelled(t *testing.T) {
 	e.Schedule(time.Microsecond, func() { t.Error("event ran despite cancelled context") })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	n, err := e.RunContext(ctx, 0)
+	err := e.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n != 0 {
+	if n := e.Processed(); n != 0 {
 		t.Errorf("executed %d events under a cancelled context", n)
 	}
 	if e.Pending() != 1 {
@@ -55,25 +54,11 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		e.Schedule(time.Nanosecond, scheduled)
 	}
 	e.Schedule(0, scheduled)
-	_, err := e.RunContext(ctx, 0)
+	err := e.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if count < 10000 || count > 10000+ctxCheckInterval {
 		t.Errorf("stopped after %d events; want within one check interval of 10000", count)
-	}
-}
-
-func TestRunContextBudget(t *testing.T) {
-	e := New()
-	var scheduled func()
-	scheduled = func() { e.Schedule(time.Nanosecond, scheduled) }
-	e.Schedule(0, scheduled)
-	n, err := e.RunContext(context.Background(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Errorf("budgeted run executed %d events, want 100", n)
 	}
 }

@@ -7,24 +7,6 @@ import (
 	"time"
 )
 
-// TestRunContextBudgetExactlyAtCheckInterval pins the off-by-one-prone
-// interaction of the event budget with the periodic context check: a
-// budget of exactly ctxCheckInterval on a live context must execute
-// exactly that many events and report no error.
-func TestRunContextBudgetExactlyAtCheckInterval(t *testing.T) {
-	e := New()
-	var scheduled func()
-	scheduled = func() { e.Schedule(time.Nanosecond, scheduled) }
-	e.Schedule(0, scheduled)
-	n, err := e.RunContext(context.Background(), ctxCheckInterval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != ctxCheckInterval {
-		t.Errorf("executed %d events, want exactly %d", n, ctxCheckInterval)
-	}
-}
-
 // TestRunContextCancelLandsOnCheckBoundary cancels the context from
 // inside the event immediately preceding the periodic check, so the
 // very next loop iteration must observe it: the run stops having
@@ -47,42 +29,19 @@ func TestRunContextCancelLandsOnCheckBoundary(t *testing.T) {
 			}
 		})
 	}
-	n, err := e.RunContext(ctx, 0)
+	err := e.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	n := e.Processed()
 	if n != ctxCheckInterval-1 {
 		t.Errorf("executed %d events, want %d (cancelled exactly at the check)", n, ctxCheckInterval-1)
 	}
 	if int(n) != ran {
-		t.Errorf("returned count %d != callback count %d", n, ran)
+		t.Errorf("processed count %d != callback count %d", n, ran)
 	}
 	if e.Pending() != total-int(n) {
 		t.Errorf("pending = %d, want %d (engine left intact)", e.Pending(), total-int(n))
-	}
-}
-
-// TestRunContextSkipsTombstonedHead cancels the earliest pending event
-// and then runs under a context: the tombstone must be discarded
-// without counting toward the executed total or advancing the clock to
-// its time.
-func TestRunContextSkipsTombstonedHead(t *testing.T) {
-	e := New()
-	id := e.Schedule(time.Microsecond, func() { t.Error("cancelled head event ran") })
-	var at time.Duration
-	e.Schedule(5*time.Microsecond, func() { at = e.Now() })
-	if !e.Cancel(id) {
-		t.Fatal("cancel failed")
-	}
-	n, err := e.RunContext(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("executed %d events, want 1 (tombstone must not count)", n)
-	}
-	if at != 5*time.Microsecond {
-		t.Errorf("surviving event ran at %v, want 5µs", at)
 	}
 }
 
@@ -97,7 +56,7 @@ func TestScheduleCallOrdersWithSchedule(t *testing.T) {
 	e.ScheduleCall(time.Microsecond, appendLabel, 1)
 	e.Schedule(time.Microsecond, func() { order = append(order, 2) })
 	e.ScheduleCall(time.Microsecond, appendLabel, 3)
-	e.Run(0)
+	run(t, e)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("execution order %v, want [0 1 2 3]", order)
@@ -118,33 +77,6 @@ func TestScheduleCallPanicsOnNilFunc(t *testing.T) {
 		}
 	}()
 	e.ScheduleCall(0, nil, nil)
-}
-
-// TestCancelStaleAndForeignIDs covers the O(1) validity check: zero
-// IDs, never-issued IDs and IDs from executed events must all report
-// false without disturbing the queue.
-func TestCancelStaleAndForeignIDs(t *testing.T) {
-	e := New()
-	if e.Cancel(0) {
-		t.Error("Cancel(0) should fail")
-	}
-	if e.Cancel(EventID(1<<40 | 7)) {
-		t.Error("Cancel of a never-issued ID should fail")
-	}
-	id := e.Schedule(time.Microsecond, func() {})
-	e.Run(0)
-	if e.Cancel(id) {
-		t.Error("Cancel of an executed event should fail")
-	}
-	// A recycled slot must not honor the old handle: the next event
-	// reuses the executed event's arena slot under a new generation.
-	id2 := e.Schedule(time.Microsecond, func() {})
-	if e.Cancel(id) {
-		t.Error("stale handle cancelled a recycled slot's new occupant")
-	}
-	if !e.Cancel(id2) {
-		t.Error("fresh handle should cancel its own event")
-	}
 }
 
 // TestReserveMakesSchedulingAllocationFree pins the arena design's

@@ -8,34 +8,22 @@ import (
 )
 
 // oracleEngine is a faithful copy of the pre-refactor engine — a
-// container/heap of boxed events with a linearly-scanning Cancel — kept
-// as the behavioral oracle for the randomized equivalence test below.
-// Any divergence in pop order, cancellation outcome, clock or pending
-// count between it and the rewritten arena engine is a bug in the
-// rewrite.
+// container/heap of boxed events — kept as the behavioral oracle for
+// the randomized equivalence test below.  Any divergence in pop order,
+// clock or pending count between it and the arena engine is a bug in
+// the arena engine.
 type oracleEngine struct {
 	now    time.Duration
 	events oracleHeap
 	seq    uint64
 }
 
-func (e *oracleEngine) Schedule(delay time.Duration, fn func()) uint64 {
+func (e *oracleEngine) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
 	e.seq++
 	heap.Push(&e.events, &oracleEvent{at: e.now + delay, seq: e.seq, fn: fn})
-	return e.seq
-}
-
-func (e *oracleEngine) Cancel(id uint64) bool {
-	for i, ev := range e.events {
-		if ev.seq == id {
-			heap.Remove(&e.events, i)
-			return true
-		}
-	}
-	return false
 }
 
 func (e *oracleEngine) Step() bool {
@@ -76,39 +64,42 @@ func (h *oracleHeap) Pop() interface{} {
 	return ev
 }
 
-// TestEngineMatchesOracleOnRandomOps drives the rewritten engine and
-// the pre-refactor oracle through identical randomized
-// Schedule/Cancel/Step sequences and demands bit-identical observable
-// behavior: the same (time, seq) pop order, the same Cancel verdicts,
-// the same clock and the same pending counts — including after the
-// queue is drained with tombstones still buried in the heap.
+// TestEngineMatchesOracleOnRandomOps drives the arena engine and the
+// pre-refactor oracle through identical randomized Schedule/Step
+// sequences — including events scheduled from inside running events —
+// and demands bit-identical observable behavior: the same (time, seq)
+// pop order, the same clock and the same pending counts, through to
+// the drained queue.
 func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060618))
 	for trial := 0; trial < 100; trial++ {
 		e := New()
 		o := &oracleEngine{}
 		var got, want []int
-		var ids []EventID
-		var oids []uint64
 		label := 0
 		ops := 50 + rng.Intn(400)
 		for i := 0; i < ops; i++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0, 1, 2: // schedule the same event in both engines
 				k := label
 				label++
 				d := time.Duration(rng.Intn(40)) * time.Microsecond
-				ids = append(ids, e.Schedule(d, func() { got = append(got, k) }))
-				oids = append(oids, o.Schedule(d, func() { want = append(want, k) }))
-			case 3: // cancel a random (possibly stale) handle in both
-				if len(ids) == 0 {
-					continue
-				}
-				k := rng.Intn(len(ids))
-				if g, w := e.Cancel(ids[k]), o.Cancel(oids[k]); g != w {
-					t.Fatalf("trial %d: Cancel(event %d) = %v, oracle %v", trial, k, g, w)
-				}
-			case 4, 5: // step both
+				// Every third event schedules a follow-up from inside
+				// its own execution, into the arena slot it vacated.
+				follow := time.Duration(k%7) * time.Microsecond
+				e.Schedule(d, func() {
+					got = append(got, k)
+					if k%3 == 0 {
+						e.Schedule(follow, func() { got = append(got, -k-1) })
+					}
+				})
+				o.Schedule(d, func() {
+					want = append(want, k)
+					if k%3 == 0 {
+						o.Schedule(follow, func() { want = append(want, -k-1) })
+					}
+				})
+			case 3, 4: // step both
 				if g, w := e.Step(), o.Step(); g != w {
 					t.Fatalf("trial %d: Step() = %v, oracle %v", trial, g, w)
 				}

@@ -10,24 +10,21 @@ import (
 // unit — teleporters in a T' node set, generators in a G node, queue
 // purifiers in a P node.
 //
-// Acquire enqueues a job; when a unit is free the job callback runs (at
-// the engine's current time).  The callback must eventually call Release
-// exactly once (typically after scheduling the service latency).
+// It is a Semaphore whose credits are the units — the semaphore holds
+// the wait queue, the hand-over to the oldest waiter and the
+// over-release check — plus busy-time accounting and the Serve pattern.
+// AcquireCall runs a job once a unit is held (at the engine's current
+// time); the job must eventually call Release exactly once (typically
+// after scheduling the service latency).
 type Resource struct {
-	name     string
-	nameFn   func() string
-	engine   *Engine
-	capacity int
-	inUse    int
-	waiting  []call
+	units  Semaphore
+	engine *Engine
 
 	// freeJobs recycles the per-Serve bookkeeping records, so the
 	// acquire-serve-release pattern allocates nothing in steady state.
 	freeJobs *serveJob
 
-	// Statistics.
-	acquired   uint64
-	maxQueue   int
+	// busyTime is the unit-busy time accounted up to lastChange.
 	busyTime   time.Duration
 	lastChange time.Duration
 }
@@ -48,13 +45,7 @@ type serveJob struct {
 
 // NewResource creates a resource with the given unit count.
 func NewResource(engine *Engine, name string, capacity int) (*Resource, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("sim: resource %q needs an engine", name)
-	}
-	if capacity < 1 {
-		return nil, fmt.Errorf("sim: resource %q capacity must be >= 1, got %d", name, capacity)
-	}
-	return &Resource{name: name, engine: engine, capacity: capacity}, nil
+	return NewLazyResource(engine, func() string { return name }, capacity)
 }
 
 // NewLazyResource is NewResource with deferred naming: name is called at
@@ -63,81 +54,44 @@ func NewResource(engine *Engine, name string, capacity int) (*Resource, error) {
 // of resources per run use it to keep name formatting off the build
 // path.
 func NewLazyResource(engine *Engine, name func() string, capacity int) (*Resource, error) {
-	if name == nil {
-		return nil, fmt.Errorf("sim: lazy resource needs a name function")
+	r := &Resource{engine: engine}
+	if err := r.units.init(name, capacity); err != nil {
+		return nil, err
 	}
 	if engine == nil {
-		return nil, fmt.Errorf("sim: resource needs an engine")
+		return nil, fmt.Errorf("sim: resource %q needs an engine", r.Name())
 	}
-	if capacity < 1 {
-		return nil, fmt.Errorf("sim: resource capacity must be >= 1, got %d", capacity)
-	}
-	return &Resource{nameFn: name, engine: engine, capacity: capacity}, nil
+	return r, nil
 }
 
 // Name returns the resource's name, resolving a lazy name on first use.
-func (r *Resource) Name() string {
-	if r.name == "" && r.nameFn != nil {
-		r.name = r.nameFn()
-		r.nameFn = nil
-	}
-	return r.name
-}
+func (r *Resource) Name() string { return r.units.Name() }
 
 // Capacity returns the number of units.
-func (r *Resource) Capacity() int { return r.capacity }
+func (r *Resource) Capacity() int { return r.units.limit }
 
 // InUse returns the number of units currently serving jobs.
-func (r *Resource) InUse() int { return r.inUse }
+func (r *Resource) InUse() int { return r.units.limit - r.units.credits }
 
 // QueueLen returns the number of jobs waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.waiting) }
+func (r *Resource) QueueLen() int { return len(r.units.waiting) }
 
-// Acquire requests a unit and runs job once one is available.  If a unit
-// is free now, job runs synchronously.
-func (r *Resource) Acquire(job func()) {
-	if job == nil {
-		panic(fmt.Sprintf("sim: resource %q: nil job", r.Name()))
-	}
-	r.AcquireCall(runFunc, job)
-}
-
-// AcquireCall is Acquire in the call form: it runs fn(arg) once a unit is
-// held.  With fn a package-level function and arg a pointer to reusable
-// state it allocates nothing once the wait queue has grown to its
-// working size.
+// AcquireCall runs fn(arg) once a unit is held: synchronously if a unit
+// is free now, otherwise when a Release hands one over.  With fn a
+// package-level function and arg a pointer to reusable state it
+// allocates nothing once the wait queue has grown to its working size.
 func (r *Resource) AcquireCall(fn func(any), arg any) {
-	if fn == nil {
-		panic(fmt.Sprintf("sim: resource %q: nil job", r.Name()))
+	if r.units.credits > 0 {
+		r.accountBusy() // a unit is about to be granted
 	}
-	if r.inUse < r.capacity {
-		r.grab()
-		fn(arg)
-		return
-	}
-	r.waiting = append(r.waiting, call{fn, arg})
-	if len(r.waiting) > r.maxQueue {
-		r.maxQueue = len(r.waiting)
-	}
+	r.units.AcquireCall(fn, arg)
 }
 
 // Release frees a unit, immediately handing it to the oldest waiting job
 // if any.
 func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic(fmt.Sprintf("sim: resource %q released more than acquired", r.Name()))
-	}
 	r.accountBusy()
-	r.inUse--
-	if len(r.waiting) == 0 {
-		return
-	}
-	w := r.waiting[0]
-	copy(r.waiting, r.waiting[1:])
-	r.waiting[len(r.waiting)-1] = call{}
-	r.waiting = r.waiting[:len(r.waiting)-1]
-	r.grab()
-	w.fn(w.arg)
+	r.units.Release()
 }
 
 // Serve is the common acquire-serve-release pattern: wait for a unit,
@@ -151,10 +105,10 @@ func (r *Resource) Serve(latency time.Duration, done func()) {
 }
 
 // ServeCall is Serve in the call form, running done(arg) (done may be
-// nil) after the service.  Unlike hand-rolling Acquire+Schedule+Release
-// it allocates nothing in steady state: its bookkeeping record is
-// recycled through a free list and neither the wait nor the completion
-// event captures a closure.
+// nil) after the service.  Unlike hand-rolling AcquireCall+Schedule+
+// Release it allocates nothing in steady state: its bookkeeping record
+// is recycled through a free list and neither the wait nor the
+// completion event captures a closure.
 func (r *Resource) ServeCall(latency time.Duration, done func(any), arg any) {
 	j := r.freeJobs
 	if j != nil {
@@ -189,49 +143,40 @@ func serveComplete(a any) {
 	}
 }
 
-func (r *Resource) grab() {
-	r.accountBusy()
-	r.inUse++
-	r.acquired++
-}
-
+// accountBusy adds the unit-busy time since the last grant or release.
+// It runs before every change of the units in use.
 func (r *Resource) accountBusy() {
 	now := r.engine.Now()
-	r.busyTime += time.Duration(r.inUse) * (now - r.lastChange)
+	r.busyTime += time.Duration(r.InUse()) * (now - r.lastChange)
 	r.lastChange = now
 }
 
-// Stats returns cumulative counters: total acquisitions, the maximum
-// observed queue length, and the aggregate unit-busy time (unit-seconds
-// of service).
-func (r *Resource) Stats() (acquired uint64, maxQueue int, busy time.Duration) {
+// Busy returns the aggregate unit-busy time so far (unit-seconds of
+// service).
+func (r *Resource) Busy() time.Duration {
 	r.accountBusy()
-	return r.acquired, r.maxQueue, r.busyTime
+	return r.busyTime
 }
 
 // Utilization returns the fraction of unit-time spent busy since the
 // start of the simulation (0 if no time has passed).
 func (r *Resource) Utilization() float64 {
-	r.accountBusy()
-	total := time.Duration(r.capacity) * r.engine.Now()
+	total := time.Duration(r.Capacity()) * r.engine.Now()
 	if total <= 0 {
 		return 0
 	}
-	return float64(r.busyTime) / float64(total)
+	return float64(r.Busy()) / float64(total)
 }
 
-// Tally accumulates scalar observations: count, sum, min, max and mean.
+// Tally accumulates scalar observations: count, mean and max.
 type Tally struct {
-	n        uint64
-	sum      float64
-	min, max float64
+	n   uint64
+	sum float64
+	max float64
 }
 
 // Add records one observation.
 func (t *Tally) Add(x float64) {
-	if t.n == 0 || x < t.min {
-		t.min = x
-	}
 	if t.n == 0 || x > t.max {
 		t.max = x
 	}
@@ -242,9 +187,6 @@ func (t *Tally) Add(x float64) {
 // Count returns the number of observations.
 func (t *Tally) Count() uint64 { return t.n }
 
-// Sum returns the sum of observations.
-func (t *Tally) Sum() float64 { return t.sum }
-
 // Mean returns the average observation (0 when empty).
 func (t *Tally) Mean() float64 {
 	if t.n == 0 {
@@ -252,9 +194,6 @@ func (t *Tally) Mean() float64 {
 	}
 	return t.sum / float64(t.n)
 }
-
-// Min returns the smallest observation (0 when empty).
-func (t *Tally) Min() float64 { return t.min }
 
 // Max returns the largest observation (0 when empty).
 func (t *Tally) Max() float64 { return t.max }

@@ -1,24 +1,26 @@
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Semaphore is a counting semaphore with a FIFO waiter queue, used for
 // credit-based flow control (e.g. the per-link incoming storage cells of
 // a T' node).  Unlike Resource it has no notion of service time: callers
-// take and return credits explicitly.
+// take and return credits explicitly.  It is also the waiter queue of
+// every Resource, whose units are its credits.
 type Semaphore struct {
 	name    string
 	nameFn  func() string
 	credits int
 	limit   int
 	waiting []call
-	maxWait int
 }
 
 // call is one queued continuation in the allocation-free (func(any),
 // any) form of Engine.ScheduleCall: with fn a package-level function and
 // arg a pointer to reusable state, queueing it captures no closure.
-// Semaphore and Resource waiters both use it.
 type call struct {
 	fn  func(any)
 	arg any
@@ -30,10 +32,7 @@ func runFunc(a any) { a.(func())() }
 
 // NewSemaphore creates a semaphore holding limit credits.
 func NewSemaphore(name string, limit int) (*Semaphore, error) {
-	if limit < 1 {
-		return nil, fmt.Errorf("sim: semaphore %q limit must be >= 1, got %d", name, limit)
-	}
-	return &Semaphore{name: name, credits: limit, limit: limit}, nil
+	return NewLazySemaphore(func() string { return name }, limit)
 }
 
 // NewLazySemaphore is NewSemaphore with deferred naming: name is called
@@ -41,18 +40,30 @@ func NewSemaphore(name string, limit int) (*Semaphore, error) {
 // Builders that create one semaphore per mesh link use it to keep name
 // formatting off the build path.
 func NewLazySemaphore(name func() string, limit int) (*Semaphore, error) {
+	s := new(Semaphore)
+	if err := s.init(name, limit); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// init names the semaphore lazily and fills it with limit credits.  It
+// is the one validation behind the semaphore and resource constructors.
+func (s *Semaphore) init(name func() string, limit int) error {
 	if name == nil {
-		return nil, fmt.Errorf("sim: lazy semaphore needs a name function")
+		return errors.New("sim: lazy name needs a name function")
 	}
+	s.nameFn = name
 	if limit < 1 {
-		return nil, fmt.Errorf("sim: semaphore limit must be >= 1, got %d", limit)
+		return fmt.Errorf("sim: %q needs at least 1 unit, got %d", s.Name(), limit)
 	}
-	return &Semaphore{nameFn: name, credits: limit, limit: limit}, nil
+	s.credits, s.limit = limit, limit
+	return nil
 }
 
 // Name returns the semaphore's name, resolving a lazy name on first use.
 func (s *Semaphore) Name() string {
-	if s.name == "" && s.nameFn != nil {
+	if s.nameFn != nil {
 		s.name = s.nameFn()
 		s.nameFn = nil
 	}
@@ -68,14 +79,11 @@ func (s *Semaphore) Available() int { return s.credits }
 // Waiting returns the number of queued acquirers.
 func (s *Semaphore) Waiting() int { return len(s.waiting) }
 
-// MaxWaiting returns the largest observed waiter queue.
-func (s *Semaphore) MaxWaiting() int { return s.maxWait }
-
 // Acquire takes one credit, running fn immediately if a credit is free,
 // otherwise queueing fn until Release provides one.
 func (s *Semaphore) Acquire(fn func()) {
 	if fn == nil {
-		panic(fmt.Sprintf("sim: semaphore %q: nil acquire function", s.Name()))
+		panic(fmt.Sprintf("sim: %q: nil acquire function", s.Name()))
 	}
 	s.AcquireCall(runFunc, fn)
 }
@@ -86,7 +94,7 @@ func (s *Semaphore) Acquire(fn func()) {
 // its working size.
 func (s *Semaphore) AcquireCall(fn func(any), arg any) {
 	if fn == nil {
-		panic(fmt.Sprintf("sim: semaphore %q: nil acquire function", s.Name()))
+		panic(fmt.Sprintf("sim: %q: nil acquire function", s.Name()))
 	}
 	if s.credits > 0 {
 		s.credits--
@@ -94,21 +102,11 @@ func (s *Semaphore) AcquireCall(fn func(any), arg any) {
 		return
 	}
 	s.waiting = append(s.waiting, call{fn, arg})
-	if len(s.waiting) > s.maxWait {
-		s.maxWait = len(s.waiting)
-	}
-}
-
-// TryAcquire takes a credit without queueing; it reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.credits > 0 {
-		s.credits--
-		return true
-	}
-	return false
 }
 
 // Release returns one credit, handing it to the oldest waiter if any.
+// Releasing a credit that was never taken panics: it indicates a broken
+// model.
 func (s *Semaphore) Release() {
 	if len(s.waiting) > 0 {
 		w := s.waiting[0]
@@ -119,7 +117,7 @@ func (s *Semaphore) Release() {
 		return
 	}
 	if s.credits >= s.limit {
-		panic(fmt.Sprintf("sim: semaphore %q released above its limit %d", s.Name(), s.limit))
+		panic(fmt.Sprintf("sim: %q released more than acquired (limit %d)", s.Name(), s.limit))
 	}
 	s.credits++
 }

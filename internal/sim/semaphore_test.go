@@ -43,22 +43,8 @@ func TestSemaphoreQueuesWhenEmpty(t *testing.T) {
 			t.Errorf("FIFO violated: %v", order)
 		}
 	}
-	if s.MaxWaiting() != 2 {
-		t.Errorf("max waiting = %d, want 2", s.MaxWaiting())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	s, _ := NewSemaphore("x", 1)
-	if !s.TryAcquire() {
-		t.Error("first TryAcquire should succeed")
-	}
-	if s.TryAcquire() {
-		t.Error("second TryAcquire should fail")
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Error("TryAcquire after Release should succeed")
+	if s.Waiting() != 0 || s.Available() != 0 {
+		t.Errorf("waiting=%d available=%d after both hand-overs, want 0/0", s.Waiting(), s.Available())
 	}
 }
 

@@ -6,11 +6,11 @@
 //
 // The engine is built for throughput on the simulator's hot path: events
 // live inline in a value-typed 4-ary min-heap (no per-event pointer
-// boxing), their payloads sit in a free-listed arena that is reused in
-// steady state (scheduling does not allocate once the backing arrays
-// have grown to the working-set size), and cancellation is O(1) by
-// tombstoning the event's arena slot — the stale heap entry is discarded
-// lazily when it surfaces at the top.
+// boxing), and each event's continuation — one (func(any), any) call —
+// sits in a free-listed arena that is reused in steady state, so
+// scheduling does not allocate once the backing arrays have grown to the
+// working-set size.  Semaphore is the one FIFO waiter queue: Resource is
+// a Semaphore of units plus busy-time accounting and service scheduling.
 package sim
 
 import (
@@ -26,16 +26,20 @@ type Engine struct {
 	now     time.Duration
 	seq     uint64
 	stepped uint64
-	live    int // pending events, excluding tombstoned (cancelled) ones
 
 	// heap is a 4-ary min-heap of inline entries ordered by (at, seq).
 	// A 4-ary layout halves the tree depth of a binary heap and keeps
 	// sibling comparisons inside one or two cache lines, which measurably
 	// beats container/heap's pointer-chasing interface dispatch here.
 	heap []heapEntry
-	// arena holds event payloads; heap entries reference slots by index.
-	// Freed slots chain through a free list and are reused, so the
-	// backing array stops growing once it covers the peak backlog.
+	// arena holds event continuations; heap entries reference slots by
+	// index, so the heap stays pointer-free.  Moving the continuations
+	// into the heap entries instead grows them from 24 to 40 bytes and
+	// makes every sift move pointer words: it made every perfbench QFT
+	// body slower, by 6–34% in median over six alternating rounds on a
+	// 2-CPU Xeon host.  Freed slots chain through a free list and are
+	// reused, so the backing array stops growing once it covers the
+	// peak backlog.
 	arena []eventSlot
 	free  int32 // head of the free-slot list, -1 when empty
 
@@ -61,24 +65,18 @@ type Probe interface {
 
 // heapEntry is one inline heap element.  It carries the ordering key
 // (at, seq) so comparisons never touch the arena, plus the arena slot of
-// the payload.  Entries whose slot no longer holds their seq are
-// tombstones left by Cancel and are discarded when popped.
+// the continuation.
 type heapEntry struct {
 	at   time.Duration
 	seq  uint64
 	slot int32
 }
 
-// eventSlot is one arena cell: the payload of a pending event, or a
-// free-list node.  seq is the occupant's sequence number (0 when free);
-// gen counts how many times the slot has been recycled, letting EventID
-// detect stale handles in O(1).
+// eventSlot is one arena cell: the continuation of a pending event, or a
+// free-list node.
 type eventSlot struct {
-	fn   func()
-	afn  func(any)
+	fn   func(any)
 	arg  any
-	seq  uint64
-	gen  uint32
 	next int32 // next free slot when on the free list
 }
 
@@ -94,7 +92,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Processed() uint64 { return e.stepped }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return e.live }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Reserve pre-sizes the engine for at least n simultaneously pending
 // events, growing the heap and payload arena in one step so a model
@@ -148,33 +146,14 @@ func (e *Engine) runProbe(t time.Duration) {
 	}
 }
 
-// EventID identifies a scheduled event for cancellation.  It encodes
-// the event's arena slot and the slot's generation, so cancelling an
-// event that already ran (or was already cancelled) is detected in O(1)
-// and returns false.
-type EventID uint64
-
 // Schedule runs fn after delay of simulated time.  A negative delay is
 // treated as zero (run at the current instant, after already-queued
 // events for that instant).
-func (e *Engine) Schedule(delay time.Duration, fn func()) EventID {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
-}
-
-// At runs fn at absolute simulation time t.  Scheduling in the past is an
-// error that panics: it indicates a broken model rather than a
-// recoverable condition.
-func (e *Engine) At(t time.Duration, fn func()) EventID {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
 	}
-	return e.push(t, fn, nil, nil)
+	e.ScheduleCall(delay, runFunc, fn)
 }
 
 // ScheduleCall runs fn(arg) after delay of simulated time, with the
@@ -182,26 +161,18 @@ func (e *Engine) At(t time.Duration, fn func()) EventID {
 // for hot paths: with fn a package-level function and arg a pointer to
 // reusable state, scheduling captures no closure, so the call allocates
 // nothing once the engine's arrays have reached steady state.
-func (e *Engine) ScheduleCall(delay time.Duration, fn func(any), arg any) EventID {
+func (e *Engine) ScheduleCall(delay time.Duration, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
 	if fn == nil {
 		panic("sim: scheduling nil event function")
 	}
-	return e.push(e.now+delay, nil, fn, arg)
-}
-
-// push stores the payload in a (reused) arena slot and pushes the heap
-// entry.  Exactly one of fn and afn is non-nil.
-func (e *Engine) push(t time.Duration, fn func(), afn func(any), arg any) EventID {
 	e.seq++
 	slot := e.allocSlot()
 	sl := &e.arena[slot]
-	sl.fn, sl.afn, sl.arg, sl.seq = fn, afn, arg, e.seq
-	e.heapPush(heapEntry{at: t, seq: e.seq, slot: slot})
-	e.live++
-	return EventID(uint64(sl.gen)<<32 | uint64(slot+1))
+	sl.fn, sl.arg = fn, arg
+	e.heapPush(heapEntry{at: e.now + delay, seq: e.seq, slot: slot})
 }
 
 // allocSlot pops a free arena slot, growing the arena only when the
@@ -216,116 +187,54 @@ func (e *Engine) allocSlot() int32 {
 	return int32(len(e.arena) - 1)
 }
 
-// freeSlot recycles an arena slot: payload references are dropped, the
-// generation advances (invalidating outstanding EventIDs), and the slot
-// joins the free list.
-func (e *Engine) freeSlot(slot int32) {
-	sl := &e.arena[slot]
-	sl.fn, sl.afn, sl.arg, sl.seq = nil, nil, nil, 0
-	sl.gen++
-	sl.next = e.free
-	e.free = slot
-}
-
-// Cancel removes a pending event.  It reports whether the event was
-// found (an already-executed or unknown ID returns false).  The cost is
-// O(1): the arena slot is tombstoned and recycled immediately, and the
-// event's heap entry is discarded lazily when it reaches the top.
-func (e *Engine) Cancel(id EventID) bool {
-	slot := int32(uint32(id)) - 1
-	if slot < 0 || int(slot) >= len(e.arena) {
-		return false
-	}
-	sl := &e.arena[slot]
-	if sl.seq == 0 || sl.gen != uint32(id>>32) {
-		return false
-	}
-	e.freeSlot(slot)
-	e.live--
-	return true
-}
-
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		sl := &e.arena[top.slot]
-		if sl.seq != top.seq {
-			// Tombstone left by Cancel: the slot was recycled (and
-			// possibly reoccupied under a different seq).  Drop it.
-			e.heapPop()
-			continue
-		}
-		e.heapPop()
-		if e.probe != nil && top.at >= e.probeNext {
-			// Sample every boundary the clock is about to cross, before
-			// the event that crosses it executes.
-			e.runProbe(top.at)
-		}
-		e.now = top.at
-		e.stepped++
-		e.live--
-		fn, afn, arg := sl.fn, sl.afn, sl.arg
-		// Free before invoking so the payload can reuse the slot when it
-		// schedules follow-up events.
-		e.freeSlot(top.slot)
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	top := e.heapPop()
+	if e.probe != nil && top.at >= e.probeNext {
+		// Sample every boundary the clock is about to cross, before the
+		// event that crosses it executes.
+		e.runProbe(top.at)
+	}
+	e.now = top.at
+	e.stepped++
+	// Free the slot before invoking so the continuation can reuse it
+	// when it schedules follow-up events.
+	sl := &e.arena[top.slot]
+	fn, arg := sl.fn, sl.arg
+	sl.fn, sl.arg = nil, nil
+	sl.next = e.free
+	e.free = top.slot
+	fn(arg)
+	return true
 }
 
-// Run executes events until none remain or the event budget is
-// exhausted, returning the number executed.  A budget of 0 means
-// unlimited.
-func (e *Engine) Run(budget uint64) uint64 {
-	var n uint64
-	for {
-		if budget > 0 && n >= budget {
-			return n
-		}
-		if !e.Step() {
-			return n
-		}
-		n++
-	}
-}
-
-// ctxCheckInterval is how many events RunContext executes between
+// ctxCheckInterval is how many events Run executes between
 // cancellation checks.  Checking ctx.Err() per event would dominate the
 // hot loop; every 4096 events keeps cancellation latency well under a
 // millisecond of wall time for any realistic model.
 const ctxCheckInterval = 4096
 
-// RunContext executes events until none remain, the event budget is
-// exhausted, or ctx is cancelled.  A budget of 0 means unlimited.  It
-// returns the number of events executed and, when the run was cut short
-// by cancellation, the context's error.  On cancellation the engine is
-// left intact (clock and pending events preserved), so a caller may
-// inspect or resume it.
-func (e *Engine) RunContext(ctx context.Context, budget uint64) (uint64, error) {
+// Run executes events until none remain or ctx is cancelled, returning
+// the context's error when the run was cut short (Processed counts the
+// events executed).  On cancellation the engine is left intact (clock
+// and pending events preserved), so a caller may inspect or resume it.
+func (e *Engine) Run(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return err
 	}
-	var n uint64
-	for {
-		if budget > 0 && n >= budget {
-			return n, nil
-		}
+	for n := 0; ; n++ {
 		if n%ctxCheckInterval == ctxCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
-				return n, err
+				return err
 			}
 		}
 		if !e.Step() {
-			return n, nil
+			return nil
 		}
-		n++
 	}
 }
 

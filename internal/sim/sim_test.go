@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,13 +9,23 @@ import (
 	"time"
 )
 
+// run drives e until no event remains, failing t if the run is cut
+// short.
+func run(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := New()
 	var order []int
 	e.Schedule(30*time.Microsecond, func() { order = append(order, 3) })
 	e.Schedule(10*time.Microsecond, func() { order = append(order, 1) })
 	e.Schedule(20*time.Microsecond, func() { order = append(order, 2) })
-	if n := e.Run(0); n != 3 {
+	run(t, e)
+	if n := e.Processed(); n != 3 {
 		t.Fatalf("ran %d events, want 3", n)
 	}
 	for i, v := range order {
@@ -34,7 +45,7 @@ func TestEngineFIFOForSimultaneousEvents(t *testing.T) {
 		i := i
 		e.Schedule(5*time.Microsecond, func() { order = append(order, i) })
 	}
-	e.Run(0)
+	run(t, e)
 	if !sort.IntsAreSorted(order) {
 		t.Errorf("simultaneous events ran out of scheduling order: %v", order)
 	}
@@ -49,7 +60,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 			hits = append(hits, e.Now())
 		})
 	})
-	e.Run(0)
+	run(t, e)
 	if len(hits) != 2 || hits[0] != time.Microsecond || hits[1] != 3*time.Microsecond {
 		t.Errorf("nested event times %v, want [1µs 3µs]", hits)
 	}
@@ -61,26 +72,13 @@ func TestEngineNegativeDelayClampsToNow(t *testing.T) {
 	e.Schedule(time.Millisecond, func() {
 		e.Schedule(-time.Second, func() { ran = true })
 	})
-	e.Run(0)
+	run(t, e)
 	if !ran {
 		t.Error("negative-delay event never ran")
 	}
 	if e.Now() != time.Millisecond {
 		t.Errorf("clock = %v, want 1ms", e.Now())
 	}
-}
-
-func TestEnginePanicsOnPastEvent(t *testing.T) {
-	e := New()
-	e.Schedule(time.Millisecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("At() in the past should panic")
-			}
-		}()
-		e.At(0, func() {})
-	})
-	e.Run(0)
 }
 
 func TestEnginePanicsOnNilFunc(t *testing.T) {
@@ -93,42 +91,12 @@ func TestEnginePanicsOnNilFunc(t *testing.T) {
 	e.Schedule(0, nil)
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	ran := false
-	id := e.Schedule(time.Microsecond, func() { ran = true })
-	if !e.Cancel(id) {
-		t.Error("cancel of pending event should succeed")
-	}
-	if e.Cancel(id) {
-		t.Error("double cancel should fail")
-	}
-	e.Run(0)
-	if ran {
-		t.Error("cancelled event ran")
-	}
-}
-
-func TestEngineRunBudget(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Microsecond, func() { count++ })
-	}
-	if n := e.Run(4); n != 4 || count != 4 {
-		t.Errorf("budgeted run executed n=%d count=%d, want 4", n, count)
-	}
-	if e.Pending() != 6 {
-		t.Errorf("pending = %d, want 6", e.Pending())
-	}
-}
-
 func TestEngineProcessedCount(t *testing.T) {
 	e := New()
 	for i := 0; i < 7; i++ {
 		e.Schedule(0, func() {})
 	}
-	e.Run(0)
+	run(t, e)
 	if e.Processed() != 7 {
 		t.Errorf("processed = %d, want 7", e.Processed())
 	}
@@ -144,7 +112,7 @@ func TestEngineOrderProperty(t *testing.T) {
 				ran = append(ran, e.Now())
 			})
 		}
-		e.Run(0)
+		run(t, e)
 		if len(ran) != len(delays) {
 			return false
 		}
@@ -180,7 +148,7 @@ func TestResourceServesUpToCapacity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Serve(10*time.Microsecond, func() { done = append(done, e.Now()) })
 	}
-	e.Run(0)
+	run(t, e)
 	want := []time.Duration{10 * time.Microsecond, 10 * time.Microsecond, 20 * time.Microsecond, 20 * time.Microsecond}
 	if len(done) != len(want) {
 		t.Fatalf("completed %d jobs, want %d", len(done), len(want))
@@ -200,7 +168,7 @@ func TestResourceFIFO(t *testing.T) {
 		i := i
 		r.Serve(time.Microsecond, func() { order = append(order, i) })
 	}
-	e.Run(0)
+	run(t, e)
 	if !sort.IntsAreSorted(order) {
 		t.Errorf("jobs completed out of FIFO order: %v", order)
 	}
@@ -223,16 +191,9 @@ func TestResourceStatsAndUtilization(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Serve(10*time.Microsecond, nil)
 	}
-	e.Run(0)
-	acquired, maxQ, busy := r.Stats()
-	if acquired != 4 {
-		t.Errorf("acquired = %d, want 4", acquired)
-	}
-	if maxQ != 2 {
-		t.Errorf("max queue = %d, want 2", maxQ)
-	}
-	if want := 40 * time.Microsecond; busy != want {
-		t.Errorf("busy time = %v, want %v", busy, want)
+	run(t, e)
+	if want := 40 * time.Microsecond; r.Busy() != want {
+		t.Errorf("busy time = %v, want %v", r.Busy(), want)
 	}
 	// 2 units × 20µs elapsed = 40µs of unit-time, all busy.
 	if u := r.Utilization(); u < 0.99 || u > 1.01 {
@@ -263,7 +224,7 @@ func TestResourceThroughputProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.Serve(time.Microsecond, func() { last = e.Now() })
 		}
-		e.Run(0)
+		run(t, e)
 		batches := (n + c - 1) / c
 		return last == time.Duration(batches)*time.Microsecond
 	}
@@ -280,11 +241,8 @@ func TestTally(t *testing.T) {
 	for _, x := range []float64{3, 1, 4, 1, 5} {
 		ta.Add(x)
 	}
-	if ta.Count() != 5 || ta.Sum() != 14 {
-		t.Errorf("count=%d sum=%g", ta.Count(), ta.Sum())
-	}
-	if ta.Min() != 1 || ta.Max() != 5 {
-		t.Errorf("min=%g max=%g", ta.Min(), ta.Max())
+	if ta.Count() != 5 || ta.Max() != 5 {
+		t.Errorf("count=%d max=%g", ta.Count(), ta.Max())
 	}
 	if m := ta.Mean(); m != 2.8 {
 		t.Errorf("mean=%g, want 2.8", m)
@@ -300,17 +258,14 @@ func TestTallyRandomizedAgainstDirectComputation(t *testing.T) {
 		xs = append(xs, x)
 		ta.Add(x)
 	}
-	sum, min, max := 0.0, xs[0], xs[0]
+	sum, max := 0.0, xs[0]
 	for _, x := range xs {
 		sum += x
-		if x < min {
-			min = x
-		}
 		if x > max {
 			max = x
 		}
 	}
-	if ta.Sum() != sum || ta.Min() != min || ta.Max() != max {
+	if ta.Mean() != sum/float64(len(xs)) || ta.Max() != max {
 		t.Error("tally disagrees with direct computation")
 	}
 }

@@ -14,10 +14,9 @@
 //
 // The tracer is an observer, never part of the model: a traced run
 // executes exactly the same events and produces a byte-identical
-// Result, which is why the tracer — like the parallel-engine choice —
-// is excluded from Machine.CacheKey.  A traced Run always simulates
-// (a cached Result has nothing to observe) but still stores its result
-// back into an attached cache.
+// Result, which is why the tracer is excluded from Machine.CacheKey.
+// A traced Run always simulates (a cached Result has nothing to
+// observe) but still stores its result back into an attached cache.
 //
 // The exported series follow the route.Loads contract: occupancy and
 // utilization are counter-over-capacity ratios that exceed 1.0 under

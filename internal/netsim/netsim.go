@@ -487,15 +487,6 @@ func (s *simulator) build(prog workload.Program) error {
 		cfg.Trace.Bind(cfg.Grid, traceSource{s})
 		s.engine.SetProbe(cfg.Trace, cfg.Trace.Interval())
 	}
-
-	// Pre-size the event queue for the expected in-flight batch volume:
-	// every concurrently open channel keeps roughly one scheduled event
-	// per batch in flight (batches waiting on a resource sit in that
-	// resource's queue, not the engine heap), and the number of open
-	// channels is bounded by the qubits that can be mid-operation at
-	// once.  One Reserve here replaces the heap/arena's early doubling
-	// reallocations with a single allocation.
-	s.engine.Reserve(prog.Qubits*s.numBatches + 64)
 	return nil
 }
 

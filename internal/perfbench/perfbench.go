@@ -1,8 +1,9 @@
 // Package perfbench is the repository's performance measurement layer:
 // reusable benchmark bodies covering the discrete-event engine's hot
-// operation (schedule plus step), the resource and semaphore waiter
-// cycles, a full 5x5 QFT simulation per layout and routing policy, and
-// the concurrent sweep engine.
+// operation (schedule plus step, over one delay, netsim's delay mix and
+// all-distinct delays), the resource and semaphore waiter cycles, a
+// full 5x5 QFT simulation per layout and routing policy, and the
+// concurrent sweep engine.
 //
 // The bodies are exported plain functions taking *testing.B so that two
 // harnesses can share them: the conventional `go test -bench .` wrappers
@@ -31,14 +32,22 @@ import (
 // long.
 const benchGrid = 5
 
-// schedulePending is the steady-state backlog EngineSchedule maintains
-// while churning events, approximating the pending-queue depth of a
-// mid-size netsim run.
+// schedulePending is the steady-state backlog EngineSchedule and
+// EngineScheduleDistinct maintain while churning events, approximating
+// the pending-queue depth of a mid-size netsim run.
 const schedulePending = 1024
+
+// mixPending is EngineScheduleMix's steady backlog, near the peak of
+// 413 pending events measured on a 16x16 MobileQubit QFT-256 run.
+const mixPending = 400
 
 // EngineSchedule measures the engine's core churn: one Schedule plus
 // one Step per iteration against a steady backlog of schedulePending
-// events, so both the heap push and the pop path are on the clock.
+// events, so both the push and the pop path are on the clock.  The
+// backlog is filled with schedulePending distinct delays, but every
+// iteration schedules one constant delay, so once the fill has run
+// (after the first schedulePending iterations) it measures a single
+// per-delay FIFO: the event queue's best case.
 func EngineSchedule(b *testing.B) {
 	e := sim.New()
 	fn := func() {}
@@ -51,6 +60,79 @@ func EngineSchedule(b *testing.B) {
 		e.Schedule(schedulePending*time.Microsecond, fn)
 		e.Step()
 	}
+}
+
+// EngineScheduleMix is EngineSchedule's churn over netsim's delay mix:
+// a steady backlog of mixPending events whose delays are drawn from
+// the mix measured on a 16x16 MobileQubit QFT-256 run at t=g=4p.
+// There, 122, 122.6, 2 and 723.6 µs carry 26/26/23/23% of the 6.86M
+// events; a tail of four more delays stands in for the other 61.
+func EngineScheduleMix(b *testing.B) { benchStep(b, engineScheduleMixLoop) }
+
+// EngineScheduleDistinct is the event queue's worst case: a steady
+// backlog of schedulePending events in which every event has a fresh
+// random delay, so each Schedule opens a FIFO and the drained ones are
+// swept for reuse.
+func EngineScheduleDistinct(b *testing.B) { benchStep(b, engineScheduleDistinctLoop) }
+
+// engineScheduleMixLoop builds EngineScheduleMix's engine and returns
+// one iteration of its churn.
+func engineScheduleMixLoop() (func(), error) {
+	const us, ns = time.Microsecond, time.Nanosecond
+	var delays []time.Duration // the mix in 1,000 equally likely slots
+	for _, d := range []struct {
+		delay time.Duration
+		slots int
+	}{
+		{122 * us, 260}, {122600 * ns, 259}, {2 * us, 235}, {723600 * ns, 233},
+		{123200 * ns, 5}, {20 * us, 5}, {126600 * ns, 2}, {774 * us, 1},
+	} {
+		for i := 0; i < d.slots; i++ {
+			delays = append(delays, d.delay)
+		}
+	}
+	return churnLoop(mixPending, func(x uint64) time.Duration {
+		return delays[x%uint64(len(delays))]
+	}), nil
+}
+
+// engineScheduleDistinctLoop builds EngineScheduleDistinct's engine
+// and returns one iteration of its churn.  Delays are 30 random bits
+// of nanoseconds (up to ~1.07 s), so a repeat among the delays an
+// engine holds is rare enough to ignore.
+func engineScheduleDistinctLoop() (func(), error) {
+	return churnLoop(schedulePending, func(x uint64) time.Duration {
+		return time.Duration(1 + x>>34)
+	}), nil
+}
+
+// churnLoop fills an engine with pending events and returns one
+// iteration of its churn: schedule one event, then step one.  Each
+// delay is delay(x) for the next x of a xorshift stream.  The churn
+// runs 16 backlogs' worth of iterations before it returns, so the
+// rings, the FIFO list and the delay map have reached their working
+// size when timing starts.
+func churnLoop(pending int, delay func(x uint64) time.Duration) func() {
+	e := sim.New()
+	fn := func() {}
+	x := uint64(88172645463325252)
+	next := func() time.Duration {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return delay(x)
+	}
+	for i := 0; i < pending; i++ {
+		e.Schedule(next(), fn)
+	}
+	step := func() {
+		e.Schedule(next(), fn)
+		e.Step()
+	}
+	for i := 0; i < 16*pending; i++ {
+		step()
+	}
+	return step
 }
 
 // ResourceServe measures one Serve cycle of a one-unit resource with a

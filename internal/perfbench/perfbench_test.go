@@ -9,6 +9,10 @@ import (
 
 func BenchmarkEngineSchedule(b *testing.B) { EngineSchedule(b) }
 
+func BenchmarkEngineScheduleMix(b *testing.B) { EngineScheduleMix(b) }
+
+func BenchmarkEngineScheduleDistinct(b *testing.B) { EngineScheduleDistinct(b) }
+
 func BenchmarkResourceServe(b *testing.B) { ResourceServe(b) }
 
 func BenchmarkSemaphoreCycle(b *testing.B) { SemaphoreCycle(b) }
@@ -37,11 +41,11 @@ func BenchmarkTraceQFT(b *testing.B) {
 // disabled cost: with no probe attached, the engine's schedule+step
 // churn must not allocate at all.  The probe hook is one nil check on
 // the hot path; if it ever grows an allocation, tracer-off runs pay
-// for telemetry nobody asked for.
+// for telemetry nobody asked for.  The EngineScheduleMix and
+// EngineScheduleDistinct churns are pinned at 0 allocs/op the same way.
 func TestEngineStepZeroAllocWithoutProbe(t *testing.T) {
 	const pending = 256
 	e := sim.New()
-	e.Reserve(pending + 2)
 	fn := func() {}
 	for i := 0; i < pending; i++ {
 		e.Schedule(time.Duration(i+1)*time.Microsecond, fn)
@@ -52,6 +56,18 @@ func TestEngineStepZeroAllocWithoutProbe(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("schedule+step with no probe: %.1f allocs/op, want 0", allocs)
+	}
+	for name, build := range map[string]func() (func(), error){
+		"EngineScheduleMix":      engineScheduleMixLoop,
+		"EngineScheduleDistinct": engineScheduleDistinctLoop,
+	} {
+		step, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(10000, step); allocs != 0 {
+			t.Errorf("%s: %.4f allocs/op, want 0", name, allocs)
+		}
 	}
 }
 

@@ -79,14 +79,14 @@ func TestScheduleCallPanicsOnNilFunc(t *testing.T) {
 	e.ScheduleCall(0, nil, nil)
 }
 
-// TestReserveMakesSchedulingAllocationFree pins the arena design's
-// core promise: after Reserve covers the backlog, a schedule/step
-// cycle performs zero heap allocations.  The call-form waiters keep
-// it: a ServeCall cycle and an AcquireCall cycle, each with a waiter
+// TestSchedulingAllocationFreeOnceWarm pins the event core's promise:
+// once the rings cover the backlog, a schedule/step cycle performs zero
+// heap allocations.  (AllocsPerRun runs its function once before it
+// measures; that run grows the rings.)  The call-form waiters keep it:
+// a ServeCall cycle and an AcquireCall cycle, each with a waiter
 // queued, allocate nothing once warm.
-func TestReserveMakesSchedulingAllocationFree(t *testing.T) {
+func TestSchedulingAllocationFreeOnceWarm(t *testing.T) {
 	e := New()
-	e.Reserve(512)
 	fn := func() {}
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 256; i++ {
@@ -145,14 +145,41 @@ func acquireAgain(a any) {
 	s.AcquireCall(acquireAgain, s)
 }
 
-// TestReserveNeverShrinks documents that a smaller Reserve is a no-op.
-func TestReserveNeverShrinks(t *testing.T) {
+// TestEngineFIFOCountBoundedByBacklog churns 1M events, each with a
+// fresh random delay, through an engine that never holds more than 32
+// pending.  The sweep must keep the FIFO count within the bound it
+// guarantees, 2×pending+fifoSlack, rather than one FIFO per delay ever
+// used; the delay map must hold no more entries than there are FIFOs;
+// and the churn must allocate nothing once warm.
+func TestEngineFIFOCountBoundedByBacklog(t *testing.T) {
+	const maxPending, events, measured = 32, 1_000_000, 100
 	e := New()
-	e.Reserve(256)
-	heapCap, arenaCap := cap(e.heap), cap(e.arena)
-	e.Reserve(16)
-	if cap(e.heap) != heapCap || cap(e.arena) != arenaCap {
-		t.Errorf("Reserve(16) changed capacities %d/%d to %d/%d",
-			heapCap, arenaCap, cap(e.heap), cap(e.arena))
+	fn := func() {}
+	x := uint64(88172645463325252)
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			e.Schedule(time.Duration(1+x>>34), fn)
+			if e.Pending() == maxPending {
+				e.Step()
+			}
+		}
 	}
+	churn(events - (measured+1)*1000)
+	allocs := testing.AllocsPerRun(measured, func() { churn(1000) })
+	if allocs != 0 {
+		t.Errorf("fresh-delay churn allocated %.2f objects per 1,000 events once warm, want 0", allocs)
+	}
+	if bound := 2*maxPending + fifoSlack; len(e.fifos) > bound {
+		t.Errorf("%d FIFOs for at most %d pending, want at most %d", len(e.fifos), maxPending, bound)
+	}
+	if len(e.byDelay) > len(e.fifos) {
+		t.Errorf("%d mapped delays for %d FIFOs", len(e.byDelay), len(e.fifos))
+	}
+	if e.Processed()+uint64(e.Pending()) != events {
+		t.Errorf("processed %d + pending %d, want %d events", e.Processed(), e.Pending(), events)
+	}
+	t.Logf("%d FIFOs, %d mapped, %d pending", len(e.fifos), len(e.byDelay), e.Pending())
 }

@@ -10,8 +10,8 @@ import (
 // oracleEngine is a faithful copy of the pre-refactor engine — a
 // container/heap of boxed events — kept as the behavioral oracle for
 // the randomized equivalence test below.  Any divergence in pop order,
-// clock or pending count between it and the arena engine is a bug in
-// the arena engine.
+// clock or pending count between it and the engine is a bug in the
+// engine.
 type oracleEngine struct {
 	now    time.Duration
 	events oracleHeap
@@ -64,28 +64,46 @@ func (h *oracleHeap) Pop() interface{} {
 	return ev
 }
 
-// TestEngineMatchesOracleOnRandomOps drives the arena engine and the
+// TestEngineMatchesOracleOnRandomOps drives the engine and the
 // pre-refactor oracle through identical randomized Schedule/Step
 // sequences — including events scheduled from inside running events —
 // and demands bit-identical observable behavior: the same (time, seq)
 // pop order, the same clock and the same pending counts, through to
-// the drained queue.
+// the drained queue.  Delays come from a mix that reaches every queue
+// path: a few netsim-like delays repeated all trial long, zero and
+// negative delays (which clamp to zero), and fresh random delays,
+// numerous enough that the empty-FIFO sweep runs mid-trial and a
+// recycled FIFO serves a different delay.
 func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060618))
+	repeated := []time.Duration{
+		122 * time.Microsecond, 122600 * time.Nanosecond,
+		2 * time.Microsecond, 723600 * time.Nanosecond,
+	}
+	recycled := 0 // schedules that found their FIFO serving a new delay
 	for trial := 0; trial < 100; trial++ {
 		e := New()
 		o := &oracleEngine{}
 		var got, want []int
+		owner := make(map[int32]time.Duration) // FIFO -> delay it last served
 		label := 0
-		ops := 50 + rng.Intn(400)
+		ops := 200 + rng.Intn(800)
 		for i := 0; i < ops; i++ {
 			switch rng.Intn(5) {
-			case 0, 1, 2: // schedule the same event in both engines
+			case 0, 1: // schedule the same event in both engines
 				k := label
 				label++
-				d := time.Duration(rng.Intn(40)) * time.Microsecond
+				var d time.Duration
+				switch r := rng.Intn(10); {
+				case r < 4:
+					d = repeated[rng.Intn(len(repeated))]
+				case r < 5:
+					d = -time.Duration(rng.Intn(3)) * time.Microsecond
+				default:
+					d = time.Duration(1 + rng.Int63n(int64(time.Millisecond)))
+				}
 				// Every third event schedules a follow-up from inside
-				// its own execution, into the arena slot it vacated.
+				// its own execution.
 				follow := time.Duration(k%7) * time.Microsecond
 				e.Schedule(d, func() {
 					got = append(got, k)
@@ -99,7 +117,13 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 						o.Schedule(follow, func() { want = append(want, -k-1) })
 					}
 				})
-			case 3, 4: // step both
+				d = max(d, 0)
+				f := e.byDelay[d]
+				if prev, ok := owner[f]; ok && prev != d {
+					recycled++
+				}
+				owner[f] = d
+			case 2, 3, 4: // step both
 				if g, w := e.Step(), o.Step(); g != w {
 					t.Fatalf("trial %d: Step() = %v, oracle %v", trial, g, w)
 				}
@@ -133,4 +157,8 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 			}
 		}
 	}
+	if recycled == 0 {
+		t.Error("no schedule landed on a recycled FIFO: the sweep path went untested")
+	}
+	t.Logf("%d schedules landed on a FIFO recycled from another delay", recycled)
 }

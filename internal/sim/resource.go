@@ -74,7 +74,7 @@ func (r *Resource) Capacity() int { return r.units.limit }
 func (r *Resource) InUse() int { return r.units.limit - r.units.credits }
 
 // QueueLen returns the number of jobs waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.units.waiting) }
+func (r *Resource) QueueLen() int { return r.units.waiting.len() }
 
 // AcquireCall runs fn(arg) once a unit is held: synchronously if a unit
 // is free now, otherwise when a Release hands one over.  With fn a

@@ -15,7 +15,7 @@ type Semaphore struct {
 	nameFn  func() string
 	credits int
 	limit   int
-	waiting []call
+	waiting ring[call]
 }
 
 // call is one queued continuation in the allocation-free (func(any),
@@ -77,7 +77,7 @@ func (s *Semaphore) Limit() int { return s.limit }
 func (s *Semaphore) Available() int { return s.credits }
 
 // Waiting returns the number of queued acquirers.
-func (s *Semaphore) Waiting() int { return len(s.waiting) }
+func (s *Semaphore) Waiting() int { return s.waiting.len() }
 
 // Acquire takes one credit, running fn immediately if a credit is free,
 // otherwise queueing fn until Release provides one.
@@ -101,18 +101,16 @@ func (s *Semaphore) AcquireCall(fn func(any), arg any) {
 		fn(arg)
 		return
 	}
-	s.waiting = append(s.waiting, call{fn, arg})
+	*s.waiting.push() = call{fn, arg}
 }
 
 // Release returns one credit, handing it to the oldest waiter if any.
 // Releasing a credit that was never taken panics: it indicates a broken
 // model.
 func (s *Semaphore) Release() {
-	if len(s.waiting) > 0 {
-		w := s.waiting[0]
-		copy(s.waiting, s.waiting[1:])
-		s.waiting[len(s.waiting)-1] = call{}
-		s.waiting = s.waiting[:len(s.waiting)-1]
+	if s.waiting.len() > 0 {
+		w := *s.waiting.front()
+		s.waiting.pop()
 		w.fn(w.arg)
 		return
 	}

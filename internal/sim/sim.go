@@ -4,13 +4,20 @@
 // simulator.  It plays the role of the event-driven core of the paper's
 // (Java) communication simulator.
 //
-// The engine is built for throughput on the simulator's hot path: events
-// live inline in a value-typed 4-ary min-heap (no per-event pointer
-// boxing), and each event's continuation — one (func(any), any) call —
-// sits in a free-listed arena that is reused in steady state, so
-// scheduling does not allocate once the backing arrays have grown to the
-// working-set size.  Semaphore is the one FIFO waiter queue: Resource is
-// a Semaphore of units plus busy-time accounting and service scheduling.
+// The engine is built for the simulator's hot path, which schedules
+// millions of events over a few dozen distinct delays.  It keeps one
+// FIFO ring per distinct delay instead of one heap of all events: the
+// clock never goes back and scheduling sequence numbers only rise, so
+// events pushed with the same delay arrive in (time, sequence) order
+// and each FIFO is already sorted.  A small 4-ary heap over the FIFO
+// heads then picks the next event.  Scheduling onto a non-empty FIFO
+// is O(1), and a step sifts a heap of at most one entry per delay in
+// use rather than one per pending event.  Each FIFO entry holds its
+// continuation, one (func(any), any) call, inline, since nothing sifts
+// FIFO entries, and scheduling does not allocate once the rings have
+// grown to the working-set size.  Semaphore's
+// waiter queue is the same ring, and Resource is a Semaphore of units
+// plus busy-time accounting and service scheduling.
 package sim
 
 import (
@@ -26,22 +33,32 @@ type Engine struct {
 	now     time.Duration
 	seq     uint64
 	stepped uint64
+	pending int
 
-	// heap is a 4-ary min-heap of inline entries ordered by (at, seq).
-	// A 4-ary layout halves the tree depth of a binary heap and keeps
-	// sibling comparisons inside one or two cache lines, which measurably
-	// beats container/heap's pointer-chasing interface dispatch here.
-	heap []heapEntry
-	// arena holds event continuations; heap entries reference slots by
-	// index, so the heap stays pointer-free.  Moving the continuations
-	// into the heap entries instead grows them from 24 to 40 bytes and
-	// makes every sift move pointer words: it made every perfbench QFT
-	// body slower, by 6–34% in median over six alternating rounds on a
-	// 2-CPU Xeon host.  Freed slots chain through a free list and are
-	// reused, so the backing array stops growing once it covers the
-	// peak backlog.
-	arena []eventSlot
-	free  int32 // head of the free-slot list, -1 when empty
+	// fifos holds one ring of events per distinct delay.  Every FIFO is
+	// either mapped in byDelay, possibly empty, or parked on spare.
+	// Drained FIFOs stay mapped, because netsim reuses a few dozen
+	// delays for a whole run.  Only when a new delay needs a FIFO, none
+	// is spare and the FIFO count has reached 2×pending+fifoSlack does
+	// sweep unmap the empty ones onto spare.  That keeps the FIFO count
+	// bounded by the backlog, not by the number of delays ever used,
+	// and the O(FIFOs) sweep is paid for by the new delays its spares
+	// then serve, at least pending+fifoSlack of them.
+	fifos   []eventFIFO
+	byDelay map[time.Duration]int32
+	spare   []int32
+	// lastDelay and lastFIFO cache the most recent delay lookup, which
+	// skips the map for runs of one delay.  lastDelay is -1, never a
+	// clamped delay, when the cache is empty.
+	lastDelay time.Duration
+	lastFIFO  int32
+
+	// heads is a 4-ary min-heap holding the (at, seq) key of each
+	// non-empty FIFO's oldest event, so the heap root is the next event
+	// to run.  Its entries are pointer-free; a 4-ary layout halves the
+	// tree depth of a binary heap and keeps sibling comparisons inside
+	// one or two cache lines.
+	heads []headEntry
 
 	// probe, when non-nil, is sampled at every probeInterval boundary of
 	// simulated time (see SetProbe).  The disabled path costs one nil
@@ -50,6 +67,10 @@ type Engine struct {
 	probeInterval time.Duration
 	probeNext     time.Duration
 }
+
+// fifoSlack is the constant in the sweep threshold 2×pending+fifoSlack:
+// the FIFOs an engine may hold before it recycles drained ones.
+const fifoSlack = 64
 
 // Probe observes the engine at fixed simulated-time boundaries.  It is
 // the telemetry hook of the tracing layer: Step calls Sample(t, n) for
@@ -63,26 +84,35 @@ type Probe interface {
 	Sample(now time.Duration, processed uint64)
 }
 
-// heapEntry is one inline heap element.  It carries the ordering key
-// (at, seq) so comparisons never touch the arena, plus the arena slot of
-// the continuation.
-type heapEntry struct {
-	at   time.Duration
-	seq  uint64
-	slot int32
+// event is one pending event: its ordering key and its continuation,
+// held inline in its delay's FIFO.  Inline continuations cost nothing
+// here because nothing sifts a FIFO's entries; in a heap of all
+// events, whose every sift moves them, they made every perfbench QFT
+// body 6–34% slower.
+type event struct {
+	at  time.Duration
+	seq uint64
+	call
 }
 
-// eventSlot is one arena cell: the continuation of a pending event, or a
-// free-list node.
-type eventSlot struct {
-	fn   func(any)
-	arg  any
-	next int32 // next free slot when on the free list
+// eventFIFO is the ring of pending events scheduled with one delay, in
+// (at, seq) order.
+type eventFIFO struct {
+	events ring[event]
+	delay  time.Duration
+}
+
+// headEntry is one head-heap element: the key of a FIFO's oldest event
+// and the FIFO's index.
+type headEntry struct {
+	at   time.Duration
+	seq  uint64
+	fifo int32
 }
 
 // New returns an engine with the clock at zero and no pending events.
 func New() *Engine {
-	return &Engine{free: -1}
+	return &Engine{byDelay: make(map[time.Duration]int32), lastDelay: -1}
 }
 
 // Now returns the current simulation time.
@@ -92,25 +122,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Processed() uint64 { return e.stepped }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.heap) }
-
-// Reserve pre-sizes the engine for at least n simultaneously pending
-// events, growing the heap and payload arena in one step so a model
-// that knows its peak backlog (e.g. netsim's batch-event volume) avoids
-// the early doubling reallocations.  It never shrinks, and reserving
-// less than the current capacity is a no-op.
-func (e *Engine) Reserve(n int) {
-	if n > cap(e.heap) {
-		h := make([]heapEntry, len(e.heap), n)
-		copy(h, e.heap)
-		e.heap = h
-	}
-	if n > cap(e.arena) {
-		a := make([]eventSlot, len(e.arena), n)
-		copy(a, e.arena)
-		e.arena = a
-	}
-}
+func (e *Engine) Pending() int { return e.pending }
 
 // SetProbe installs (or, with a nil probe, removes) the engine's
 // sampling probe.  The first sample fires at the first multiple of
@@ -160,7 +172,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) {
 // same ordering semantics as Schedule.  It is the allocation-free form
 // for hot paths: with fn a package-level function and arg a pointer to
 // reusable state, scheduling captures no closure, so the call allocates
-// nothing once the engine's arrays have reached steady state.
+// nothing once the engine's rings have reached steady state.
 func (e *Engine) ScheduleCall(delay time.Duration, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
@@ -169,45 +181,94 @@ func (e *Engine) ScheduleCall(delay time.Duration, fn func(any), arg any) {
 		panic("sim: scheduling nil event function")
 	}
 	e.seq++
-	slot := e.allocSlot()
-	sl := &e.arena[slot]
-	sl.fn, sl.arg = fn, arg
-	e.heapPush(heapEntry{at: e.now + delay, seq: e.seq, slot: slot})
+	at := e.now + delay
+	i := e.fifoFor(delay)
+	f := &e.fifos[i]
+	if f.events.len() == 0 {
+		e.pushHead(headEntry{at: at, seq: e.seq, fifo: i})
+	}
+	ev := f.events.push()
+	ev.at, ev.seq, ev.fn, ev.arg = at, e.seq, fn, arg
+	e.pending++
 }
 
-// allocSlot pops a free arena slot, growing the arena only when the
-// free list is empty.
-func (e *Engine) allocSlot() int32 {
-	if e.free >= 0 {
-		s := e.free
-		e.free = e.arena[s].next
-		return s
+// fifoFor returns the index of the FIFO holding delay's events,
+// assigning one on the delay's first use since its FIFO was swept.
+func (e *Engine) fifoFor(delay time.Duration) int32 {
+	if delay == e.lastDelay {
+		return e.lastFIFO
 	}
-	e.arena = append(e.arena, eventSlot{})
-	return int32(len(e.arena) - 1)
+	i, ok := e.byDelay[delay]
+	if !ok {
+		i = e.newFIFO(delay)
+	}
+	e.lastDelay, e.lastFIFO = delay, i
+	return i
+}
+
+// newFIFO maps an empty FIFO to delay.  It takes a spare one, first
+// sweeping for spares if there are none and the FIFO count has reached
+// the threshold, and appends a new FIFO only when no spare exists.
+func (e *Engine) newFIFO(delay time.Duration) int32 {
+	if len(e.spare) == 0 && len(e.fifos) >= 2*e.pending+fifoSlack {
+		e.sweep()
+	}
+	var i int32
+	if n := len(e.spare); n > 0 {
+		i = e.spare[n-1]
+		e.spare = e.spare[:n-1]
+	} else {
+		i = int32(len(e.fifos))
+		e.fifos = append(e.fifos, eventFIFO{})
+	}
+	e.fifos[i].delay = delay
+	e.byDelay[delay] = i
+	return i
+}
+
+// sweep unmaps every empty FIFO onto the spare list.  It runs only when
+// spare is empty, so every FIFO is mapped; at most pending of them hold
+// events, so at least pending+fifoSlack come free.  A recycled FIFO
+// keeps its ring buffer.  The last-delay cache needs no reset: sweep
+// runs only inside fifoFor's lookup of a new delay, which then caches
+// that delay.
+func (e *Engine) sweep() {
+	for i := range e.fifos {
+		f := &e.fifos[i]
+		if f.events.len() == 0 {
+			delete(e.byDelay, f.delay)
+			e.spare = append(e.spare, int32(i))
+		}
+	}
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if len(e.heads) == 0 {
 		return false
 	}
-	top := e.heapPop()
-	if e.probe != nil && top.at >= e.probeNext {
+	h := &e.heads[0]
+	f := &e.fifos[h.fifo]
+	ev := f.events.front()
+	at, fn, arg := ev.at, ev.fn, ev.arg
+	f.events.pop()
+	if f.events.len() > 0 {
+		// The FIFO's next event becomes its head; its key is no smaller.
+		next := f.events.front()
+		h.at, h.seq = next.at, next.seq
+		e.siftDown()
+	} else {
+		e.popHead()
+	}
+	e.pending--
+	if e.probe != nil && at >= e.probeNext {
 		// Sample every boundary the clock is about to cross, before the
 		// event that crosses it executes.
-		e.runProbe(top.at)
+		e.runProbe(at)
 	}
-	e.now = top.at
+	e.now = at
 	e.stepped++
-	// Free the slot before invoking so the continuation can reuse it
-	// when it schedules follow-up events.
-	sl := &e.arena[top.slot]
-	fn, arg := sl.fn, sl.arg
-	sl.fn, sl.arg = nil, nil
-	sl.next = e.free
-	e.free = top.slot
 	fn(arg)
 	return true
 }
@@ -238,23 +299,23 @@ func (e *Engine) Run(ctx context.Context) error {
 	}
 }
 
-// entryLess orders heap entries by time, then by scheduling sequence,
+// headLess orders head entries by time, then by scheduling sequence,
 // which is what makes simultaneous events run FIFO.
-func entryLess(a, b heapEntry) bool {
+func headLess(a, b headEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// heapPush appends the entry and sifts it up the 4-ary heap.
-func (e *Engine) heapPush(x heapEntry) {
-	e.heap = append(e.heap, x)
-	h := e.heap
+// pushHead appends a FIFO's head entry and sifts it up the 4-ary heap.
+func (e *Engine) pushHead(x headEntry) {
+	e.heads = append(e.heads, x)
+	h := e.heads
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !entryLess(h[i], h[p]) {
+		if !headLess(h[i], h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
@@ -262,20 +323,24 @@ func (e *Engine) heapPush(x heapEntry) {
 	}
 }
 
-// heapPop removes and returns the minimum entry, sifting the displaced
-// tail element down the 4-ary heap.
-func (e *Engine) heapPop() heapEntry {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	e.heap = h[:n]
-	h = e.heap
+// popHead removes the root entry, moving the tail entry to the root and
+// sifting it down.
+func (e *Engine) popHead() {
+	n := len(e.heads) - 1
+	e.heads[0] = e.heads[n]
+	e.heads = e.heads[:n]
+	e.siftDown()
+}
+
+// siftDown restores the heap order after the root's key grew.
+func (e *Engine) siftDown() {
+	h := e.heads
+	n := len(h)
 	i := 0
 	for {
 		c := i<<2 + 1
 		if c >= n {
-			break
+			return
 		}
 		m := c
 		end := c + 4
@@ -283,15 +348,14 @@ func (e *Engine) heapPop() heapEntry {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if entryLess(h[j], h[m]) {
+			if headLess(h[j], h[m]) {
 				m = j
 			}
 		}
-		if !entryLess(h[m], h[i]) {
-			break
+		if !headLess(h[m], h[i]) {
+			return
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return top
 }

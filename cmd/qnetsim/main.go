@@ -187,7 +187,11 @@ func run(o opts) error {
 		simulate.WithSeed(o.seed),
 	}
 	if o.cacheDir != "" {
-		mopts = append(mopts, simulate.WithCacheDir(o.cacheDir))
+		cache, err := simulate.NewDiskCache(o.cacheDir, 0)
+		if err != nil {
+			return err
+		}
+		mopts = append(mopts, simulate.WithCache(cache))
 	}
 	m, err := simulate.New(grid, layout, mopts...)
 	if err != nil {

@@ -83,11 +83,8 @@ func execute(ctx context.Context, cfg Config, prog workload.Program) (*simulator
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := prog.Validate(); err != nil {
+	if err := CheckProgram(cfg.Grid, prog); err != nil {
 		return nil, err
-	}
-	if prog.Qubits > cfg.Grid.Tiles() {
-		return nil, fmt.Errorf("netsim: %d qubits exceed %d tiles", prog.Qubits, cfg.Grid.Tiles())
 	}
 
 	s := &simulator{cfg: cfg, engine: sim.New()}

@@ -39,6 +39,8 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
+
+	"repro/qnet"
 )
 
 // Layout selects the logical-qubit placement policy of Section 5
@@ -146,35 +148,57 @@ func DefaultConfig(grid mesh.Grid, layout Layout, t, g, p int) Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports the first invalid setting as a *qnet.ConfigError
+// naming the field, so the error matches qnet.ErrInvalidConfig.
 func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
-		return err
+		return &qnet.ConfigError{Field: "Params", Value: "-", Reason: err.Error()}
 	}
 	if c.Grid.Tiles() == 0 {
-		return fmt.Errorf("netsim: empty grid")
+		return &qnet.ConfigError{Field: "Grid", Value: c.Grid, Reason: "grid must contain at least one tile"}
 	}
-	if c.Teleporters < 1 || c.Generators < 1 || c.Purifiers < 1 {
-		return fmt.Errorf("netsim: resource counts must be >= 1 (t=%d g=%d p=%d)",
-			c.Teleporters, c.Generators, c.Purifiers)
+	if c.Layout != HomeBase && c.Layout != MobileQubit {
+		return &qnet.ConfigError{Field: "Layout", Value: int(c.Layout), Reason: "want HomeBase or MobileQubit"}
+	}
+	if c.Teleporters < 1 {
+		return &qnet.ConfigError{Field: "Teleporters", Value: c.Teleporters, Reason: "must be >= 1"}
+	}
+	if c.Generators < 1 {
+		return &qnet.ConfigError{Field: "Generators", Value: c.Generators, Reason: "must be >= 1"}
+	}
+	if c.Purifiers < 1 {
+		return &qnet.ConfigError{Field: "Purifiers", Value: c.Purifiers, Reason: "must be >= 1"}
 	}
 	if c.PurifyDepth < 1 || c.PurifyDepth > 16 {
-		return fmt.Errorf("netsim: purify depth %d out of range [1,16]", c.PurifyDepth)
+		return &qnet.ConfigError{Field: "PurifyDepth", Value: c.PurifyDepth, Reason: "must be in [1,16]"}
 	}
 	if c.CodeLevel < 0 {
-		return fmt.Errorf("netsim: code level %d must be >= 0", c.CodeLevel)
+		return &qnet.ConfigError{Field: "CodeLevel", Value: c.CodeLevel, Reason: "must be >= 0"}
 	}
 	if c.HopCells < 1 {
-		return fmt.Errorf("netsim: hop cells must be >= 1, got %d", c.HopCells)
+		return &qnet.ConfigError{Field: "HopCells", Value: c.HopCells, Reason: "must be >= 1"}
 	}
 	if c.TurnCells < 0 {
-		return fmt.Errorf("netsim: turn cells must be >= 0, got %d", c.TurnCells)
+		return &qnet.ConfigError{Field: "TurnCells", Value: c.TurnCells, Reason: "must be >= 0"}
 	}
 	if c.PurifyFailureRate < 0 || c.PurifyFailureRate >= 1 {
-		return fmt.Errorf("netsim: purify failure rate must be in [0,1), got %g", c.PurifyFailureRate)
+		return &qnet.ConfigError{Field: "FailureRate", Value: c.PurifyFailureRate, Reason: "must be in [0,1)"}
 	}
 	if err := c.Faults.Validate(c.Grid); err != nil {
-		return fmt.Errorf("netsim: %w", err)
+		return &qnet.ConfigError{Field: "Faults", Value: c.Faults.String(), Reason: err.Error()}
+	}
+	return nil
+}
+
+// CheckProgram reports whether prog can run on grid: a malformed
+// program is a *qnet.ConfigError on field "Program", and more logical
+// qubits than tiles is a *qnet.CapacityError on "tiles".
+func CheckProgram(grid mesh.Grid, prog workload.Program) error {
+	if err := prog.Validate(); err != nil {
+		return &qnet.ConfigError{Field: "Program", Value: prog.Name, Reason: err.Error()}
+	}
+	if prog.Qubits > grid.Tiles() {
+		return &qnet.CapacityError{Resource: "tiles", Need: prog.Qubits, Have: grid.Tiles()}
 	}
 	return nil
 }
@@ -377,8 +401,6 @@ func (s *simulator) build(prog workload.Program) error {
 		s.place, err = mesh.RowMajorPlacement(cfg.Grid, prog.Qubits)
 	case MobileQubit:
 		s.place, err = mesh.SnakePlacement(cfg.Grid, prog.Qubits)
-	default:
-		return fmt.Errorf("netsim: unknown layout %d", int(cfg.Layout))
 	}
 	if err != nil {
 		return err

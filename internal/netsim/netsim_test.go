@@ -1,10 +1,14 @@
 package netsim
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/mesh"
 	"repro/internal/workload"
+
+	"repro/qnet"
 )
 
 func grid(t *testing.T, w, h int) mesh.Grid {
@@ -61,8 +65,10 @@ func TestLayoutString(t *testing.T) {
 func TestRunRejectsTooManyQubits(t *testing.T) {
 	g := grid(t, 2, 2)
 	cfg := DefaultConfig(g, HomeBase, 16, 16, 16)
-	if _, err := Run(cfg, workload.QFT(5)); err == nil {
-		t.Error("5 qubits on a 2x2 grid should fail")
+	_, err := Run(cfg, workload.QFT(5))
+	var ce *qnet.CapacityError
+	if !errors.As(err, &ce) || ce.Resource != "tiles" || ce.Need != 5 || ce.Have != 4 {
+		t.Errorf("5 qubits on a 2x2 grid: err = %v, want a tiles CapacityError (need 5, have 4)", err)
 	}
 }
 
@@ -422,5 +428,39 @@ func TestFailureInjectionSeedReproducible(t *testing.T) {
 	}
 	if a == c {
 		t.Error("different seeds should (almost surely) differ")
+	}
+}
+
+// TestStorageWindowBindsHomeBase pins a finding about the storage
+// model on 8x8 HomeBase QFT-64: build gives each incoming link
+// floor(t/8) whole 8-pair batches of storage, not t pair cells, and at
+// these allocations that window, not t, g or p, sets Exec.  16/16/16,
+// 19/19/9 and 16/1024/1024 all hold 2 batches and run the same
+// 7.550902 s; 15/15/16 holds 1 batch and runs 22.13971 s; 24/24/16
+// holds 3 and runs 4.911715 s.  (With p = 2 the purifiers bind
+// instead.)  A change to the storage model moves these values on
+// purpose, and this test must move with it.
+func TestStorageWindowBindsHomeBase(t *testing.T) {
+	g := grid(t, 8, 8)
+	prog := workload.QFT(64)
+	cases := []struct {
+		t, g, p int
+		want    time.Duration
+	}{
+		{16, 16, 16, 7550902 * time.Microsecond},
+		{19, 19, 9, 7550902 * time.Microsecond},
+		{16, 1024, 1024, 7550902 * time.Microsecond},
+		{15, 15, 16, 22139710 * time.Microsecond},
+		{24, 24, 16, 4911715 * time.Microsecond},
+	}
+	for _, tc := range cases {
+		res, err := Run(DefaultConfig(g, HomeBase, tc.t, tc.g, tc.p), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exec != tc.want {
+			t.Errorf("t/g/p = %d/%d/%d: Exec = %v, want %v (storage window %d batches)",
+				tc.t, tc.g, tc.p, res.Exec, tc.want, tc.t/8)
+		}
 	}
 }

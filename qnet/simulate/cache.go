@@ -21,10 +21,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/netsim"
 
@@ -168,26 +166,22 @@ func keyFor(cfg netsim.Config, prog qnet.Program) Key {
 // programs, across processes and map orderings.
 func (m *Machine) CacheKey(prog qnet.Program) Key { return keyFor(m.cfg, prog) }
 
-// DefaultCacheEntries is the in-memory LRU capacity used when a cache
-// is created without an explicit size (WithCacheDir, or NewCache with a
-// non-positive capacity).
+// DefaultCacheEntries is the in-memory LRU capacity used when NewCache
+// or NewDiskCache is given a non-positive capacity.
 const DefaultCacheEntries = 4096
 
 // CacheStats are a cache's monotonically increasing hit/miss counters
 // plus its current occupancy.  Hits counts every Get served (from
 // memory or disk); DiskHits is the subset that had to be read from the
 // on-disk store; WriteErrors counts best-effort disk writes that
-// failed; DiskEvictions counts on-disk entries pruned by the max-bytes
-// or max-age budget; CorruptEntries counts on-disk entries that were
-// present but unparseable (each one silently degraded into a miss —
-// nonzero means the store is rotting, which matters once many hosts
-// share it).
+// failed; CorruptEntries counts on-disk entries that were present but
+// unparseable (each one silently degraded into a miss — nonzero means
+// the store is rotting, which matters once many hosts share it).
 type CacheStats struct {
 	Hits           uint64
 	DiskHits       uint64
 	Misses         uint64
 	WriteErrors    uint64
-	DiskEvictions  uint64
 	CorruptEntries uint64
 	Entries        int
 }
@@ -216,7 +210,7 @@ func (s CacheStats) String() string {
 // in-memory LRU optionally backed by an on-disk JSON store that
 // persists results across processes.  A Cache is safe for concurrent
 // use; Sweep and Stream consult it from every worker goroutine when
-// installed with WithCache or WithCacheDir.
+// installed with WithCache.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -224,15 +218,6 @@ type Cache struct {
 	order   *list.List // front = most recently used
 	entries map[Key]*list.Element
 	stats   CacheStats
-
-	// On-disk budget (NewDiskCache options).  diskBytes is a running
-	// estimate of the store's size, corrected by every prune's rescan;
-	// diskMu serializes prune passes so concurrent Puts don't stack
-	// directory scans.
-	maxBytes  int64
-	maxAge    time.Duration
-	diskBytes int64
-	diskMu    sync.Mutex
 }
 
 // cacheEntry is one LRU slot.
@@ -254,99 +239,18 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// DiskOption tunes the on-disk store built by NewDiskCache.
-type DiskOption func(*Cache)
-
-// WithMaxBytes caps the on-disk store's total size.  When a write
-// pushes the store over the cap, the least recently used entries (by
-// file modification time; disk reads refresh it) are pruned until the
-// store fits.  Non-positive values mean unlimited (the default).
-func WithMaxBytes(n int64) DiskOption {
-	return func(c *Cache) { c.maxBytes = n }
-}
-
-// WithMaxAge evicts on-disk entries whose modification time is older
-// than d, at cache construction and on every subsequent prune pass.
-// Non-positive values mean unlimited (the default).
-func WithMaxAge(d time.Duration) DiskOption {
-	return func(c *Cache) { c.maxAge = d }
-}
-
 // NewDiskCache builds a result cache backed by dir: every Put is also
 // written to dir/<key>.json, and a Get that misses in memory falls back
 // to the directory, so results persist across processes.  The directory
 // is created if missing.  Unreadable or corrupt files are treated as
-// misses, never errors.  WithMaxBytes and WithMaxAge bound a long-lived
-// store: stale or over-budget entries are pruned LRU-by-mtime, so the
-// directory never outgrows its budget.
-func NewDiskCache(dir string, capacity int, opts ...DiskOption) (*Cache, error) {
+// misses, never errors.
+func NewDiskCache(dir string, capacity int) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simulate: cache dir: %w", err)
 	}
 	c := NewCache(capacity)
 	c.dir = dir
-	for _, opt := range opts {
-		opt(c)
-	}
-	if c.maxBytes > 0 || c.maxAge > 0 {
-		// Startup pass: apply the age bound to entries left by earlier
-		// processes and seed the size estimate the write path maintains.
-		c.pruneDisk()
-	}
 	return c, nil
-}
-
-// pruneDisk enforces the on-disk budget: it rescans the store, deletes
-// entries older than maxAge, then deletes least-recently-used entries
-// (by mtime) until the total size fits maxBytes.  It returns the number
-// of entries removed.
-func (c *Cache) pruneDisk() int {
-	c.diskMu.Lock()
-	defer c.diskMu.Unlock()
-	names, err := filepath.Glob(filepath.Join(c.dir, "*.json"))
-	if err != nil {
-		return 0
-	}
-	type entry struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	entries := make([]entry, 0, len(names))
-	var total int64
-	now := time.Now()
-	removed := 0
-	for _, name := range names {
-		fi, err := os.Stat(name)
-		if err != nil {
-			continue
-		}
-		if c.maxAge > 0 && now.Sub(fi.ModTime()) > c.maxAge {
-			if os.Remove(name) == nil {
-				removed++
-			}
-			continue
-		}
-		entries = append(entries, entry{path: name, size: fi.Size(), mtime: fi.ModTime()})
-		total += fi.Size()
-	}
-	if c.maxBytes > 0 && total > c.maxBytes {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-		for _, e := range entries {
-			if total <= c.maxBytes {
-				break
-			}
-			if os.Remove(e.path) == nil {
-				total -= e.size
-				removed++
-			}
-		}
-	}
-	c.mu.Lock()
-	c.diskBytes = total
-	c.stats.DiskEvictions += uint64(removed)
-	c.mu.Unlock()
-	return removed
 }
 
 // Dir returns the on-disk store's directory, or "" for a purely
@@ -404,19 +308,10 @@ func (c *Cache) Put(k Key, res Result) {
 	// atomic, so concurrent writers of one key each leave a complete
 	// file and the last rename wins.
 	if c.dir != "" {
-		n, err := c.writeDisk(k, res)
-		if err != nil {
+		if err := c.writeDisk(k, res); err != nil {
 			c.mu.Lock()
 			c.stats.WriteErrors++
 			c.mu.Unlock()
-			return
-		}
-		c.mu.Lock()
-		c.diskBytes += n
-		over := c.maxBytes > 0 && c.diskBytes > c.maxBytes
-		c.mu.Unlock()
-		if over {
-			c.pruneDisk()
 		}
 	}
 }
@@ -432,13 +327,10 @@ func (c *Cache) insert(k Key, res Result) {
 	}
 }
 
-// readDisk loads one key from the on-disk store.  A hit refreshes the
-// file's modification time (best effort), so the max-bytes pruner's
-// LRU-by-mtime order reflects reads, not just writes.  Callers need
-// not hold c.mu; the corrupt-entry counter takes it internally.
+// readDisk loads one key from the on-disk store.  Callers need not hold
+// c.mu; the corrupt-entry counter takes it internally.
 func (c *Cache) readDisk(k Key) (Result, bool) {
-	path := c.path(k)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(c.path(k))
 	if err != nil {
 		return Result{}, false
 	}
@@ -452,40 +344,35 @@ func (c *Cache) readDisk(k Key) (Result, bool) {
 		c.mu.Unlock()
 		return Result{}, false
 	}
-	if c.maxBytes > 0 || c.maxAge > 0 {
-		now := time.Now()
-		_ = os.Chtimes(path, now, now)
-	}
 	return res, true
 }
 
 // writeDisk stores one key in the on-disk store via a same-directory
 // rename, so concurrent writers of the same key leave a complete file.
-// It returns the byte size written and touches no mutable cache state,
-// so callers need not hold c.mu.
-func (c *Cache) writeDisk(k Key, res Result) (int64, error) {
+// It touches no mutable cache state, so callers need not hold c.mu.
+func (c *Cache) writeDisk(k Key, res Result) error {
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return 0, err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return 0, err
+		return err
 	}
 	if err := os.Rename(tmp.Name(), c.path(k)); err != nil {
 		os.Remove(tmp.Name())
-		return 0, err
+		return err
 	}
-	return int64(len(data)), nil
+	return nil
 }
 
 // Stats returns a snapshot of the cache's counters.

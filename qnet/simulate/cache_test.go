@@ -203,7 +203,9 @@ func TestSweepSecondRunFullyCached(t *testing.T) {
 // TestSweepCollapsedEnsembleCounters asserts the single-flight path:
 // a multi-seed ensemble of a deterministic (failure-free) point shares
 // one content key, so however the workers interleave, exactly one run
-// simulates and the counters are a pure function of the space.
+// simulates and the counters are a pure function of the space — whether
+// the cache is a sweep option or reaches the machines through
+// Space.Options.
 func TestSweepCollapsedEnsembleCounters(t *testing.T) {
 	grid, err := qnet.NewGrid(4, 4)
 	if err != nil {
@@ -216,45 +218,94 @@ func TestSweepCollapsedEnsembleCounters(t *testing.T) {
 		Programs:  []qnet.Program{qnet.QFT(grid.Tiles())},
 		Seeds:     []int64{1, 2, 3, 4},
 	}
-	for trial := 0; trial < 5; trial++ {
-		cache := NewCache(0)
-		points, err := Sweep(context.Background(), space, WithCache(cache), WithWorkers(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := Summarize(points); s.CacheHits != 3 {
-			t.Fatalf("trial %d: %v, want exactly 3 hits (4 seeds, 1 unique key)", trial, s)
-		}
-		if s := cache.Stats(); s.Hits != 3 || s.Misses != 1 {
-			t.Fatalf("trial %d: cache counters %v, want 3 hits / 1 miss", trial, s)
-		}
-		for i := 1; i < len(points); i++ {
-			if points[i].Result != points[0].Result {
-				t.Fatalf("trial %d: collapsed seeds disagree", trial)
+	for _, via := range []string{"sweep option", "Space.Options"} {
+		for trial := 0; trial < 5; trial++ {
+			cache := NewCache(0)
+			sp, opts := space, []SweepOption{WithWorkers(4)}
+			if via == "sweep option" {
+				opts = append(opts, WithCache(cache))
+			} else {
+				sp.Options = []Option{WithCache(cache)}
+			}
+			points, err := Sweep(context.Background(), sp, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := Summarize(points); s.CacheHits != 3 {
+				t.Fatalf("%s, trial %d: %v, want exactly 3 hits (4 seeds, 1 unique key)", via, trial, s)
+			}
+			if s := cache.Stats(); s.Hits != 3 || s.Misses != 1 {
+				t.Fatalf("%s, trial %d: cache counters %v, want 3 hits / 1 miss", via, trial, s)
+			}
+			for i := 1; i < len(points); i++ {
+				if points[i].Result != points[0].Result {
+					t.Fatalf("%s, trial %d: collapsed seeds disagree", via, trial)
+				}
 			}
 		}
 	}
 }
 
-// TestWithCacheDirOption asserts the convenience option builds the disk
-// store and serves the second sweep from it.
+// TestWithCacheDirOption asserts a disk cache opened on a nested,
+// not-yet-existing directory creates it and serves a second sweep, on a
+// fresh cache over the same directory, entirely from disk — the path
+// behind the commands' -cache-dir flags.
 func TestWithCacheDirOption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "cache")
 	space := test2x2x2Space(t)
 	ctx := context.Background()
-	if _, err := Sweep(ctx, space, WithCacheDir(dir)); err != nil {
-		t.Fatal(err)
+	sweep := func() []SweepPoint {
+		t.Helper()
+		cache, err := NewDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := Sweep(ctx, space, WithCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points
 	}
+	sweep()
 	entries, err := os.ReadDir(dir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("cache dir not populated: %v (entries %d)", err, len(entries))
 	}
-	points, err := Sweep(ctx, space, WithCacheDir(dir))
+	if s := Summarize(sweep()); s.CacheHits != s.Points {
+		t.Errorf("second disk-cache sweep: %v, want all hits", s)
+	}
+}
+
+// TestWithCacheNilAttachesNoStore asserts a nil *Cache attaches nothing,
+// as WithTrace(nil) attaches no tracer: a machine and a sweep built with
+// WithCache(nil) simulate every run instead of dereferencing the nil
+// cache.
+func TestWithCacheNilAttachesNoStore(t *testing.T) {
+	grid := testGrid(t, 4)
+	prog := qnet.QFT(grid.Tiles())
+	m, err := New(grid, HomeBase, WithCache(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Summarize(points); s.CacheHits != s.Points {
-		t.Errorf("second WithCacheDir sweep: %v, want all hits", s)
+	if _, err := m.Run(context.Background(), prog); err != nil {
+		t.Fatal(err)
+	}
+	if m.Store() != nil || m.Cache() != nil {
+		t.Errorf("WithCache(nil) attached a store: %v", m.Store())
+	}
+	space := Space{
+		Grids:     []qnet.Grid{grid},
+		Layouts:   []Layout{HomeBase},
+		Resources: []Resources{{Teleporters: 16, Generators: 16, Purifiers: 16}},
+		Programs:  []qnet.Program{prog},
+		Options:   []Option{WithCache(nil)},
+	}
+	points, err := Sweep(context.Background(), space, WithCache(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := Summarize(points); s.Points != 1 || s.CacheHits != 0 || s.Failed != 0 {
+		t.Errorf("WithCache(nil) sweep: %v, want 1 simulated point", s)
 	}
 }
 

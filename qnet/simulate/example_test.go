@@ -67,7 +67,7 @@ func Example_sweep() {
 // Example_cachedSweep runs the same sweep twice against one result
 // cache: every point of the second pass is served from the cache
 // without simulating, which is what makes repeated figure generation
-// incremental.  A disk-backed cache (NewDiskCache / WithCacheDir)
+// incremental.  A disk-backed cache (NewDiskCache) passed to WithCache
 // extends the same behaviour across processes.
 func Example_cachedSweep() {
 	grid, err := qnet.NewGrid(4, 4)

@@ -2,10 +2,8 @@ package simulate
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/qnet"
 	"repro/qnet/route"
@@ -203,14 +201,58 @@ func TestCacheMachineRunConsultsAttachedCache(t *testing.T) {
 	}
 }
 
+// TestCacheMachineRunConcurrentSimulatesOnce asserts concurrent Runs
+// of one key on a cached machine share its single-flight group: one
+// simulates and stores, the rest wait and are served from the cache.
+func TestCacheMachineRunConcurrentSimulatesOnce(t *testing.T) {
+	grid := testGrid(t, 4)
+	prog := qnet.QFT(grid.Tiles())
+	cache := NewCache(0)
+	m, err := New(grid, HomeBase, WithResources(8, 8, 4), WithCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	results := make([]Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	wg.Add(runs)
+	for i := 0; i < runs; i++ {
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = m.Run(context.Background(), prog)
+		}(i)
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if results[i] != results[0] {
+			t.Errorf("run %d differs from run 0", i)
+		}
+	}
+	if s := cache.Stats(); s.Misses != 1 || s.Hits != runs-1 {
+		t.Errorf("cache traffic %v, want 1 miss and %d hits", s, runs-1)
+	}
+}
+
 // TestCacheMachineRunDiskWarm asserts the cross-process story behind
-// `qnetsim -cache-dir`: a second machine built on the same directory
-// serves the first machine's result from disk.
+// `qnetsim -cache-dir`: a second machine built on a fresh cache over the
+// same directory serves the first machine's result from disk.
 func TestCacheMachineRunDiskWarm(t *testing.T) {
 	grid := testGrid(t, 4)
 	prog := qnet.QFT(grid.Tiles())
 	dir := t.TempDir()
-	cold, err := New(grid, HomeBase, WithResources(8, 8, 4), WithCacheDir(dir))
+	onDir := func() Option {
+		t.Helper()
+		c, err := NewDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return WithCache(c)
+	}
+	cold, err := New(grid, HomeBase, WithResources(8, 8, 4), onDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +260,7 @@ func TestCacheMachineRunDiskWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := New(grid, HomeBase, WithResources(8, 8, 4), WithCacheDir(dir))
+	warm, err := New(grid, HomeBase, WithResources(8, 8, 4), onDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,177 +273,5 @@ func TestCacheMachineRunDiskWarm(t *testing.T) {
 	}
 	if s := warm.Cache().Stats(); s.Hits != 1 || s.DiskHits != 1 {
 		t.Errorf("warm machine stats %v, want 1 disk hit", s)
-	}
-}
-
-// diskSize sums the store's *.json sizes.
-func diskSize(t *testing.T, dir string) int64 {
-	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, name := range names {
-		fi, err := os.Stat(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-	}
-	return total
-}
-
-// TestCacheDiskEvictionByBytes asserts a max-bytes store never
-// outgrows its budget: after many Puts the directory stays under the
-// cap, the survivors are the most recently used entries, and every
-// surviving file still round-trips.
-func TestCacheDiskEvictionByBytes(t *testing.T) {
-	dir := t.TempDir()
-	// Measure one entry's size to pick a budget of ~3 entries.
-	probe, err := NewDiskCache(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Result{Exec: time.Second, Ops: 1}
-	probe.Put(Key{0xff}, res)
-	entryBytes := diskSize(t, probe.Dir())
-	if entryBytes == 0 {
-		t.Fatal("probe entry has zero size")
-	}
-	budget := 3*entryBytes + entryBytes/2
-
-	c, err := NewDiskCache(dir, 0, WithMaxBytes(budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []Key
-	for i := 0; i < 10; i++ {
-		k := Key{byte(i + 1)}
-		keys = append(keys, k)
-		c.Put(k, Result{Exec: time.Duration(i) * time.Second, Ops: i})
-		if got := diskSize(t, dir); got > budget {
-			t.Fatalf("after put %d the store holds %d bytes, budget %d", i, got, budget)
-		}
-	}
-	if s := c.Stats(); s.DiskEvictions == 0 {
-		t.Error("no evictions recorded despite exceeding the budget")
-	}
-	// The newest entry must have survived and still round-trip from a
-	// fresh cache (pure disk read).
-	fresh, err := NewDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := fresh.Get(keys[9]); !ok || got.Ops != 9 {
-		t.Errorf("newest entry missing after eviction: ok=%v res=%+v", ok, got)
-	}
-}
-
-// TestCacheDiskEvictionByAge asserts a max-age store drops stale
-// entries at construction and keeps fresh ones.
-func TestCacheDiskEvictionByAge(t *testing.T) {
-	dir := t.TempDir()
-	writer, err := NewDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, fresh := Key{1}, Key{2}
-	writer.Put(stale, Result{Ops: 1})
-	writer.Put(fresh, Result{Ops: 2})
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(filepath.Join(dir, stale.String()+".json"), old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := NewDiskCache(dir, 0, WithMaxAge(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(stale); ok {
-		t.Error("stale entry survived the age bound")
-	}
-	if got, ok := c.Get(fresh); !ok || got.Ops != 2 {
-		t.Errorf("fresh entry lost: ok=%v res=%+v", ok, got)
-	}
-	if s := c.Stats(); s.DiskEvictions != 1 {
-		t.Errorf("DiskEvictions = %d, want 1", s.DiskEvictions)
-	}
-}
-
-// TestCacheDiskEvictionKeepsRecentlyRead asserts reads refresh the LRU
-// order: an old-but-read entry outlives an old-unread one when the
-// byte budget forces an eviction.
-func TestCacheDiskEvictionKeepsRecentlyRead(t *testing.T) {
-	dir := t.TempDir()
-	writer, err := NewDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	read, unread := Key{1}, Key{2}
-	writer.Put(read, Result{Ops: 1})
-	writer.Put(unread, Result{Ops: 2})
-	old := time.Now().Add(-time.Hour)
-	for _, k := range []Key{read, unread} {
-		if err := os.Chtimes(filepath.Join(dir, k.String()+".json"), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	size := diskSize(t, dir)
-
-	// A budget of ~2 entries; reading `read` through a bounded cache
-	// refreshes its mtime, then one more Put forces an eviction.
-	c, err := NewDiskCache(dir, 0, WithMaxBytes(size))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(read); !ok {
-		t.Fatal("seed entry missing")
-	}
-	c.Put(Key{3}, Result{Ops: 3})
-
-	fresh, err := NewDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fresh.Get(read); !ok {
-		t.Error("recently read entry was evicted before the unread one")
-	}
-	if _, ok := fresh.Get(unread); ok {
-		t.Error("unread entry survived while the budget was exceeded")
-	}
-}
-
-// TestCacheDiskEvictionStartupScan asserts a bounded cache opened over
-// an over-budget directory prunes it immediately (the long-lived-store
-// case of ROADMAP's PR 2 follow-on).
-func TestCacheDiskEvictionStartupScan(t *testing.T) {
-	dir := t.TempDir()
-	writer, err := NewDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		writer.Put(Key{byte(i + 1)}, Result{Ops: i})
-		// Stagger mtimes so LRU order is well defined.
-		ts := time.Now().Add(time.Duration(i-8) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, (Key{byte(i + 1)}).String()+".json"), ts, ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	budget := diskSize(t, dir) / 2
-	if _, err := NewDiskCache(dir, 0, WithMaxBytes(budget)); err != nil {
-		t.Fatal(err)
-	}
-	if got := diskSize(t, dir); got > budget {
-		t.Errorf("startup scan left %d bytes, budget %d", got, budget)
-	}
-	// The newest entry survives the startup prune.
-	fresh, err := NewDiskCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fresh.Get(Key{8}); !ok {
-		t.Error("newest entry pruned at startup")
 	}
 }

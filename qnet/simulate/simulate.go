@@ -26,12 +26,12 @@
 // Because every run is a pure function of its resolved configuration,
 // results are content-addressable: Machine.CacheKey hashes the full
 // run point and Cache stores Results under it (in-memory LRU plus an
-// optional on-disk JSON store, boundable with WithMaxBytes/WithMaxAge),
-// so a sweep installed with WithCache or WithCacheDir only simulates
-// points it has never seen — see cache.go and the Example_cachedSweep
-// function.  The same options attach a cache to a Machine, making
-// repeated Run and Session calls cache hits too.  Ensemble statistics
-// over the seed dimension live in the sibling package qnet/stats.
+// optional on-disk JSON store), so a sweep installed with WithCache or
+// WithStore only simulates points it has never seen — see cache.go and
+// the Example_cachedSweep function.  The same options attach a store
+// to a Machine, making repeated Run and Session calls cache hits too.
+// Ensemble statistics over the seed dimension live in the sibling
+// package qnet/stats.
 //
 // Configuration mistakes surface as *qnet.ConfigError and capacity
 // overruns as *qnet.CapacityError, matchable with errors.Is/errors.As.
@@ -80,14 +80,13 @@ type StallError = netsim.StallError
 type machineSpec struct {
 	cfg   netsim.Config
 	store Store
-	err   error
 }
 
 // Option configures a Machine.  Options are applied in order over the
 // paper's defaults (depth-3 purifiers, level-2 Steane code, 600-cell
 // hops, t=g=p=16, XY dimension-order routing, the Table 1-2 ion-trap
-// device).  WithCache and WithCacheDir implement both Option and
-// SweepOption, so one cache value threads through machines and sweeps
+// device).  WithCache and WithStore implement both Option and
+// SweepOption, so one store value threads through machines and sweeps
 // alike.
 type Option interface {
 	applyMachine(*machineSpec)
@@ -185,11 +184,13 @@ func WithTrace(t *trace.Tracer) Option {
 // Machine is a configured, validated simulated quantum computer.  It is
 // immutable after New and safe for concurrent use: every Run builds
 // fresh simulator state (including a per-run RNG), so one Machine can
-// serve many goroutines.  A Machine built with WithCache or
-// WithCacheDir serves repeated Runs from its result cache.
+// serve many goroutines.  A Machine built with WithCache or WithStore
+// serves repeated Runs from that store, and concurrent Runs that share
+// a cache key simulate once.
 type Machine struct {
-	cfg   netsim.Config
-	store Store
+	cfg     netsim.Config
+	store   Store
+	flights *flightGroup
 }
 
 // New builds a Machine on the given grid and layout, applying opts over
@@ -200,64 +201,10 @@ func New(grid qnet.Grid, layout Layout, opts ...Option) (*Machine, error) {
 	for _, opt := range opts {
 		opt.applyMachine(&spec)
 	}
-	if spec.err != nil {
-		return nil, spec.err
-	}
-	cfg := spec.cfg
-	if err := validate(cfg); err != nil {
+	if err := spec.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Backstop: any rule added to netsim.Config.Validate that validate
-	// does not mirror yet still surfaces here at build time as a
-	// structured error, not at Run time as a bare string.
-	if err := cfg.Validate(); err != nil {
-		return nil, &qnet.ConfigError{Field: "Config", Value: "-", Reason: err.Error()}
-	}
-	return &Machine{cfg: cfg, store: spec.store}, nil
-}
-
-// validate mirrors netsim.Config.Validate with structured errors, so
-// misconfiguration is caught at build time and matchable with errors.Is.
-func validate(cfg netsim.Config) error {
-	if err := cfg.Params.Validate(); err != nil {
-		return &qnet.ConfigError{Field: "Params", Value: "-", Reason: err.Error()}
-	}
-	if cfg.Grid.Tiles() == 0 {
-		return &qnet.ConfigError{Field: "Grid", Value: cfg.Grid, Reason: "grid must contain at least one tile"}
-	}
-	switch cfg.Layout {
-	case HomeBase, MobileQubit:
-	default:
-		return &qnet.ConfigError{Field: "Layout", Value: int(cfg.Layout), Reason: "want HomeBase or MobileQubit"}
-	}
-	if cfg.Teleporters < 1 {
-		return &qnet.ConfigError{Field: "Teleporters", Value: cfg.Teleporters, Reason: "must be >= 1"}
-	}
-	if cfg.Generators < 1 {
-		return &qnet.ConfigError{Field: "Generators", Value: cfg.Generators, Reason: "must be >= 1"}
-	}
-	if cfg.Purifiers < 1 {
-		return &qnet.ConfigError{Field: "Purifiers", Value: cfg.Purifiers, Reason: "must be >= 1"}
-	}
-	if cfg.PurifyDepth < 1 || cfg.PurifyDepth > 16 {
-		return &qnet.ConfigError{Field: "PurifyDepth", Value: cfg.PurifyDepth, Reason: "must be in [1,16]"}
-	}
-	if cfg.CodeLevel < 0 {
-		return &qnet.ConfigError{Field: "CodeLevel", Value: cfg.CodeLevel, Reason: "must be >= 0"}
-	}
-	if cfg.HopCells < 1 {
-		return &qnet.ConfigError{Field: "HopCells", Value: cfg.HopCells, Reason: "must be >= 1"}
-	}
-	if cfg.TurnCells < 0 {
-		return &qnet.ConfigError{Field: "TurnCells", Value: cfg.TurnCells, Reason: "must be >= 0"}
-	}
-	if cfg.PurifyFailureRate < 0 || cfg.PurifyFailureRate >= 1 {
-		return &qnet.ConfigError{Field: "FailureRate", Value: cfg.PurifyFailureRate, Reason: "must be in [0,1)"}
-	}
-	if err := cfg.Faults.Validate(cfg.Grid); err != nil {
-		return &qnet.ConfigError{Field: "Faults", Value: cfg.Faults.String(), Reason: err.Error()}
-	}
-	return nil
+	return &Machine{cfg: spec.cfg, store: spec.store, flights: newFlightGroup()}, nil
 }
 
 // Grid returns the machine's mesh.
@@ -297,96 +244,70 @@ func (m *Machine) WithTrace(t *trace.Tracer) *Machine {
 }
 
 // Cache returns the machine's attached result cache, or nil when the
-// machine was built without WithCache/WithCacheDir (or when the
-// attached Store is not a *Cache; use Store for the general form).
+// machine has no store or its Store is not a *Cache (use Store for the
+// general form).
 func (m *Machine) Cache() *Cache {
 	c, _ := m.store.(*Cache)
 	return c
 }
 
 // Store returns the machine's attached result store, or nil when the
-// machine was built without WithCache/WithCacheDir/WithStore.
+// machine was built without WithCache or WithStore.
 func (m *Machine) Store() Store { return m.store }
-
-// checkProgram validates prog against the machine's capacity.
-func (m *Machine) checkProgram(prog qnet.Program) error {
-	if err := prog.Validate(); err != nil {
-		return &qnet.ConfigError{Field: "Program", Value: prog.Name, Reason: err.Error()}
-	}
-	if prog.Qubits > m.cfg.Grid.Tiles() {
-		return &qnet.CapacityError{Resource: "tiles", Need: prog.Qubits, Have: m.cfg.Grid.Tiles()}
-	}
-	return nil
-}
 
 // Run executes one logical instruction stream on the machine.  The
 // context is threaded into the discrete-event loop: when ctx is
 // cancelled or its deadline passes, Run aborts and returns an error
-// wrapping ctx.Err().  When the machine carries a result cache
-// (WithCache/WithCacheDir), Run consults it first and stores successful
+// wrapping ctx.Err().  When the machine carries a result store
+// (WithCache/WithStore), Run consults it first and stores successful
 // runs back, so a warm re-run of the same configuration and program is
 // a lookup instead of a simulation (Cache().Stats() reports the hit).
 func (m *Machine) Run(ctx context.Context, prog qnet.Program) (Result, error) {
-	if err := m.checkProgram(prog); err != nil {
-		return Result{}, err
-	}
-	return m.runCached(ctx, m.cfg, prog)
+	res, _, err := m.run(ctx, m.cfg, prog, m.flights)
+	return res, err
 }
 
-// runCached runs one fully-resolved configuration through the attached
-// store (a plain simulation when no store is attached).
-func (m *Machine) runCached(ctx context.Context, cfg netsim.Config, prog qnet.Program) (Result, error) {
+// run is the one path from a run point to its Result: Machine.Run,
+// Session.Run and every Sweep point come through here.  cfg is the
+// machine's configuration with any per-run seed applied.  Without a
+// store it simulates.  With one, it claims cfg's key in flights (so
+// concurrent runs of one key simulate once), answers from the store
+// when it can, and otherwise simulates and stores the Result; cached
+// reports a store hit.  A traced run never answers from the store —
+// the tracer observes the simulation itself, and a stored Result has
+// no time series to give it — but its result is still stored: traced
+// and untraced runs produce identical Results, so the entry serves
+// either.
+func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program, flights *flightGroup) (res Result, cached bool, err error) {
+	if err := netsim.CheckProgram(cfg.Grid, prog); err != nil {
+		return Result{}, false, err
+	}
 	if m.store == nil {
-		return netsim.RunContext(ctx, cfg, prog)
+		res, err = netsim.RunContext(ctx, cfg, prog)
+		return res, false, err
 	}
 	key := keyFor(cfg, prog)
-	// A traced run never answers from the cache — the tracer observes
-	// the simulation itself, and a stored Result has no time series to
-	// give it — but its result is still stored: trace-on and trace-off
-	// runs produce identical Results, so the entry serves either.
 	if cfg.Trace == nil {
+		if err := flights.claim(ctx, key); err != nil {
+			return Result{}, false, err
+		}
+		defer flights.release(key)
 		if res, ok := m.store.Get(key); ok {
-			return res, nil
+			return res, true, nil
 		}
 	}
-	res, err := netsim.RunContext(ctx, cfg, prog)
+	res, err = netsim.RunContext(ctx, cfg, prog)
 	if err == nil {
 		m.store.Put(key, res)
 	}
-	return res, err
+	return res, false, err
 }
 
 // RunDetailed is Run plus per-component statistics for bottleneck
 // analysis and heatmaps.  It always simulates — Details are not cached
 // — so use Run when only the Result matters.
 func (m *Machine) RunDetailed(ctx context.Context, prog qnet.Program) (Result, *Detail, error) {
-	if err := m.checkProgram(prog); err != nil {
-		return Result{}, nil, err
-	}
 	return netsim.RunDetailedContext(ctx, m.cfg, prog)
-}
-
-// runSeeded is Run with the per-run seed overridden (Session and Sweep
-// derive one seed per run from the base seed); it consults the attached
-// cache like Run does.
-func (m *Machine) runSeeded(ctx context.Context, prog qnet.Program, seed int64) (Result, error) {
-	if err := m.checkProgram(prog); err != nil {
-		return Result{}, err
-	}
-	cfg := m.cfg
-	cfg.Seed = seed
-	return m.runCached(ctx, cfg, prog)
-}
-
-// runUncached bypasses the machine's attached cache: the sweep engine
-// manages its own cache (with single-flight dedup and pure hit
-// accounting), so worker runs must not double-count through a machine
-// cache.
-func (m *Machine) runUncached(ctx context.Context, prog qnet.Program) (Result, error) {
-	if err := m.checkProgram(prog); err != nil {
-		return Result{}, err
-	}
-	return netsim.RunContext(ctx, m.cfg, prog)
 }
 
 // Session runs a sequence of programs on one Machine.  Each run gets a
@@ -416,8 +337,10 @@ func deriveSeed(base int64, run int) int64 {
 
 // Run executes prog as the session's next run.
 func (s *Session) Run(ctx context.Context, prog qnet.Program) (Result, error) {
-	seed := deriveSeed(s.machine.cfg.Seed, s.runs)
-	res, err := s.machine.runSeeded(ctx, prog, seed)
+	m := s.machine
+	cfg := m.cfg
+	cfg.Seed = deriveSeed(cfg.Seed, s.runs)
+	res, _, err := m.run(ctx, cfg, prog, m.flights)
 	if err != nil {
 		return Result{}, err
 	}

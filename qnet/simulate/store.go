@@ -10,7 +10,7 @@
 package simulate
 
 // Store is a content-addressed result store: the pluggable persistence
-// seam behind WithCache/WithCacheDir/WithStore.  Cache is the shipped
+// seam behind WithCache and WithStore.  Cache is the shipped
 // in-memory/on-disk implementation; qnet/distrib.RemoteStore speaks the
 // same interface over HTTP so a worker fleet shares one warm store.
 //
@@ -37,7 +37,7 @@ var _ Store = (*Cache)(nil)
 // shipped Cache, such as qnet/distrib.RemoteStore (a worker fleet's
 // shared HTTP store).  Semantics match WithCache exactly: lookups
 // before simulating, successful runs stored back, served points marked
-// Cached.
+// Cached.  A nil store attaches none.
 func WithStore(st Store) CacheOption {
-	return &cacheOption{store: st}
+	return cacheOption{store: st}
 }

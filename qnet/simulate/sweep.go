@@ -48,17 +48,26 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{inflight: make(map[Key]chan struct{})}
 }
 
-// claim registers the key as in flight.  It returns (nil, true) when
-// the caller now owns the flight and must release it, or (wait, false)
-// when another goroutine owns it; wait closes on release.
-func (f *flightGroup) claim(k Key) (<-chan struct{}, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ch, ok := f.inflight[k]; ok {
-		return ch, false
+// claim takes the flight for k, waiting while another goroutine owns
+// it.  A nil return means the caller owns the flight and must release
+// it; if ctx ends first, claim returns ctx's error and owns nothing.
+func (f *flightGroup) claim(ctx context.Context, k Key) error {
+	for {
+		f.mu.Lock()
+		wait, busy := f.inflight[k]
+		if !busy {
+			f.inflight[k] = make(chan struct{})
+		}
+		f.mu.Unlock()
+		if !busy {
+			return nil
+		}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	f.inflight[k] = make(chan struct{})
-	return nil, true
 }
 
 // release ends the caller's flight, waking every waiter.
@@ -315,8 +324,8 @@ func (sp Space) machine(pt Point) (*Machine, error) {
 	return New(pt.Grid, pt.Layout, opts...)
 }
 
-// SweepOption configures a sweep.  WithCache and WithCacheDir satisfy
-// both SweepOption and Option, so the same cache attachment works on a
+// SweepOption configures a sweep.  WithCache and WithStore satisfy both
+// SweepOption and Option, so the same store attachment works on a
 // Machine and on a Sweep.
 type SweepOption interface {
 	applySweep(*sweepConfig)
@@ -331,7 +340,6 @@ type sweepConfig struct {
 	workers  int
 	progress func(done, total int)
 	store    Store
-	cacheOpt *cacheOption
 }
 
 // WithWorkers sets the worker-goroutine count.  Values below 1 (and the
@@ -348,55 +356,22 @@ func WithProgress(fn func(done, total int)) SweepOption {
 	return sweepOptionFunc(func(c *sweepConfig) { c.progress = fn })
 }
 
-// CacheOption attaches a result cache and satisfies both Option (a
-// machine consults the cache on every Run) and SweepOption (the sweep
-// engine consults it with single-flight dedup across workers).  A
-// sweep whose Space.Options carry a CacheOption adopts the machines'
-// cache as its sweep cache, so the attachment works at either level.
+// CacheOption attaches a result store and satisfies both Option (a
+// machine consults the store on every Run) and SweepOption (every
+// point of the sweep consults it, with single-flight dedup across
+// workers).  Attached through Space.Options instead, it reaches every
+// point's machine and so serves the sweep the same way.
 type CacheOption interface {
 	Option
 	SweepOption
 }
 
-// cacheOption is the shared implementation of WithCache, WithCacheDir
-// and WithStore.  The disk-backed variant memoizes its cache, so one
-// WithCacheDir value applied to many machines (e.g. via Space.Options,
-// once per expanded point) builds and shares a single store.
-type cacheOption struct {
-	store Store
-	dir   string
-	once  sync.Once
-	built *Cache
-	err   error
-}
+// cacheOption is the shared implementation of WithCache and WithStore.
+type cacheOption struct{ store Store }
 
-// resolve returns the option's store, building the disk-backed cache
-// on first use.
-func (o *cacheOption) resolve() (Store, error) {
-	if o.store != nil {
-		return o.store, nil
-	}
-	o.once.Do(func() {
-		o.built, o.err = NewDiskCache(o.dir, 0)
-	})
-	if o.err != nil {
-		return nil, o.err
-	}
-	return o.built, nil
-}
+func (o cacheOption) applyMachine(s *machineSpec) { s.store = o.store }
 
-func (o *cacheOption) applyMachine(s *machineSpec) {
-	st, err := o.resolve()
-	if err != nil {
-		s.err = &qnet.ConfigError{Field: "CacheDir", Value: o.dir, Reason: err.Error()}
-		return
-	}
-	s.store = st
-}
-
-func (o *cacheOption) applySweep(cfg *sweepConfig) {
-	cfg.cacheOpt = o
-}
+func (o cacheOption) applySweep(cfg *sweepConfig) { cfg.store = o.store }
 
 // WithCache installs a result cache: every point's content hash
 // (Machine.CacheKey) is looked up before simulating, successful runs
@@ -404,17 +379,12 @@ func (o *cacheOption) applySweep(cfg *sweepConfig) {
 // same cache can be shared across machines and sweeps — and, when built
 // with NewDiskCache, across processes — so regenerating a figure after
 // changing one dimension of its space only simulates the new points.
+// A nil cache attaches no store.
 func WithCache(c *Cache) CacheOption {
-	return &cacheOption{store: c}
-}
-
-// WithCacheDir is WithCache with a throwaway disk-backed cache rooted
-// at dir (capacity DefaultCacheEntries).  Use NewDiskCache plus
-// WithCache instead when the hit/miss counters are wanted afterwards;
-// Summarize recovers per-sweep hit counts either way, and a Machine
-// exposes its cache via Cache().
-func WithCacheDir(dir string) CacheOption {
-	return &cacheOption{dir: dir}
+	if c == nil {
+		return cacheOption{}
+	}
+	return cacheOption{store: c}
 }
 
 // Sweep expands the space and runs every point, fanning the runs out
@@ -471,34 +441,19 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 	if err != nil {
 		return nil, 0, err
 	}
-	if cfg.cacheOpt != nil {
-		st, err := cfg.cacheOpt.resolve()
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg.store = st
-	}
 	// Validate every point's machine up front so configuration errors
-	// surface before any simulation work is spent.
+	// surface before any simulation work is spent.  A sweep-level store
+	// replaces whatever store Space.Options attached.
 	machines := make([]*Machine, len(pts))
 	for i, pt := range pts {
 		m, err := space.machine(pt)
 		if err != nil {
 			return nil, 0, err
 		}
-		machines[i] = m
-	}
-	// A store attached through Space.Options lands on every machine;
-	// adopt it as the sweep store so those points get the same
-	// single-flight dedup and hit accounting as a WithCache sweep
-	// (workers bypass the machine-level attachment via runUncached).
-	if cfg.store == nil {
-		for _, m := range machines {
-			if m.store != nil {
-				cfg.store = m.store
-				break
-			}
+		if cfg.store != nil {
+			m.store = cfg.store
 		}
+		machines[i] = m
 	}
 
 	workers := cfg.workers
@@ -508,14 +463,12 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 	jobs := make(chan int)
 	results := make(chan SweepPoint, workers)
 
-	// Single-flight dedup for cached sweeps: when several in-flight
-	// points share a content key (e.g. a multi-seed ensemble of a
-	// deterministic configuration, whose keys canonicalize the seed
-	// away), only the first simulates; the rest wait and take the
-	// cached result.  This makes hit counts a pure function of the
-	// space — independent of worker count and scheduling — and keeps
-	// the documented "one simulation plus cache hits" collapse true on
-	// multi-core hosts.
+	// One flight group spans the sweep, so when several in-flight points
+	// share a content key (e.g. a multi-seed ensemble of a deterministic
+	// configuration, whose keys canonicalize the seed away) only the
+	// first simulates and the rest take its stored result.  Hit counts
+	// are then a pure function of the space — one miss per unique key,
+	// one hit per duplicate point — whatever the worker count.
 	flights := newFlightGroup()
 
 	var wg sync.WaitGroup
@@ -524,46 +477,18 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				// The explicit Err checks (here and in the feeder) make
-				// cancellation deterministic: a select with a ready send
-				// and a closed Done channel picks randomly, which would
-				// let an already-cancelled sweep deliver stray points.
+				// The explicit Err checks (here, after the run and in the
+				// feeder) make cancellation deterministic: a select with a
+				// ready send and a closed Done channel picks randomly,
+				// which would let an already-cancelled sweep deliver
+				// stray points.
 				if ctx.Err() != nil {
 					return
 				}
-				var (
-					res    Result
-					err    error
-					cached bool
-				)
-				if cfg.store == nil {
-					res, err = machines[i].runUncached(ctx, pts[i].Program)
-				} else {
-					// Claim-first: every point takes the flight for its
-					// key before the (single, counted) cache lookup, so a
-					// duplicate can never slip between another worker's
-					// Put and release and re-simulate — and the hit/miss
-					// counters stay a pure function of the space: one
-					// miss per unique key, one hit per duplicate point.
-					key := machines[i].CacheKey(pts[i].Program)
-					claimed := false
-					for !claimed {
-						var wait <-chan struct{}
-						if wait, claimed = flights.claim(key); !claimed {
-							select {
-							case <-wait:
-							case <-ctx.Done():
-								return
-							}
-						}
-					}
-					if res, cached = cfg.store.Get(key); !cached {
-						res, err = machines[i].runUncached(ctx, pts[i].Program)
-						if err == nil {
-							cfg.store.Put(key, res)
-						}
-					}
-					flights.release(key)
+				m := machines[i]
+				res, cached, err := m.run(ctx, m.cfg, pts[i].Program, flights)
+				if ctx.Err() != nil {
+					return
 				}
 				select {
 				case results <- SweepPoint{Point: pts[i], Result: res, Err: err, Cached: cached}:

@@ -128,6 +128,29 @@ func TestSweepCancelled(t *testing.T) {
 	}
 }
 
+// TestFlightClaimHonoursContext asserts a claim on a key another
+// goroutine holds waits for its release, and gives up with ctx's error,
+// owning nothing, when ctx ends first.
+func TestFlightClaimHonoursContext(t *testing.T) {
+	f := newFlightGroup()
+	var k Key
+	if err := f.claim(context.Background(), k); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := f.claim(ctx, k); !errors.Is(err, context.Canceled) {
+		t.Fatalf("claim on a held key under a cancelled ctx: %v, want context.Canceled", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.claim(context.Background(), k) }()
+	f.release(k)
+	if err := <-done; err != nil {
+		t.Fatalf("claim after release: %v", err)
+	}
+	f.release(k)
+}
+
 func TestSweepProgress(t *testing.T) {
 	space := test2x2x2Space(t)
 	var calls int

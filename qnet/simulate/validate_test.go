@@ -13,9 +13,9 @@ import (
 // every rejectable configuration field must fail with a
 // *qnet.ConfigError that (a) names exactly that field, (b) carries the
 // offending value into the message, and (c) unwraps to
-// ErrInvalidConfig.  The table covers every field validate() checks,
-// so a new Config field with sloppy (or missing) validation breaks
-// this test, not a user.
+// ErrInvalidConfig.  The table covers every field
+// netsim.Config.Validate checks, so a new Config field with sloppy (or
+// missing) validation breaks this test, not a user.
 func TestValidateNamesEveryField(t *testing.T) {
 	grid, err := qnet.NewGrid(4, 4)
 	if err != nil {

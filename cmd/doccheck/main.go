@@ -1,11 +1,13 @@
 // Command doccheck enforces the repository's documentation contract:
 // every exported identifier in the given package directories must carry
 // a doc comment, and every package must have a package-level comment.
-// CI runs it over qnet/... so the public API surface cannot silently
-// grow undocumented, and over internal/sim, internal/router and
-// internal/netsim, whose exported API the simulator and the benchmark
-// module program against (the same contract revive's `exported` rule
-// enforces, without the external dependency).
+// CI runs it over qnet/... so the public API surface — including the
+// routing, fault and telemetry layers, which are implemented there —
+// cannot silently grow undocumented, and over internal/sim,
+// internal/router and internal/netsim, whose exported API the
+// simulator and the benchmark module program against (the same
+// contract revive's `exported` rule enforces, without the external
+// dependency).
 //
 // Usage:
 //

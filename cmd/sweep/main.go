@@ -220,49 +220,59 @@ func sweepHops(dist int) error {
 	return t.WriteText(os.Stdout)
 }
 
-// depthSweepSpace is the cmd/sweep default grid: the queue-purifier
-// depth ablation the benchmark in qnet/simulate measures.  A non-empty
-// fault spec becomes the space's fault dimension; dead links also
-// switch routing to the fault-adaptive policy, since the static
-// default would fail every blocked path.  The second return reports
-// that switch, so the front-ends can label it instead of silently
-// changing the measured configuration; the swap is also visible in the
-// cache keys, which hash the routing policy.
-func depthSweepSpace(gridN, seeds int, failure float64, fs fault.Spec) (simulate.Space, bool, error) {
+// depthSweepSpec is the cmd/sweep default grid: the queue-purifier
+// depth ablation the benchmark in qnet/simulate measures, as the wire
+// spec the distributed sweep ships; the local sweep runs its
+// spec.Space(), so both front-ends sweep one space.  A non-empty fault
+// spec becomes the space's fault dimension; dead links also switch
+// routing to the fault-adaptive policy, since the static default would
+// fail every blocked path.  The second return reports that switch, so
+// the front-ends can label it instead of silently changing the
+// measured configuration; the swap is also visible in the cache keys,
+// which hash the routing policy.
+func depthSweepSpec(gridN, seeds int, failure float64, fs fault.Spec) (distrib.SpaceSpec, bool, error) {
 	grid, err := qnet.NewGrid(gridN, gridN)
 	if err != nil {
-		return simulate.Space{}, false, err
+		return distrib.SpaceSpec{}, false, err
 	}
-	space := simulate.Space{
-		Grids:     []qnet.Grid{grid},
-		Layouts:   []simulate.Layout{simulate.HomeBase},
-		Resources: []simulate.Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}},
-		Programs:  []qnet.Program{qnet.QFT(grid.Tiles())},
-		Depths:    []int{1, 2, 3, 4, 5},
-		Seeds:     simulate.SeedRange(seeds),
-		Options:   []simulate.Option{simulate.WithFailureRate(failure)},
+	spec := distrib.SpaceSpec{
+		Grids:       []qnet.Grid{grid},
+		Layouts:     distrib.LayoutNames([]simulate.Layout{simulate.HomeBase}),
+		Resources:   []simulate.Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}},
+		Programs:    []qnet.Program{qnet.QFT(grid.Tiles())},
+		Depths:      []int{1, 2, 3, 4, 5},
+		Seeds:       simulate.SeedRange(seeds),
+		FailureRate: failure,
 	}
 	auto := false
 	if !fs.Empty() {
-		space.Faults = []fault.Spec{fs}
+		spec.Faults = []fault.Spec{fs}
 		if fs.DeadLinks > 0 {
-			space.Routings = []route.Policy{route.FaultAdaptive()}
+			spec.Routings = []string{route.FaultAdaptive().Name()}
 			auto = true
 		}
 	}
-	return space, auto, nil
+	return spec, auto, nil
 }
+
+// autoRoutingNote is the stderr notice both depth-sweep front-ends
+// print when dead links switched the routing policy.
+const autoRoutingNote = "sweep: -fault-dead switches routing to fault-adaptive (the static default would fail every blocked path)"
 
 // sweepDepth varies the queue-purifier depth in the full simulator,
 // running all depths (times all seeds) concurrently and folding the
 // seed dimension into mean ± 95% CI columns.
 func sweepDepth(ctx context.Context, gridN, workers, seeds int, failure float64, cacheDir string, fs fault.Spec) error {
-	space, autoRouting, err := depthSweepSpace(gridN, seeds, failure, fs)
+	spec, autoRouting, err := depthSweepSpec(gridN, seeds, failure, fs)
+	if err != nil {
+		return err
+	}
+	space, err := spec.Space()
 	if err != nil {
 		return err
 	}
 	if autoRouting {
-		fmt.Fprintln(os.Stderr, "sweep: -fault-dead switches routing to fault-adaptive (the static default would fail every blocked path)")
+		fmt.Fprintln(os.Stderr, autoRoutingNote)
 	}
 	opts := []simulate.SweepOption{simulate.WithWorkers(workers)}
 	if cacheDir != "" {
@@ -320,27 +330,12 @@ func writeDepthTable(points []simulate.SweepPoint, gridN, seeds int, autoRouting
 // shared result store; with -journal it checkpoints shard completions
 // so an identical rerun resumes instead of restarting.
 func sweepDepthDistributed(ctx context.Context, gridN int, workerURLs []string, seeds int, failure float64, cacheDir, storeListen, journalDir string, fs fault.Spec) error {
-	grid, err := qnet.NewGrid(gridN, gridN)
+	spec, autoRouting, err := depthSweepSpec(gridN, seeds, failure, fs)
 	if err != nil {
 		return err
 	}
-	spec := distrib.SpaceSpec{
-		Grids:       []qnet.Grid{grid},
-		Layouts:     distrib.LayoutNames([]simulate.Layout{simulate.HomeBase}),
-		Resources:   []simulate.Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}},
-		Programs:    []qnet.Program{qnet.QFT(grid.Tiles())},
-		Depths:      []int{1, 2, 3, 4, 5},
-		Seeds:       simulate.SeedRange(seeds),
-		FailureRate: failure,
-	}
-	autoRouting := false
-	if !fs.Empty() {
-		spec.Faults = []fault.Spec{fs}
-		if fs.DeadLinks > 0 {
-			spec.Routings = []string{"fault-adaptive"}
-			autoRouting = true
-			fmt.Fprintln(os.Stderr, "sweep: -fault-dead switches routing to fault-adaptive (the static default would fail every blocked path)")
-		}
+	if autoRouting {
+		fmt.Fprintln(os.Stderr, autoRoutingNote)
 	}
 
 	var store simulate.Store

@@ -4,7 +4,23 @@ import (
 	"testing"
 
 	"repro/qnet/fault"
+	"repro/qnet/simulate"
 )
+
+// depthSweepSpace resolves depthSweepSpec on a 4x4 grid into the space
+// the local depth sweep runs.
+func depthSweepSpace(t *testing.T, fs fault.Spec) (simulate.Space, bool) {
+	t.Helper()
+	spec, auto, err := depthSweepSpec(4, 1, 0, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := spec.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space, auto
+}
 
 // TestDepthSweepRoutingAutoSwitch pins the depth sweep's routing
 // auto-switch: injecting dead links flips the space to fault-adaptive
@@ -13,10 +29,7 @@ import (
 // key — a faulted ablation can never be served a default-routed
 // result, or vice versa.
 func TestDepthSweepRoutingAutoSwitch(t *testing.T) {
-	healthy, auto, err := depthSweepSpace(4, 1, 0, fault.Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy, auto := depthSweepSpace(t, fault.Spec{})
 	if auto {
 		t.Error("healthy space reported a routing auto-switch")
 	}
@@ -24,10 +37,7 @@ func TestDepthSweepRoutingAutoSwitch(t *testing.T) {
 		t.Errorf("healthy space routings = %v, want none", healthy.Routings)
 	}
 
-	dropOnly, auto, err := depthSweepSpace(4, 1, 0, fault.Spec{Drop: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dropOnly, auto := depthSweepSpace(t, fault.Spec{Drop: 0.1})
 	if auto {
 		t.Error("drop-only space reported a routing auto-switch")
 	}
@@ -35,10 +45,7 @@ func TestDepthSweepRoutingAutoSwitch(t *testing.T) {
 		t.Errorf("drop-only space routings = %v, want none", dropOnly.Routings)
 	}
 
-	dead, auto, err := depthSweepSpace(4, 1, 0, fault.Spec{DeadLinks: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dead, auto := depthSweepSpace(t, fault.Spec{DeadLinks: 0.1})
 	if !auto {
 		t.Error("dead-link space did not report the routing auto-switch")
 	}

@@ -19,7 +19,8 @@ import (
 	"repro/internal/epr"
 	"repro/internal/mesh"
 	"repro/internal/phys"
-	"repro/internal/route"
+
+	"repro/qnet/route"
 )
 
 // Spec describes a channel to be planned.  The path is given either

@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/report"
-	"repro/internal/route"
 	"repro/internal/workload"
 
+	"repro/qnet/route"
 	"repro/qnet/simulate"
 	"repro/qnet/trace"
 )

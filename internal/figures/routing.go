@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/report"
-	"repro/internal/route"
 	"repro/internal/workload"
 
+	"repro/qnet/route"
 	"repro/qnet/simulate"
 	"repro/qnet/stats"
 )

@@ -4,8 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/route"
-
+	"repro/qnet/route"
 	"repro/qnet/simulate"
 )
 

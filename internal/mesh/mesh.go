@@ -5,7 +5,7 @@
 // adjacent tiles.
 //
 // Path construction lives behind the routing layer (package
-// internal/route): a route.Policy turns a src/dst pair into a hop
+// qnet/route): a route.Policy turns a src/dst pair into a hop
 // sequence, and Grid.Follow walks that sequence into the tiles it
 // visits.  Grid.Route remains as the dimension-ordered (X then Y)
 // reference path — the paper's hardwired routing — which the default

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/mesh"
-	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/workload"
+
+	"repro/qnet/fault"
+	"repro/qnet/route"
 )
 
 // dropBudgetPerBatch bounds the resend attempts of one channel at this

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/ecc"
-	"repro/internal/fault"
 	"repro/internal/mesh"
-	"repro/internal/route"
 	"repro/internal/workload"
+
+	"repro/qnet/fault"
+	"repro/qnet/route"
 )
 
 // TestRunConservesResources is the end-of-run conservation check: a run
@@ -21,20 +22,36 @@ import (
 // layouts, the resource-starved corner of Figure 16, and the fault and
 // failure-injection resend paths.
 //
-// On meshes without dead links every policy routes minimally, so the
-// channel and pair-hop counts are also accounted for from the program
-// alone, by replaying its qubit moves (replayHomeBase, replayMobile):
-// every channel carries every batch's pairs over the Manhattan distance
-// it spans, and each resent batch (failed or dropped) adds between one
-// hop and a mesh diameter of hops.
+// The channel and pair-hop counts are also accounted for from the
+// program alone, by replaying its qubit moves (replayHomeBase,
+// replayMobile): every channel carries every batch's pairs over its
+// path, and each resent batch (failed or dropped) adds between one hop
+// and the longest path's hops.  On a healthy mesh every policy routes
+// minimally, so a path spans the Manhattan distance.  With dead links
+// the cases route fault-adaptive, which is deterministic, so the run
+// flies exactly the paths RouteFaulty gives over the pattern
+// fault.Preview draws for the run's seed.
 func TestRunConservesResources(t *testing.T) {
 	g := grid(t, 6, 6)
 	prog := workload.QFT(g.Tiles())
-	replays := map[Layout]replay{
-		HomeBase:    replayHomeBase(t, g, prog),
-		MobileQubit: replayMobile(t, g, prog),
-	}
+	const seed = 7
 	faulty := fault.Spec{DeadLinks: 0.05, Drop: 0.02}
+	replays := func(pathLen func(a, b mesh.Coord) int) map[Layout]replay {
+		return map[Layout]replay{
+			HomeBase:    replayHomeBase(t, g, prog, pathLen),
+			MobileQubit: replayMobile(t, g, prog, pathLen),
+		}
+	}
+	healthy := replays(mesh.Manhattan)
+	detoured := replays(escapePathLen(t, g, faulty, seed))
+	for layout, r := range detoured {
+		// Guard against a vacuous replay: the drawn dead links must
+		// force detours.
+		if r.hops <= healthy[layout].hops {
+			t.Fatalf("%v: dead links add no detour (%d hops, %d on a healthy mesh)",
+				layout, r.hops, healthy[layout].hops)
+		}
+	}
 	cases := []struct {
 		name    string
 		route   route.Policy
@@ -61,7 +78,7 @@ func TestRunConservesResources(t *testing.T) {
 				cfg.Route = tc.route
 				cfg.Faults = tc.spec
 				cfg.PurifyFailureRate = tc.rate
-				cfg.Seed = 7
+				cfg.Seed = seed
 				s, err := execute(context.Background(), cfg, prog)
 				if err != nil {
 					t.Fatal(err)
@@ -75,39 +92,65 @@ func TestRunConservesResources(t *testing.T) {
 				if tc.rate > 0 && s.failedBatches == 0 {
 					t.Error("failing case failed no batch")
 				}
-				if tc.spec.DeadLinks == 0 {
-					assertPairHops(t, s, cfg, replays[layout])
+				want := healthy[layout]
+				if tc.spec.DeadLinks > 0 {
+					// Every dead-link case runs the faulty spec.
+					want = detoured[layout]
 				}
+				assertPairHops(t, s, cfg, want)
 			})
 		}
 	}
 }
 
 // replay is a program's resend-free channel load: the channels its
-// layout opens and their summed Manhattan length in hops.
+// layout opens, their summed path length in hops, and the longest path.
 type replay struct {
+	pathLen  func(a, b mesh.Coord) int
 	channels uint64
 	hops     int
+	longest  int
 }
 
 // move accounts one qubit teleport from a to b; a local move opens no
 // channel.
 func (r *replay) move(a, b mesh.Coord) {
 	if a != b {
+		n := r.pathLen(a, b)
 		r.channels++
-		r.hops += mesh.Manhattan(a, b)
+		r.hops += n
+		r.longest = max(r.longest, n)
+	}
+}
+
+// escapePathLen returns the hop length of the path fault-adaptive
+// routing takes between two tiles over the fault pattern a run with
+// the given seed draws from spec.
+func escapePathLen(t *testing.T, g mesh.Grid, spec fault.Spec, seed int64) func(a, b mesh.Coord) int {
+	t.Helper()
+	model, err := fault.Preview(spec, g, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := route.FaultAdaptive().(route.FaultAware)
+	return func(a, b mesh.Coord) int {
+		dirs, err := fa.RouteFaulty(g, a, b, model, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(dirs)
 	}
 }
 
 // replayHomeBase replays prog under HomeBase from the row-major homes:
 // every op teleports B from its home to A's home and back.
-func replayHomeBase(t *testing.T, g mesh.Grid, prog workload.Program) replay {
+func replayHomeBase(t *testing.T, g mesh.Grid, prog workload.Program, pathLen func(a, b mesh.Coord) int) replay {
 	t.Helper()
 	place, err := mesh.RowMajorPlacement(g, prog.Qubits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r replay
+	r := replay{pathLen: pathLen}
 	for _, op := range prog.Ops {
 		a, b := place.Home(op.A), place.Home(op.B)
 		r.move(b, a)
@@ -121,7 +164,7 @@ func replayHomeBase(t *testing.T, g mesh.Grid, prog workload.Program) replay {
 // qubit's last op sends it home.  The simulator runs the ops touching
 // one qubit in program order, so the replay sees the positions the
 // simulator moves between.
-func replayMobile(t *testing.T, g mesh.Grid, prog workload.Program) replay {
+func replayMobile(t *testing.T, g mesh.Grid, prog workload.Program, pathLen func(a, b mesh.Coord) int) replay {
 	t.Helper()
 	place, err := mesh.SnakePlacement(g, prog.Qubits)
 	if err != nil {
@@ -135,7 +178,7 @@ func replayMobile(t *testing.T, g mesh.Grid, prog workload.Program) replay {
 	for k, op := range prog.Ops {
 		last[op.A], last[op.B] = k, k
 	}
-	var r replay
+	r := replay{pathLen: pathLen}
 	for k, op := range prog.Ops {
 		r.move(pos[op.A], pos[op.B])
 		pos[op.A] = pos[op.B]
@@ -149,11 +192,11 @@ func replayMobile(t *testing.T, g mesh.Grid, prog workload.Program) replay {
 	return r
 }
 
-// assertPairHops checks a minimally routed run's channel and pair-hop
-// counts against its program replay: the run opens want.channels
-// channels, and with r batches resent its pairHops exceeds the
-// resend-free count by between batchPairs·r and batchPairs·r·(W+H−2),
-// which for r = 0 pins it exactly.
+// assertPairHops checks a run's channel and pair-hop counts against its
+// program replay: the run opens want.channels channels, and with r
+// batches resent its pairHops exceeds the resend-free count by between
+// batchPairs·r and batchPairs·r·want.longest, which for r = 0 pins it
+// exactly.
 func assertPairHops(t *testing.T, s *simulator, cfg Config, want replay) {
 	t.Helper()
 	if s.channels != want.channels {
@@ -166,13 +209,13 @@ func assertPairHops(t *testing.T, s *simulator, cfg Config, want replay) {
 	batchPairs := uint64(1) << uint(cfg.PurifyDepth)
 	base := uint64(code.PairsPerLogicalTeleport()) * batchPairs * uint64(want.hops)
 	r := s.failedBatches + s.droppedBatches
-	diameter := uint64(cfg.Grid.Width + cfg.Grid.Height - 2)
+	longest := uint64(want.longest)
 	if s.pairHops < base {
 		t.Fatalf("pairHops %d below the resend-free count %d", s.pairHops, base)
 	}
-	if excess := s.pairHops - base; excess < batchPairs*r || excess > batchPairs*r*diameter {
+	if excess := s.pairHops - base; excess < batchPairs*r || excess > batchPairs*r*longest {
 		t.Errorf("pairHops %d = %d + %d for %d resent batches, want excess in [%d, %d]",
-			s.pairHops, base, excess, r, batchPairs*r, batchPairs*r*diameter)
+			s.pairHops, base, excess, r, batchPairs*r, batchPairs*r*longest)
 	}
 }
 

@@ -30,17 +30,17 @@ import (
 
 	"repro/internal/classical"
 	"repro/internal/ecc"
-	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/phys"
-	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 
 	"repro/qnet"
+	"repro/qnet/fault"
+	"repro/qnet/route"
+	"repro/qnet/trace"
 )
 
 // Layout selects the logical-qubit placement policy of Section 5

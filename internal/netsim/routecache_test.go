@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
-	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/workload"
+
+	"repro/qnet/route"
 )
 
 func TestRouteCacheRoundTrip(t *testing.T) {

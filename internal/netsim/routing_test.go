@@ -4,8 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
-	"repro/internal/route"
 	"repro/internal/workload"
+
+	"repro/qnet/route"
 )
 
 // twoQubitProgram is a single op between qubits a and b, so a HomeBase

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/phys"
 
 	"repro/qnet"
+	"repro/qnet/fault"
 )
 
 // validConfig returns a minimal config that passes Validate, for the

@@ -1,49 +1,9 @@
-// Fault-adaptive routing: an escape-channel (up*/down*) extension of
-// the negative-first turn model that routes around dead links.
-//
-// The shipped minimal policies assume every mesh link is live; on a
-// mesh with dead links their paths can cross a hole and the run fails
-// (structurally, not silently — netsim validates paths against the
-// fault model).  FaultAdaptive instead routes on the live topology:
-//
-// Every tile gets an escape rank — its BFS level from tile 0 over live
-// links (internal/fault precomputes these).  Order tiles by the key
-// (rank, row-major index); the key is a total order, so every directed
-// link is either "up" (toward a smaller key) or "down" (toward a
-// larger one).  A legal path is zero or more up hops followed by zero
-// or more down hops — the classic up*/down* rule (Autonet; the
-// spanning-tree member of Duato's escape-channel family).  The policy
-// BFSes the (tile, phase) state graph — phase "up" may continue up or
-// switch down, phase "down" must stay down — and returns the shortest
-// legal path, tie-broken by fixed direction order, so routes are a
-// deterministic function of (grid, fault pattern, src, dst).
-//
-// # Deadlock freedom
-//
-// A batch holds its storage credit at the current tile while it waits
-// for one at the next, so a deadlock needs a cycle of channels each
-// waiting on the next.  Under up*/down* no such cycle exists: along
-// any legal path the tile keys strictly decrease, then strictly
-// increase, so a dependency chain of up-phase waits descends the key
-// order and a chain of down-phase waits ascends it — and the one
-// allowed phase switch (up to down) cannot close a cycle because the
-// forbidden down-to-up switch is exactly the edge every cycle would
-// need.  This is the same argument negative-first makes with the
-// (x+y, x) order; escape ranks generalize it to a mesh with holes.
-//
-// # Negative-first compatibility
-//
-// On a healthy mesh the BFS levels from tile 0 are exactly rank(c) =
-// c.X + c.Y, adjacent tiles always differ by one, and "up" links are
-// precisely the West/North hops — so legal escape paths coincide with
-// negative-first paths and FaultAdaptive's shortest legal route has
-// minimal (Manhattan) length whenever a minimal negative-first path
-// exists.  The escape extension costs nothing until a link dies.
 package route
 
 import (
-	"repro/internal/fault"
 	"repro/internal/mesh"
+
+	"repro/qnet/fault"
 )
 
 // Faults exposes a run's materialized fault pattern to routing.
@@ -81,11 +41,11 @@ type faultAdaptive struct{}
 
 // FaultAdaptive returns the fault-adaptive escape-channel policy: it
 // routes around dead links on the shortest up*/down*-legal path over
-// the live topology (see the package comment's deadlock-freedom
-// argument), and on a healthy mesh behaves as a negative-first minimal
-// policy.  It is not part of Policies() — the healthy-mesh comparison
-// set — but Parse recognizes "fault-adaptive", and it is the policy of
-// choice for any simulation with dead links.
+// the live topology (see the package comment's "Fault-adaptive
+// routing" section), and on a healthy mesh behaves as a
+// negative-first minimal policy.  It is not part of Policies() — the
+// healthy-mesh comparison set — but Parse recognizes "fault-adaptive",
+// and it is the policy of choice for any simulation with dead links.
 func FaultAdaptive() Policy { return faultAdaptive{} }
 
 // Name returns "fault-adaptive".

@@ -5,8 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/mesh"
+
+	"repro/qnet/fault"
 )
 
 // stubFaults is a hand-built fault pattern: an explicit dead-link set

@@ -177,6 +177,9 @@ func WithFaults(sp fault.Spec) Option {
 // tracer to observe) but still stores its result into an attached
 // cache.  A Tracer records one run at a time; attach a fresh tracer per
 // concurrent run (Machine.WithTrace derives per-run machines cheaply).
+// Attached through Space.Options it would reach every point of a sweep,
+// so Sweep and Stream reject it with a *qnet.ConfigError; trace one
+// point through Space.Machine(pt), then Machine.WithTrace.
 func WithTrace(t *trace.Tracer) Option {
 	return optionFunc(func(s *machineSpec) { s.cfg.Trace = t })
 }

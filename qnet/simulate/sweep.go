@@ -450,6 +450,11 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 		if err != nil {
 			return nil, 0, err
 		}
+		if m.cfg.Trace != nil {
+			return nil, 0, &qnet.ConfigError{Field: "Space.Options", Value: "WithTrace",
+				Reason: "a Tracer records one run at a time, so a sweep's points cannot share one; " +
+					"trace a point through Space.Machine(pt), then Machine.WithTrace"}
+		}
 		if cfg.store != nil {
 			m.store = cfg.store
 		}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,5 +216,50 @@ func TestTraceCancelNoLeak(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Errorf("goroutines grew from %d to %d after cancelled traced runs", before, now)
+	}
+}
+
+// TestTraceSharedBySweepIsConfigError pins that a tracer attached
+// through Space.Options is a configuration error: every point's machine
+// would get the same Tracer, which records one run at a time, so sweep
+// workers would race on it.  Sweep and Stream both refuse before any
+// point runs, and the error names the per-point form.
+func TestTraceSharedBySweepIsConfigError(t *testing.T) {
+	grid := testGrid(t, 3)
+	tr := trace.New(trace.Config{})
+	space := Space{
+		Grids:   []qnet.Grid{grid},
+		Layouts: []Layout{HomeBase, MobileQubit},
+		Resources: []Resources{
+			{Teleporters: 16, Generators: 16, Purifiers: 16},
+			{Teleporters: 16, Generators: 16, Purifiers: 8},
+		},
+		Programs: []qnet.Program{qnet.QFT(grid.Tiles())},
+		Options:  []Option{WithTrace(tr)},
+	}
+	check := func(name string, err error) {
+		t.Helper()
+		var ce *qnet.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "Space.Options" {
+			t.Fatalf("%s: err = %v, want a *qnet.ConfigError on Space.Options", name, err)
+		}
+		for _, want := range []string{"Space.Machine(pt)", "Machine.WithTrace"} {
+			if !strings.Contains(ce.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", name, ce, want)
+			}
+		}
+	}
+	points, err := Sweep(context.Background(), space, WithWorkers(4))
+	if points != nil {
+		t.Errorf("Sweep returned %d points", len(points))
+	}
+	check("Sweep", err)
+	ch, total, err := Stream(context.Background(), space, WithWorkers(4))
+	if ch != nil || total != 0 {
+		t.Errorf("Stream returned a channel for %d points", total)
+	}
+	check("Stream", err)
+	if n := tr.Samples(); n != 0 {
+		t.Errorf("the shared tracer took %d samples", n)
 	}
 }

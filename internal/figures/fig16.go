@@ -100,10 +100,13 @@ type Fig16Data struct {
 	Sweep simulate.Summary
 }
 
-// Fig16 runs the resource-allocation sweep of Figure 16.  All
-// configurations (both layouts, the baselines and every allocation,
-// times every seed) run concurrently through the simulate.Sweep engine,
-// deduplicated through the configured result cache.
+// Fig16 runs the resource-allocation sweep of Figure 16: both layouts,
+// the baselines and every allocation, times every seed, through the
+// simulate.Sweep engine and the configured result cache.  Without
+// failure injection the seeds of one configuration share a cache key,
+// so each configuration simulates once; the sweep runs those distinct
+// simulations side by side on its workers and serves every other seed
+// from the cache.
 func Fig16(cfg Fig16Config) (*Fig16Data, error) {
 	return Fig16Context(context.Background(), cfg)
 }

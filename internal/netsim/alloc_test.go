@@ -6,6 +6,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/workload"
@@ -37,4 +38,31 @@ func TestRunAllocationsStayPerChannel(t *testing.T) {
 		t.Errorf("5x5 HomeBase QFT-25 run: %.0f allocs, want <= %d", allocs, maxRunAllocs)
 	}
 	t.Logf("5x5 HomeBase QFT-25 run: %.0f allocs", allocs)
+}
+
+// maxRunBytes bounds the bytes one 8x8 HomeBase QFT-64 run at t=21,
+// g=21, p=5 (Figure 16's t=g=4p allocation) allocates.  HomeBase QFT
+// opens a channel over every ordered pair of home tiles once, so the
+// run caches about 4,000 routes and replays none: the bound holds only
+// while the route cache stores hop directions alone, not the visited
+// tiles as well.
+const maxRunBytes = 4 << 20
+
+// TestRunBytesStayBounded pins the directions-only route cache by the
+// TotalAlloc delta of one run.
+func TestRunBytesStayBounded(t *testing.T) {
+	cfg := DefaultConfig(grid(t, 8, 8), HomeBase, 21, 21, 5)
+	prog := workload.QFT(cfg.Grid.Tiles())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(cfg, prog)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if bytes > maxRunBytes {
+		t.Errorf("8x8 HomeBase QFT-64 run: %d bytes allocated, want <= %d", bytes, maxRunBytes)
+	}
+	t.Logf("8x8 HomeBase QFT-64 run: %d bytes, %d allocs", bytes, after.Mallocs-before.Mallocs)
 }

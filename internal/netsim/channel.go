@@ -51,14 +51,13 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 	// policies see the routers' live loads through the loads adapter.
 	// Deterministic policies answer repeated (src, dst) pairs from the
 	// per-run route cache, skipping the policy call, the Follow
-	// validation walk and both slice allocations.  (The cache is scoped
-	// to one run, hence to one materialized fault pattern, so caching
+	// validation walk and the path allocation.  (The cache is scoped to
+	// one run, hence to one materialized fault pattern, so caching
 	// fault-aware routes is sound.)
 	srcIdx, dstIdx := s.cfg.Grid.Index(src), s.cfg.Grid.Index(dst)
 	var dirs []mesh.Direction
-	var tiles []mesh.Coord
 	if s.routes != nil {
-		dirs, tiles = s.routes.get(srcIdx, dstIdx)
+		dirs = s.routes.get(srcIdx, dstIdx)
 	}
 	if dirs == nil {
 		var err error
@@ -69,7 +68,7 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 			s.fail(err)
 			return
 		}
-		tiles, err = s.cfg.Grid.Follow(src, dirs)
+		tiles, err := s.cfg.Grid.Follow(src, dirs)
 		if err != nil {
 			panic(err) // a policy that walks off the mesh is a policy bug
 		}
@@ -78,16 +77,15 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 				s.policy.Name(), src, tiles[len(tiles)-1], dst))
 		}
 		if s.routes != nil {
-			s.routes.put(srcIdx, dstIdx, dirs, tiles)
+			s.routes.put(srcIdx, dstIdx, dirs)
 		}
 	}
 
 	ch := &channelRun{
-		sim:   s,
-		src:   src,
-		dst:   dst,
-		dirs:  dirs,
-		tiles: tiles,
+		sim:  s,
+		src:  src,
+		dst:  dst,
+		dirs: dirs,
 		done: func() {
 			s.latencies.Add(float64(s.engine.Now() - start))
 			done()
@@ -131,11 +129,10 @@ func (s *simulator) routeChannel(src, dst mesh.Coord) ([]mesh.Direction, error) 
 type channelRun struct {
 	sim      *simulator
 	src, dst mesh.Coord
-	// dirs and tiles are the channel's setup-time path, shared read-only
+	// dirs is the channel's setup-time path from src, shared read-only
 	// by every batch that flies it; resent batches of an adaptive policy
 	// may fly a fresher path (see resend).
 	dirs    []mesh.Direction
-	tiles   []mesh.Coord
 	outputs int
 	done    func()
 	// attempts counts batch transmissions (initial sends plus drop and
@@ -154,16 +151,20 @@ type channelRun struct {
 // returned once the batch outputs its purified pair (or is abandoned by
 // an aborted run).
 //
-// The path a batch flies (dirs, tiles) is immutable once built:
-// in-flight batches release storage by indexing their own path, so a
-// path is never mutated while any batch references it.  Initial batches
-// fly the channel's setup-time path; only adaptive-policy resends fly a
-// fresh one.
+// The path a batch flies (dirs, from the channel source) is immutable
+// once built: in-flight batches release storage by indexing their own
+// path, so a path is never mutated while any batch references it.
+// Initial batches fly the channel's setup-time path; only
+// adaptive-policy resends fly a fresh one.  The batch carries the tile
+// it is at and steps it one direction per hop, so a path needs no
+// stored tile sequence.
 type batch struct {
-	ch    *channelRun
-	dirs  []mesh.Direction
-	tiles []mesh.Coord
-	// hop is the hop in flight, from tiles[hop] to tiles[hop+1]; link is
+	ch   *channelRun
+	dirs []mesh.Direction
+	// at is the batch's current tile: the sending end of hop while the
+	// hop is in flight, the destination once the batch has arrived.
+	at mesh.Coord
+	// hop is the hop in flight, from at in direction dirs[hop]; link is
 	// the canonical index of the mesh link it crosses.
 	hop, link int
 	// lo and hi are the tile indices of the endpoint purifiers, in the
@@ -205,7 +206,7 @@ func (ch *channelRun) startBatch() {
 	if ch.sim.err != nil || !ch.admit() {
 		return
 	}
-	ch.sim.newBatch(ch).fly(ch.dirs, ch.tiles)
+	ch.sim.newBatch(ch).fly(ch.dirs)
 }
 
 // admit counts one batch transmission against the resend budget,
@@ -241,47 +242,48 @@ func (ch *channelRun) resend(b *batch) {
 		s.freeBatch(b)
 		return
 	}
-	dirs, tiles := ch.dirs, ch.tiles
+	dirs := ch.dirs
 	if s.routes == nil {
-		if d, t := ch.reroute(); d != nil {
-			dirs, tiles = d, t
+		if d := ch.reroute(); d != nil {
+			dirs = d
 		}
 	}
 	if t := s.cfg.Trace; t != nil {
-		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(tiles[0], dirs[0]))
+		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(ch.src, dirs[0]))
 		t.RecordResend(s.engine.Now(), li)
 	}
-	b.fly(dirs, tiles)
+	b.fly(dirs)
 }
 
 // reroute resolves a fresh path for a replacement batch under the live
 // loads, or nil to keep the setup-time path.  All shipped adaptive
 // policies are minimal, so the fresh path's hop count (and with it the
 // batch's purification and delivery latencies) matches the original.
-func (ch *channelRun) reroute() ([]mesh.Direction, []mesh.Coord) {
+func (ch *channelRun) reroute() []mesh.Direction {
 	s := ch.sim
 	dirs, err := s.routeChannel(ch.src, ch.dst)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	tiles, err := s.cfg.Grid.Follow(ch.src, dirs)
 	if err != nil || tiles[len(tiles)-1] != ch.dst {
-		return nil, nil
+		return nil
 	}
-	return dirs, tiles
+	return dirs
 }
 
-// fly sends the batch along a path from its first hop.
-func (b *batch) fly(dirs []mesh.Direction, tiles []mesh.Coord) {
-	b.dirs, b.tiles, b.hop = dirs, tiles, 0
+// fly sends the batch along a path from the channel source.
+func (b *batch) fly(dirs []mesh.Direction) {
+	b.dirs, b.at, b.hop = dirs, b.ch.src, 0
 	b.startHop()
 }
 
-// startHop advances the batch from tiles[hop] toward tiles[hop+1]: it
-// first needs a storage credit at the receiving T' node.
+// startHop advances the batch from at toward the next tile of its path:
+// it first needs a storage credit at the receiving T' node.
 func (b *batch) startHop() {
 	s := b.ch.sim
-	s.storage(b.tiles[b.hop+1], b.dirs[b.hop]).AcquireCall(hopStored, b)
+	dir := b.dirs[b.hop]
+	s.storage(b.at.Step(dir), dir).AcquireCall(hopStored, b)
 }
 
 // hopStored runs once the batch holds its storage credit: it takes link
@@ -290,7 +292,7 @@ func (b *batch) startHop() {
 func hopStored(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
-	b.link = s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(b.tiles[b.hop], b.dirs[b.hop]))
+	b.link = s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(b.at, b.dirs[b.hop]))
 	s.gnodes[b.link].ServeCall(s.genLatency, hopGenerated, b)
 }
 
@@ -301,7 +303,7 @@ func hopGenerated(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
 	i, dir := b.hop, b.dirs[b.hop]
-	node := s.nodes[s.cfg.Grid.Index(b.tiles[i])]
+	node := s.nodes[s.cfg.Grid.Index(b.at)]
 	latency := s.teleportLatency
 	if i > 0 && b.dirs[i-1].Axis() != dir.Axis() {
 		latency += node.TurnPenalty()
@@ -318,16 +320,17 @@ func hopTeleported(a any) {
 	i := b.hop
 	s.pairHops += uint64(s.batchPairs)
 	s.net.RecordTeleports(s.batchPairs)
-	// The batch now occupies storage at tiles[i+1]; it frees its slot at
-	// the previous tile (held since the prior hop).
+	// The batch now occupies storage at the next tile; it frees its slot
+	// at the tile it left (held since the prior hop), then steps there.
 	if i > 0 {
-		s.storage(b.tiles[i], b.dirs[i-1]).Release()
+		s.storage(b.at, b.dirs[i-1]).Release()
 	}
+	b.at = b.at.Step(b.dirs[i])
 	if ch.droppedOn(b.link) {
 		// The fault model dropped the batch on this link: it frees the
 		// slot it just occupied and a replacement is sent from the
 		// channel source (budget permitting).
-		s.storage(b.tiles[i+1], b.dirs[i]).Release()
+		s.storage(b.at, b.dirs[i]).Release()
 		s.droppedBatches++
 		if t := s.cfg.Trace; t != nil {
 			t.RecordDrop(s.engine.Now(), b.link)
@@ -361,9 +364,10 @@ func (ch *channelRun) droppedOn(li int) bool {
 // synchronized queue purification at both endpoint P nodes.
 func (b *batch) arrive() {
 	s := b.ch.sim
-	// Queue purification holds one purifier unit at each endpoint,
-	// acquired in canonical index order to prevent circular wait.
-	b.lo, b.hi = s.cfg.Grid.Index(b.tiles[0]), s.cfg.Grid.Index(b.tiles[len(b.tiles)-1])
+	// Queue purification holds one purifier unit at each endpoint (the
+	// channel source and the tile the batch arrived at), acquired in
+	// canonical index order to prevent circular wait.
+	b.lo, b.hi = s.cfg.Grid.Index(b.ch.src), s.cfg.Grid.Index(b.at)
 	if b.lo > b.hi {
 		b.lo, b.hi = b.hi, b.lo
 	}
@@ -390,8 +394,7 @@ func purifyLoHeld(a any) {
 func purify(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
-	last := len(b.dirs) - 1
-	s.storage(b.tiles[last+1], b.dirs[last]).Release()
+	s.storage(b.at, b.dirs[len(b.dirs)-1]).Release()
 	latency := s.purifyBatchLatency(len(b.dirs))
 	s.net.RecordPurifies(s.batchPairs - 1) // tree of 2^d leaves has 2^d - 1 purifications
 	s.engine.ScheduleCall(latency, purified, b)

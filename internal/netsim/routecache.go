@@ -12,31 +12,29 @@ import (
 // workloads open thousands of channels over a handful of distinct
 // pairs — so the simulator resolves each pair once and replays the
 // stored path for every later channel, skipping the policy call, the
-// Follow validation walk and both per-channel slice allocations.
+// Follow validation walk and the per-channel path allocation.
 //
-// Paths live back to back in two flat arenas (hop directions and the
-// parallel visited-tile sequence); the span table is dense over
-// src×dst tile indices, so a lookup is two array reads with no map
-// hashing.  The cache is strictly per-simulator state: concurrent
-// sweep workers each own their run's cache, so there is no shared
-// mutable state across goroutines.
+// Only hop directions are stored: a batch walks its tiles from the
+// channel source by stepping one direction per hop, so the visited
+// tiles need no memory of their own.  Paths live back to back in one
+// flat arena; the span table is dense over src×dst tile indices, so a
+// lookup is two array reads with no map hashing.  The cache is strictly
+// per-simulator state: concurrent sweep workers each own their run's
+// cache, so there is no shared mutable state across goroutines.
 type routeCache struct {
 	tiles int // grid tile count (span table stride)
 	spans []cacheSpan
-	// dirArena and tileArena hold every cached path back to back; a
-	// span's path occupies n directions and n+1 tiles.  Arenas only
-	// ever append, so slices handed out by get stay valid across growth
+	// arena holds every cached path back to back.  It only ever
+	// appends, so slices handed out by get stay valid across growth
 	// (they keep referencing the old backing array).
-	dirArena  []mesh.Direction
-	tileArena []mesh.Coord
+	arena []mesh.Direction
 }
 
-// cacheSpan locates one cached path inside the arenas.  n == 0 means
+// cacheSpan locates one cached path inside the arena.  n == 0 means
 // "not cached": a real path always has at least one hop, because the
 // simulator never opens a channel from a tile to itself.
 type cacheSpan struct {
-	dirOff, tileOff int32
-	n               int32
+	off, n int32
 }
 
 // newRouteCache builds an empty cache for a grid of the given tile
@@ -45,36 +43,25 @@ func newRouteCache(tiles int) *routeCache {
 	return &routeCache{tiles: tiles, spans: make([]cacheSpan, tiles*tiles)}
 }
 
-// get returns the cached path for srcIdx→dstIdx, or (nil, nil) on a
-// miss.  The returned slices are capacity-capped views into the
-// arenas; callers must treat them as read-only.
-func (rc *routeCache) get(srcIdx, dstIdx int) ([]mesh.Direction, []mesh.Coord) {
+// get returns the cached path for srcIdx→dstIdx, or nil on a miss.  The
+// returned slice is a capacity-capped view into the arena; callers must
+// treat it as read-only.
+func (rc *routeCache) get(srcIdx, dstIdx int) []mesh.Direction {
 	sp := rc.spans[srcIdx*rc.tiles+dstIdx]
 	if sp.n == 0 {
-		return nil, nil
+		return nil
 	}
-	dirs := rc.dirArena[sp.dirOff : sp.dirOff+sp.n : sp.dirOff+sp.n]
-	tiles := rc.tileArena[sp.tileOff : sp.tileOff+sp.n+1 : sp.tileOff+sp.n+1]
-	return dirs, tiles
+	return rc.arena[sp.off : sp.off+sp.n : sp.off+sp.n]
 }
 
 // put stores a validated path for srcIdx→dstIdx.  Empty paths are
 // never stored (the zero span means "absent"), and a path that would
-// push an arena past the int32 offset range is silently not cached —
+// push the arena past the int32 offset range is silently not cached —
 // the cache is an optimization, never a correctness requirement.
-func (rc *routeCache) put(srcIdx, dstIdx int, dirs []mesh.Direction, tiles []mesh.Coord) {
-	if len(dirs) == 0 || len(tiles) != len(dirs)+1 {
+func (rc *routeCache) put(srcIdx, dstIdx int, dirs []mesh.Direction) {
+	if len(dirs) == 0 || len(rc.arena)+len(dirs) > math.MaxInt32 {
 		return
 	}
-	if len(rc.dirArena)+len(dirs) > math.MaxInt32 || len(rc.tileArena)+len(tiles) > math.MaxInt32 {
-		return
-	}
-	sp := cacheSpan{
-		dirOff:  int32(len(rc.dirArena)),
-		tileOff: int32(len(rc.tileArena)),
-		n:       int32(len(dirs)),
-	}
-	rc.dirArena = append(rc.dirArena, dirs...)
-	rc.tileArena = append(rc.tileArena, tiles...)
-	rc.spans[srcIdx*rc.tiles+dstIdx] = sp
+	rc.spans[srcIdx*rc.tiles+dstIdx] = cacheSpan{off: int32(len(rc.arena)), n: int32(len(dirs))}
+	rc.arena = append(rc.arena, dirs...)
 }

@@ -12,48 +12,43 @@ import (
 
 func TestRouteCacheRoundTrip(t *testing.T) {
 	rc := newRouteCache(9) // 3x3 grid
-	if d, ti := rc.get(0, 8); d != nil || ti != nil {
+	if d := rc.get(0, 8); d != nil {
 		t.Fatal("empty cache returned a path")
 	}
 	dirs := []mesh.Direction{mesh.East, mesh.East, mesh.South}
-	tiles := []mesh.Coord{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 1}}
-	rc.put(0, 5, dirs, tiles)
-	gd, gt := rc.get(0, 5)
-	if len(gd) != 3 || len(gt) != 4 {
-		t.Fatalf("got %d dirs / %d tiles, want 3 / 4", len(gd), len(gt))
+	rc.put(0, 5, dirs)
+	got := rc.get(0, 5)
+	if len(got) != len(dirs) {
+		t.Fatalf("got %d dirs, want %d", len(got), len(dirs))
 	}
 	for i := range dirs {
-		if gd[i] != dirs[i] {
-			t.Errorf("dir %d = %v, want %v", i, gd[i], dirs[i])
-		}
-	}
-	for i := range tiles {
-		if gt[i] != tiles[i] {
-			t.Errorf("tile %d = %v, want %v", i, gt[i], tiles[i])
+		if got[i] != dirs[i] {
+			t.Errorf("dir %d = %v, want %v", i, got[i], dirs[i])
 		}
 	}
 	// Other pairs stay misses; the reverse direction is its own entry.
-	if d, _ := rc.get(5, 0); d != nil {
+	if d := rc.get(5, 0); d != nil {
 		t.Error("reverse pair should miss")
 	}
 	// Arena growth must not corrupt previously returned spans.
 	for i := 0; i < 64; i++ {
-		rc.put(1, 2+i%6, dirs, tiles)
+		rc.put(1, 2+i%6, dirs)
 	}
-	gd2, _ := rc.get(0, 5)
+	got2 := rc.get(0, 5)
 	for i := range dirs {
-		if gd2[i] != dirs[i] {
+		if got2[i] != dirs[i] {
 			t.Fatalf("span corrupted after arena growth at dir %d", i)
 		}
 	}
 }
 
+// TestRouteCachePutRejectsMalformed checks an empty path is never
+// stored: the zero span is the cache's "absent" marker.
 func TestRouteCachePutRejectsMalformed(t *testing.T) {
 	rc := newRouteCache(4)
-	rc.put(0, 1, nil, []mesh.Coord{{}})
-	rc.put(0, 1, []mesh.Direction{mesh.East}, []mesh.Coord{{}}) // tiles != dirs+1
-	if d, _ := rc.get(0, 1); d != nil {
-		t.Error("malformed put was stored")
+	rc.put(0, 1, nil)
+	if d := rc.get(0, 1); d != nil {
+		t.Error("empty path was stored")
 	}
 }
 

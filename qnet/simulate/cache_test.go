@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/qnet"
 	"repro/qnet/fault"
@@ -242,6 +244,91 @@ func TestSweepCollapsedEnsembleCounters(t *testing.T) {
 					t.Fatalf("%s, trial %d: collapsed seeds disagree", via, trial)
 				}
 			}
+		}
+	}
+}
+
+// rendezvousStore wraps a Store so the first Get of each key waits, up
+// to timeout, until want distinct keys have been looked up.  A sweep
+// that runs its distinct keys side by side meets at once; one that
+// parks a worker behind another key's flight leaves the first lookup
+// waiting out the timeout, which is recorded.
+type rendezvousStore struct {
+	Store
+	want    int
+	timeout time.Duration
+
+	mu       sync.Mutex
+	seen     map[Key]bool
+	met      chan struct{} // closed once want keys have been looked up
+	timedOut bool
+}
+
+func newRendezvousStore(st Store, want int, timeout time.Duration) *rendezvousStore {
+	return &rendezvousStore{Store: st, want: want, timeout: timeout, seen: make(map[Key]bool), met: make(chan struct{})}
+}
+
+func (s *rendezvousStore) Get(k Key) (Result, bool) {
+	s.mu.Lock()
+	first := !s.seen[k]
+	if first {
+		s.seen[k] = true
+		if len(s.seen) == s.want {
+			close(s.met)
+		}
+	}
+	s.mu.Unlock()
+	if first {
+		select {
+		case <-s.met:
+		case <-time.After(s.timeout):
+			s.mu.Lock()
+			s.timedOut = true
+			s.mu.Unlock()
+		}
+	}
+	return s.Store.Get(k)
+}
+
+// TestSweepRunsDistinctKeysConcurrently asserts the dispatch order: a
+// failure-free space of 2 allocations × 3 seeds has 2 distinct keys,
+// and with 2 workers both keys must be looked up (and simulated) at
+// once.  Fed in index order, the second worker would take a duplicate
+// seed of the first key and wait for that key's run, leaving the store
+// waiting out its timeout.
+func TestSweepRunsDistinctKeysConcurrently(t *testing.T) {
+	grid := testGrid(t, 3)
+	space := Space{
+		Grids:   []qnet.Grid{grid},
+		Layouts: []Layout{HomeBase},
+		Resources: []Resources{
+			{Teleporters: 16, Generators: 16, Purifiers: 8},
+			{Teleporters: 8, Generators: 8, Purifiers: 4},
+		},
+		Programs: []qnet.Program{qnet.QFT(grid.Tiles())},
+		Seeds:    []int64{1, 2, 3},
+	}
+	for _, via := range []string{"sweep option", "Space.Options"} {
+		cache := NewCache(0)
+		st := newRendezvousStore(cache, 2, 3*time.Second)
+		sp, opts := space, []SweepOption{WithWorkers(2)}
+		if via == "sweep option" {
+			opts = append(opts, WithStore(st))
+		} else {
+			sp.Options = []Option{WithStore(st)}
+		}
+		points, err := Sweep(context.Background(), sp, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.timedOut {
+			t.Errorf("%s: a worker waited on a duplicate while a distinct key was left to run", via)
+		}
+		if s := Summarize(points); s.CacheHits != 4 || s.Failed != 0 {
+			t.Errorf("%s: %v, want 4 hits and no failures", via, s)
+		}
+		if s := cache.Stats(); s.Hits != 4 || s.Misses != 2 {
+			t.Errorf("%s: cache counters %v, want 4 hits / 2 misses", via, s)
 		}
 	}
 }

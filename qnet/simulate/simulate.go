@@ -266,22 +266,32 @@ func (m *Machine) Store() Store { return m.store }
 // runs back, so a warm re-run of the same configuration and program is
 // a lookup instead of a simulation (Cache().Stats() reports the hit).
 func (m *Machine) Run(ctx context.Context, prog qnet.Program) (Result, error) {
-	res, _, err := m.run(ctx, m.cfg, prog, m.flights)
+	res, _, err := m.run(ctx, m.cfg, prog, m.flights, m.keyOf(m.cfg, prog))
 	return res, err
+}
+
+// keyOf returns the key run takes for prog under cfg: its content
+// address when the machine has a store, and otherwise the zero Key,
+// which run ignores, so a storeless run hashes nothing.
+func (m *Machine) keyOf(cfg netsim.Config, prog qnet.Program) Key {
+	if m.store == nil {
+		return Key{}
+	}
+	return keyFor(cfg, prog)
 }
 
 // run is the one path from a run point to its Result: Machine.Run,
 // Session.Run and every Sweep point come through here.  cfg is the
-// machine's configuration with any per-run seed applied.  Without a
-// store it simulates.  With one, it claims cfg's key in flights (so
-// concurrent runs of one key simulate once), answers from the store
-// when it can, and otherwise simulates and stores the Result; cached
-// reports a store hit.  A traced run never answers from the store —
-// the tracer observes the simulation itself, and a stored Result has
-// no time series to give it — but its result is still stored: traced
-// and untraced runs produce identical Results, so the entry serves
-// either.
-func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program, flights *flightGroup) (res Result, cached bool, err error) {
+// machine's configuration with any per-run seed applied, and key is
+// keyOf(cfg, prog), hashed once by the caller.  Without a store it
+// simulates.  With one, it claims key in flights (so concurrent runs of
+// one key simulate once), answers from the store when it can, and
+// otherwise simulates and stores the Result; cached reports a store
+// hit.  A traced run never answers from the store — the tracer
+// observes the simulation itself, and a stored Result has no time
+// series to give it — but its result is still stored: traced and
+// untraced runs produce identical Results, so the entry serves either.
+func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program, flights *flightGroup, key Key) (res Result, cached bool, err error) {
 	if err := netsim.CheckProgram(cfg.Grid, prog); err != nil {
 		return Result{}, false, err
 	}
@@ -289,7 +299,6 @@ func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program,
 		res, err = netsim.RunContext(ctx, cfg, prog)
 		return res, false, err
 	}
-	key := keyFor(cfg, prog)
 	if cfg.Trace == nil {
 		if err := flights.claim(ctx, key); err != nil {
 			return Result{}, false, err
@@ -343,7 +352,7 @@ func (s *Session) Run(ctx context.Context, prog qnet.Program) (Result, error) {
 	m := s.machine
 	cfg := m.cfg
 	cfg.Seed = deriveSeed(cfg.Seed, s.runs)
-	res, _, err := m.run(ctx, cfg, prog, m.flights)
+	res, _, err := m.run(ctx, cfg, prog, m.flights, m.keyOf(cfg, prog))
 	if err != nil {
 		return Result{}, err
 	}

@@ -37,7 +37,8 @@ func SeedRange(n int) []int64 {
 
 // flightGroup tracks content keys currently being simulated, so
 // duplicate in-flight points can wait for the first run instead of
-// repeating it.
+// repeating it.  A sweep feeds every distinct key before any duplicate,
+// so its workers block here only once no distinct key is left to start.
 type flightGroup struct {
 	mu       sync.Mutex
 	inflight map[Key]chan struct{}
@@ -391,10 +392,14 @@ func WithCache(c *Cache) CacheOption {
 // across worker goroutines.  Each point gets its own Machine and its own
 // per-run RNG seeded from the point's seed, so results are independent
 // of worker count and scheduling: a sweep is exactly as reproducible as
-// its points.  Results are returned in expansion order.  Per-point
-// simulation failures are recorded in SweepPoint.Err; Sweep itself
-// returns an error only for an invalid space or a cancelled context
-// (alongside the points finished before cancellation).
+// its points.  With a store attached, points sharing a content key
+// simulate once: workers take the first point of every distinct key,
+// in index order, before any duplicate, so distinct simulations run
+// side by side and the duplicates are then served from the store.
+// Results are returned in expansion order.  Per-point simulation
+// failures are recorded in SweepPoint.Err; Sweep itself returns an
+// error only for an invalid space or a cancelled context (alongside
+// the points finished before cancellation).
 func Sweep(ctx context.Context, space Space, opts ...SweepOption) ([]SweepPoint, error) {
 	cfg := sweepOptions(opts)
 	ch, total, err := stream(ctx, space, cfg)
@@ -416,11 +421,13 @@ func Sweep(ctx context.Context, space Space, opts ...SweepOption) ([]SweepPoint,
 }
 
 // Stream is Sweep with results delivered as they finish, in completion
-// order, over the returned channel.  The second return is the total
-// point count.  The channel closes when every point has been delivered
-// or the context is cancelled.  The caller must either drain the
-// channel or cancel ctx; abandoning the channel mid-stream leaves the
-// worker goroutines blocked on their sends for the life of ctx.
+// order, over the returned channel; points are dispatched in Sweep's
+// order (every distinct key before its duplicates).  The second return
+// is the total point count.  The channel closes when every point has
+// been delivered or the context is cancelled.  The caller must either
+// drain the channel or cancel ctx; abandoning the channel mid-stream
+// leaves the worker goroutines blocked on their sends for the life of
+// ctx.
 func Stream(ctx context.Context, space Space, opts ...SweepOption) (<-chan SweepPoint, int, error) {
 	return stream(ctx, space, sweepOptions(opts))
 }
@@ -443,8 +450,10 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 	}
 	// Validate every point's machine up front so configuration errors
 	// surface before any simulation work is spent.  A sweep-level store
-	// replaces whatever store Space.Options attached.
+	// replaces whatever store Space.Options attached; a point with a
+	// store has its content key hashed here, once.
 	machines := make([]*Machine, len(pts))
+	keys := make([]Key, len(pts))
 	for i, pt := range pts {
 		m, err := space.machine(pt)
 		if err != nil {
@@ -459,7 +468,30 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 			m.store = cfg.store
 		}
 		machines[i] = m
+		keys[i] = m.keyOf(m.cfg, pt.Program)
 	}
+
+	// Feed the first point of every distinct key, in index order, before
+	// any duplicate.  Space.points expands seeds last, so in index order
+	// the seeds of a deterministic configuration (one key) arrive
+	// together, and every worker but one would wait in flights.claim for
+	// the key's single run.  Duplicates, in index order, come last:
+	// by then their keys are stored or in flight.  Without a store every
+	// point is distinct and the order is the index order.
+	order := make([]int, 0, len(pts))
+	var dups []int
+	seen := make(map[Key]bool)
+	for i, m := range machines {
+		if m.store != nil {
+			if seen[keys[i]] {
+				dups = append(dups, i)
+				continue
+			}
+			seen[keys[i]] = true
+		}
+		order = append(order, i)
+	}
+	order = append(order, dups...)
 
 	workers := cfg.workers
 	if workers > len(pts) {
@@ -473,7 +505,7 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 	// configuration, whose keys canonicalize the seed away) only the
 	// first simulates and the rest take its stored result.  Hit counts
 	// are then a pure function of the space — one miss per unique key,
-	// one hit per duplicate point — whatever the worker count.
+	// one hit per duplicate point — whatever the worker count or order.
 	flights := newFlightGroup()
 
 	var wg sync.WaitGroup
@@ -491,7 +523,7 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 					return
 				}
 				m := machines[i]
-				res, cached, err := m.run(ctx, m.cfg, pts[i].Program, flights)
+				res, cached, err := m.run(ctx, m.cfg, pts[i].Program, flights, keys[i])
 				if ctx.Err() != nil {
 					return
 				}
@@ -505,7 +537,7 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 	}
 	go func() {
 		defer close(jobs)
-		for i := range pts {
+		for _, i := range order {
 			if ctx.Err() != nil {
 				return
 			}

@@ -36,10 +36,11 @@
 //	sweep -mode depth -workers http://h1:9000,http://h2:9000 \
 //	      -cache-dir .qnet -store-listen 10.0.0.5:9100
 //
-// With -journal a distributed sweep checkpoints shard completions to
-// an append-only journal in that directory; rerunning the identical
-// sweep after a coordinator crash re-dispatches only the unfinished
-// shards and reconstructs the rest from the shared store.
+// The coordinator merges every shard whose points the shared store
+// already holds without dispatching it, so rerunning a finished sweep
+// sends the workers nothing, and rerunning one a coordinator crash cut
+// short dispatches only the shards with a point missing.  Keep the
+// store across runs with -cache-dir.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 // 3 a shard exhausted its dispatch attempts, 4 interrupted (SIGINT/
@@ -85,7 +86,6 @@ func main() {
 		routes      = flag.String("routes", "", `routing policies to compare, comma-separated ("all" or e.g. "xy,yx,zigzag,least-congested"); implies -mode routes`)
 		faultDead   = flag.Float64("fault-dead", 0, "fraction of mesh links to kill per depth-sweep point (drawn from each point's seed; switches routing to fault-adaptive)")
 		faultDrop   = flag.Float64("fault-drop", 0, "per-link batch drop probability injected on live links for the depth sweep")
-		journalDir  = flag.String("journal", "", "directory for the distributed coordinator's checkpoint journal (empty: no journal); rerunning an identical sweep resumes it")
 	)
 	flag.Parse()
 
@@ -101,8 +101,6 @@ func main() {
 		switch {
 		case len(workerURLs) > 0 && *mode != "depth" && *routes == "":
 			err = &configError{fmt.Errorf("distributed -workers is only supported with -mode depth")}
-		case *journalDir != "" && len(workerURLs) == 0:
-			err = &configError{fmt.Errorf("-journal is only supported with distributed -workers")}
 		case *routes != "" || *mode == "routes":
 			if len(workerURLs) > 0 {
 				err = &configError{fmt.Errorf("distributed -workers is only supported with -mode depth")}
@@ -114,7 +112,7 @@ func main() {
 		case *mode == "hops":
 			err = sweepHops(*dist)
 		case *mode == "depth" && len(workerURLs) > 0:
-			err = sweepDepthDistributed(ctx, *gridN, workerURLs, *seeds, *failure, *cacheDir, *storeListen, *journalDir,
+			err = sweepDepthDistributed(ctx, *gridN, workerURLs, *seeds, *failure, *cacheDir, *storeListen,
 				fault.Spec{DeadLinks: *faultDead, Drop: *faultDrop})
 		case *mode == "depth":
 			err = sweepDepth(ctx, *gridN, goroutines, *seeds, *failure, *cacheDir,
@@ -327,9 +325,10 @@ func writeDepthTable(points []simulate.SweepPoint, gridN, seeds int, autoRouting
 // as a wire spec, shards stream back over HTTP, and the merged points
 // feed the identical table.  With -store-listen set, the coordinator
 // also serves its cache (disk-backed under -cache-dir) as the fleet's
-// shared result store; with -journal it checkpoints shard completions
-// so an identical rerun resumes instead of restarting.
-func sweepDepthDistributed(ctx context.Context, gridN int, workerURLs []string, seeds int, failure float64, cacheDir, storeListen, journalDir string, fs fault.Spec) error {
+// shared result store.  Shards that cache already holds are merged
+// from it without dispatch, so an identical rerun resumes instead of
+// restarting.
+func sweepDepthDistributed(ctx context.Context, gridN int, workerURLs []string, seeds int, failure float64, cacheDir, storeListen string, fs fault.Spec) error {
 	spec, autoRouting, err := depthSweepSpec(gridN, seeds, failure, fs)
 	if err != nil {
 		return err
@@ -360,17 +359,12 @@ func sweepDepthDistributed(ctx context.Context, gridN int, workerURLs []string, 
 		fmt.Fprintln(os.Stderr, "sweep: serving shared store on", storeURL)
 	}
 
-	copts := []distrib.CoordinatorOption{
+	coord, err := distrib.NewCoordinator(distrib.NewHTTPTransport(), workerURLs,
 		distrib.WithSharedStore(store, storeURL),
-		distrib.WithHeartbeat(2 * time.Second),
+		distrib.WithHeartbeat(2*time.Second),
 		distrib.WithLogf(func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}),
-	}
-	if journalDir != "" {
-		copts = append(copts, distrib.WithJournal(journalDir))
-	}
-	coord, err := distrib.NewCoordinator(distrib.NewHTTPTransport(), workerURLs, copts...)
+		}))
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,8 @@
 // The coordinator half of the distributed sweep service: shard
-// planning, dispatch, capped-exponential retry, circuit-breaker
-// quarantine, dead-worker reassignment, checkpoint journaling, and the
-// merge back into the single-process []simulate.SweepPoint contract.
+// planning, merging the shards the shared store already holds without
+// dispatching them, dispatch of the rest, capped-exponential retry,
+// circuit-breaker quarantine, dead-worker reassignment, and the merge
+// back into the single-process []simulate.SweepPoint contract.
 
 package distrib
 
@@ -29,17 +30,16 @@ var ErrAttemptsExhausted = errors.New("distrib: shard attempts exhausted")
 // run sweeps with Sweep; a Coordinator is safe for sequential reuse
 // (one Sweep at a time).
 type Coordinator struct {
-	transport  Transport
-	workers    []string
-	shards     int
-	attempts   int
-	backoff    time.Duration
-	heartbeat  time.Duration
-	journalDir string
-	store      simulate.Store
-	storeURL   string
-	logf       func(format string, args ...any)
-	progress   func(worker string, st Status)
+	transport Transport
+	workers   []string
+	shards    int
+	attempts  int
+	backoff   time.Duration
+	heartbeat time.Duration
+	store     simulate.Store
+	storeURL  string
+	logf      func(format string, args ...any)
+	progress  func(worker string, st Status)
 }
 
 // Failure handling scales with the retry backoff base
@@ -113,22 +113,13 @@ func WithProgress(f func(worker string, st Status)) CoordinatorOption {
 	return func(c *Coordinator) { c.progress = f }
 }
 
-// WithJournal enables the coordinator's checkpoint journal: an
-// append-only NDJSON file under dir (named by a hash of the spec and
-// shard plan) records each shard's completion as it lands.  A crashed
-// or cancelled Sweep re-run with the same journal directory, spec and
-// shard count re-dispatches only the unfinished shards; the finished
-// ones are reconstructed point by point from the shared store
-// (Report.ResumedShards counts them).  Resume therefore needs
-// WithSharedStore — without a store the journal still records, but
-// every shard re-dispatches.  A journaled shard containing a failed
-// point is never store-covered, so it too re-dispatches.
-func WithJournal(dir string) CoordinatorOption {
-	return func(c *Coordinator) { c.journalDir = dir }
-}
-
 // WithSharedStore gives the coordinator the fleet's shared result
-// store: merged fresh points are sanity-checked against it (see
+// store.  Before dispatching, Sweep merges every shard whose points
+// the store already holds straight from it, so a re-run of a finished
+// sweep, or of one a coordinator crash cut short, dispatches only the
+// shards with a point missing (Report.ResumedShards counts the rest).
+// A failed point is never stored, so its shard always dispatches.
+// Merged fresh points are sanity-checked against the store (see
 // Report.Mismatches), its stats land in the Report, and — when url is
 // non-empty — every dispatched Job carries it as StoreURL so workers
 // consult the same store remotely.  Pass url "" for transports whose
@@ -175,10 +166,8 @@ type Report struct {
 	CacheHits int
 	// Shards is the number of planned shards.
 	Shards int
-	// ResumedShards counts shards never dispatched on this run because
-	// the checkpoint journal (WithJournal) recorded them complete and
-	// every one of their points was reconstructed from the shared
-	// store.
+	// ResumedShards counts shards merged from the shared store without
+	// dispatch, because the store held every one of their points.
 	ResumedShards int
 	// Reassignments counts shard dispatches beyond each shard's first
 	// (retries on any worker plus failovers to another).
@@ -219,7 +208,7 @@ func (r *Report) String() string {
 	out := fmt.Sprintf("%d points (%d store hits) over %d shards, %d reassignments, %d duplicates, %d mismatches",
 		r.Points, r.CacheHits, r.Shards, r.Reassignments, r.DuplicatePoints, r.Mismatches)
 	if r.ResumedShards > 0 {
-		out += fmt.Sprintf(", %d resumed from journal", r.ResumedShards)
+		out += fmt.Sprintf(", %d served from the store", r.ResumedShards)
 	}
 	if r.Quarantines > 0 {
 		out += fmt.Sprintf(", %d quarantines", r.Quarantines)
@@ -268,10 +257,10 @@ func retryDelay(base time.Duration, shard, attempt int) time.Duration {
 	return time.Duration(half + int64(h%uint64(half+1)))
 }
 
-// resumeShard reconstructs a journaled-complete shard's points from
-// the shared store; ok is false when any point is missing, in which
-// case the shard re-dispatches normally.
-func resumeShard(store simulate.Store, keys []simulate.Key, indices []int) ([]PointResult, bool) {
+// storedShard reads a shard's points from the shared store; ok is
+// false at the first missing point, and the whole shard then
+// dispatches.
+func storedShard(store simulate.Store, keys []simulate.Key, indices []int) ([]PointResult, bool) {
 	out := make([]PointResult, 0, len(indices))
 	for _, idx := range indices {
 		res, ok := store.Get(keys[idx])
@@ -297,16 +286,7 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.Swe
 	if err != nil {
 		return nil, nil, err
 	}
-	shards := PlanShards(len(pts), c.shards)
-	var jnl *journal
-	if c.journalDir != "" {
-		if jnl, err = openJournal(c.journalDir, spec, len(shards)); err != nil {
-			return nil, nil, err
-		}
-		defer jnl.close()
-	}
-
-	r := newSweepRun(ctx, c, spec, keys, jnl, shards, len(pts))
+	r := newSweepRun(ctx, c, spec, keys, PlanShards(len(pts), c.shards), len(pts))
 	defer r.cancel()
 	for _, w := range c.workers {
 		r.dispatchers.Add(1)
@@ -327,8 +307,8 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.Swe
 
 // expand resolves the spec's run points and, with a store attached,
 // every point's content key up front (the same machine validation
-// single-process Sweep performs eagerly); the keys drive the
-// merge-time sanity check and the journal's resume path.
+// single-process Sweep performs eagerly); the keys find the shards the
+// store already holds and drive the merge-time sanity check.
 func (c *Coordinator) expand(spec SpaceSpec) ([]simulate.Point, []simulate.Key, error) {
 	space, err := spec.Space()
 	if err != nil {
@@ -372,7 +352,6 @@ type sweepRun struct {
 	c    *Coordinator
 	spec SpaceSpec
 	keys []simulate.Key // per-point store keys; nil without a store
-	jnl  *journal       // nil without WithJournal
 
 	ctx            context.Context // cancelled when the run fails or the caller gives up
 	cancel         context.CancelFunc
@@ -392,13 +371,12 @@ type sweepRun struct {
 	failure   error // the first failure, which ended the run
 }
 
-// newSweepRun sets up a run over the planned shards.  A shard the
-// journal records complete is merged straight from the shared store
-// when the store still holds every one of its points; every other
-// shard is queued for dispatch.
-func newSweepRun(ctx context.Context, c *Coordinator, spec SpaceSpec, keys []simulate.Key, jnl *journal, shards []Shard, points int) *sweepRun {
+// newSweepRun sets up a run over the planned shards.  A shard whose
+// every point the shared store holds is merged straight from it; every
+// other shard is queued for dispatch.
+func newSweepRun(ctx context.Context, c *Coordinator, spec SpaceSpec, keys []simulate.Key, shards []Shard, points int) *sweepRun {
 	r := &sweepRun{
-		c: c, spec: spec, keys: keys, jnl: jnl,
+		c: c, spec: spec, keys: keys,
 		pending:   make(chan *shardState, len(shards)),
 		allDone:   make(chan struct{}),
 		rep:       &Report{Shards: len(shards), ShardsByWorker: make(map[string]int)},
@@ -413,8 +391,8 @@ func newSweepRun(ctx context.Context, c *Coordinator, spec SpaceSpec, keys []sim
 		r.workers[w] = &workerRec{}
 	}
 	for _, sh := range shards {
-		if jnl != nil && keys != nil && jnl.done[sh.ID] {
-			if prs, ok := resumeShard(c.store, keys, sh.Indices); ok {
+		if keys != nil {
+			if prs, ok := storedShard(c.store, keys, sh.Indices); ok {
 				for _, pr := range prs {
 					_ = r.merge(pr) // plan indices are always in range
 				}
@@ -426,7 +404,7 @@ func newSweepRun(ctx context.Context, c *Coordinator, spec SpaceSpec, keys []sim
 		r.pending <- &shardState{Shard: sh}
 	}
 	if r.rep.ResumedShards > 0 {
-		c.logf("distrib: journal resumed %d of %d shards from the store", r.rep.ResumedShards, len(shards))
+		c.logf("distrib: %d of %d shards served from the store", r.rep.ResumedShards, len(shards))
 	}
 	if r.remaining == 0 {
 		close(r.allDone)
@@ -448,7 +426,7 @@ func (r *sweepRun) dispatch(worker string) {
 		switch {
 		case err == nil:
 			failures = 0
-			r.complete(worker, sh)
+			r.complete(worker)
 		case r.ctx.Err() != nil:
 			return
 		case errors.Is(err, ErrWorkerDraining):
@@ -525,19 +503,14 @@ func (r *sweepRun) run(worker string, sh *shardState) error {
 	return err
 }
 
-// complete records a shard the worker finished and journals it,
-// closing allDone when it was the last one outstanding.
-func (r *sweepRun) complete(worker string, sh *shardState) {
+// complete records a shard the worker finished, closing allDone when
+// it was the last one outstanding.
+func (r *sweepRun) complete(worker string) {
 	r.mu.Lock()
 	r.rep.ShardsByWorker[worker]++
 	r.remaining--
 	last := r.remaining == 0
 	r.mu.Unlock()
-	if r.jnl != nil {
-		if err := r.jnl.complete(sh.ID); err != nil {
-			r.c.logf("distrib: journal: %v", err)
-		}
-	}
 	if last {
 		close(r.allDone)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -170,6 +171,85 @@ func TestHTTPServerDrain(t *testing.T) {
 	defer cancel2()
 	if err := srv.Drain(drainCtx); err != nil {
 		t.Fatalf("Drain after stream consumed: %v", err)
+	}
+}
+
+// gatedStore blocks every Get until open is closed, signalling entered
+// on the first, then misses.
+type gatedStore struct {
+	simulate.Store
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+// Get waits for the gate, then misses.
+func (s *gatedStore) Get(simulate.Key) (simulate.Result, bool) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.open
+	return simulate.Result{}, false
+}
+
+// TestHTTPServerDrainAfterHangup: a coordinator that gives up on a
+// stream (its dispatch cancelled, its worker declared dead) never reads
+// that stream again, so the server must drop the job once the stream
+// breaks.  Here the reader hangs up while the job is held mid-execution;
+// once the job is released, Drain must return as soon as it has
+// finished executing, not wait out its timeout for a stream nobody
+// reads.
+func TestHTTPServerDrainAfterHangup(t *testing.T) {
+	spec := testSpec(t)
+	store := &gatedStore{Store: simulate.NewCache(0), entered: make(chan struct{}), open: make(chan struct{})}
+	srv := NewServer(NewWorker(WithWorkerStore(store), WithWorkerParallelism(1)))
+	defer srv.Close()
+	streaming := make(chan struct{})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			close(streaming)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	release := sync.OnceFunc(func() { close(store.open) })
+	defer release() // never leave the job blocked
+
+	resp := submitJob(t, ts.URL, spec, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	var accepted struct {
+		ID string `json:"id"`
+	}
+	err := json.NewDecoder(resp.Body).Decode(&accepted)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	<-store.entered
+
+	// Open the stream, then hang up while the job is still held.
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+jobsPath+"/"+accepted.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hungUp := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		hungUp <- err
+	}()
+	<-streaming
+	cancel()
+	if err := <-hungUp; err == nil {
+		t.Fatal("stream read completed although the job is held")
+	}
+
+	release()
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelDrain()
+	if err := srv.Drain(drainCtx); err != nil {
+		t.Fatalf("Drain after the reader hung up: %v", err)
 	}
 }
 

@@ -52,12 +52,11 @@ type streamLine struct {
 // jobState buffers one job's results between the executing goroutine
 // and (possibly later, possibly slower) stream readers.
 type jobState struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	points   []PointResult
-	done     bool
-	streamed bool // a reader consumed the stream through its terminal line
-	err      error
+	mu     sync.Mutex
+	cond   *sync.Cond
+	points []PointResult
+	done   bool
+	err    error
 }
 
 // newJobState builds an empty buffer.
@@ -114,7 +113,7 @@ func (s *Server) Draining() bool {
 
 // Drain gracefully shuts the job API down: it stops accepting new
 // jobs (StartDrain) and blocks until every accepted job has finished
-// executing and streamed its terminal line, or ctx expires — the
+// executing and its stream has ended, or ctx expires — the
 // SIGTERM path of cmd/sweepd.  It returns ctx.Err() on timeout, nil
 // once the server is idle; either way the server stays drained.
 func (s *Server) Drain(ctx context.Context) error {
@@ -131,23 +130,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// drained reports whether no job is executing and every buffered job
-// has streamed its terminal line.
+// drained reports whether no job is executing and every accepted
+// job's stream has ended.
 func (s *Server) drained() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.executing > 0 {
-		return false
-	}
-	for _, js := range s.jobs {
-		js.mu.Lock()
-		ok := js.streamed
-		js.mu.Unlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return s.executing == 0 && len(s.jobs) == 0
 }
 
 // Handler returns the job API's http.Handler, with the store API's
@@ -225,8 +213,11 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveStream streams a job's results as they finish, ending with a
-// terminal done or error line.  The finished job is dropped from the
-// server's table once fully streamed.
+// terminal done or error line.  The job is dropped from the server's
+// table once its stream ends, whether it reached the terminal line or
+// the reader hung up: nothing reads a stream twice (a coordinator
+// retries by submitting a new job), and a job left in the table would
+// hold its points and stall Drain until its timeout.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -270,7 +261,8 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request) {
 		js.mu.Unlock()
 		for i := range batch {
 			if !write(streamLine{Point: &batch[i]}) {
-				return // reader hung up; keep the job for a retry
+				s.forget(id) // the reader hung up
+				return
 			}
 		}
 		if done && next == s.lenPoints(js) {
@@ -278,16 +270,18 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request) {
 				write(streamLine{Err: err.Error()})
 			} else {
 				write(streamLine{Done: true})
-				s.mu.Lock()
-				delete(s.jobs, id)
-				s.mu.Unlock()
 			}
-			js.mu.Lock()
-			js.streamed = true
-			js.mu.Unlock()
+			s.forget(id)
 			return
 		}
 	}
+}
+
+// forget drops a job whose stream has ended from the server's table.
+func (s *Server) forget(id string) {
+	s.mu.Lock()
+	delete(s.jobs, id)
+	s.mu.Unlock()
 }
 
 // lenPoints reads the job's current point count under its lock.

@@ -18,7 +18,7 @@
 // configuration, so any worker may compute any point, a shard
 // reassigned from a dead worker re-hits the fleet's shared store for
 // the points the dead worker already finished, and a restarted sweep
-// resumes idempotently.
+// merges every shard the store already holds without dispatching it.
 //
 // The wire protocol is deliberately small (three HTTP endpoints per
 // worker — POST /v1/jobs, GET /v1/jobs/{id}/stream as

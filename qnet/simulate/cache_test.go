@@ -39,14 +39,56 @@ func goldenKeyConfig(t testing.TB) (*Machine, qnet.Program) {
 // and update this constant, because it invalidates every on-disk store.
 const goldenKey = "d7d5f4cc478a76335c435731b79c8b642c4583a2e85acebf88a5b2eced262c6e"
 
-// TestKeyGolden asserts the content hash of a fixed configuration is
+// keyQFT64 is the 8x8 HomeBase QFT-64 machine and program: 2,016 ops,
+// so its key's byte stream spans hundreds of hash blocks.
+func keyQFT64(t testing.TB) (*Machine, qnet.Program) {
+	t.Helper()
+	grid, err := qnet.NewGrid(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(grid, HomeBase, WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, qnet.QFT(64)
+}
+
+// TestKeyGolden asserts the content hash of fixed configurations is
 // stable across processes and runs — the property that makes the
-// on-disk store valid across invocations.
+// on-disk store valid across invocations.  Together the cases cover
+// every field kind the key hashes: failure injection with a seed, a
+// non-default routing policy with a fault spec and a degraded region,
+// and a failure-free run whose seed canonicalizes to 0.
 func TestKeyGolden(t *testing.T) {
-	m, prog := goldenKeyConfig(t)
-	if got := m.CacheKey(prog).String(); got != goldenKey {
-		t.Errorf("golden key drifted:\n got  %s\n want %s\n"+
-			"(if the key format changed intentionally, bump keyVersion and update goldenKey)", got, goldenKey)
+	grid4, err := qnet.NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(testing.TB) (*Machine, qnet.Program)
+		want  string
+	}{
+		{"4x4 HomeBase QFT-16, failure injection", goldenKeyConfig, goldenKey},
+		{"4x4 MobileQubit ModMult-8, zigzag, faults", func(t testing.TB) (*Machine, qnet.Program) {
+			m, err := New(grid4, MobileQubit, WithRouting(route.ZigZag()), WithSeed(3),
+				WithFaults(fault.Spec{DeadLinks: 0.1, Drop: 0.005,
+					Regions: []fault.Region{{X: 0, Y: 0, W: 2, H: 2, Drop: 0.25}}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, qnet.ModMult(8)
+		}, "1949570f291b39ef4fcfbbc4bcb2f65573d44647c69e4bb51d6e162b286d5263"},
+		{"8x8 HomeBase QFT-64, no failures", keyQFT64,
+			"67dfbce236fb52d8706c8e7562907af8f20ed5a356eaf989fc08e51953753c80"},
+	} {
+		m, prog := tc.build(t)
+		if got := m.CacheKey(prog).String(); got != tc.want {
+			t.Errorf("%s: golden key drifted:\n got  %s\n want %s\n"+
+				"(if the key format changed intentionally, bump keyVersion and update the golden keys)",
+				tc.name, got, tc.want)
+		}
 	}
 }
 

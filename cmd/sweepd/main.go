@@ -10,10 +10,12 @@
 //
 // Endpoints:
 //
-//	POST /v1/jobs             submit a shard (JSON distrib.Job)
-//	GET  /v1/jobs/{id}/stream newline-delimited JSON results
-//	GET  /v1/status           live worker telemetry, liveness and drain state (JSON distrib.Status)
-//	GET/PUT /v1/store/...     the local store, when -serve-store is set
+//	POST /v1/jobs         run a shard (JSON distrib.Job), answered with its newline-delimited JSON results
+//	GET  /v1/status       live worker telemetry, liveness and drain state (JSON distrib.Status)
+//	GET/PUT /v1/store/... the local store, when -serve-store is set
+//
+// A shard runs for as long as the coordinator that posted it keeps its
+// request open: a coordinator that hangs up stops the shard.
 //
 // Usage:
 //

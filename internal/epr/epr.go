@@ -286,12 +286,3 @@ func (c Config) Evaluate(s Scheme, hops int) Cost {
 		return res
 	}
 }
-
-// EvaluateAll evaluates every scheme at the given distance.
-func (c Config) EvaluateAll(hops int) []Cost {
-	out := make([]Cost, 0, len(Schemes))
-	for _, s := range Schemes {
-		out = append(out, c.Evaluate(s, hops))
-	}
-	return out
-}

@@ -104,11 +104,6 @@ func CornerToCornerError(p phys.Params, n int) float64 {
 	return BallisticError(p, 2*(n-1))
 }
 
-// Combine multiplies two independent fidelities.  For small errors this
-// adds the error probabilities; it is the composition rule used
-// throughout Section 4 for sequential independent error processes.
-func Combine(f1, f2 float64) float64 { return f1 * f2 }
-
 // Bell is a two-qubit state that is diagonal in the Bell basis,
 // represented by the probabilities of the four Bell states.  A is the
 // coefficient of the reference state Φ+ and therefore equals the pair's
@@ -197,10 +192,6 @@ func (s Bell) AfterBallistic(p phys.Params, cells int) Bell {
 		D: s.D + lost/3,
 	}
 }
-
-// BellFromFidelity builds a Werner state of fidelity f; it is the default
-// way to lift a scalar fidelity into the Bell-diagonal representation.
-func BellFromFidelity(f float64) Bell { return Werner(f) }
 
 // TeleportBell is the Bell-diagonal generalization of Eq 3: teleporting a
 // pair half whose joint state with its remote partner is data, using a

@@ -77,9 +77,6 @@ func (s *Scheduler) Completed() int { return s.completed }
 // Done reports whether every op has completed.
 func (s *Scheduler) Done() bool { return s.completed == len(s.prog.Ops) }
 
-// ReadyCount returns the number of ops ready to issue right now.
-func (s *Scheduler) ReadyCount() int { return len(s.ready) }
-
 // Issue pops the oldest ready op (program order), marking it in flight.
 // ok is false when nothing is ready.
 func (s *Scheduler) Issue() (id int, op workload.Op, ok bool) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/qnet/distrib/chaos"
 	"repro/qnet/simulate"
 )
 
@@ -72,7 +71,7 @@ func TestChaosSoak(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			var total chaos.Stats
+			var total chaosStats
 			for seed := int64(1); seed <= int64(schedules); seed++ {
 				st := soakSchedule(t, spec, want, seed, tc.fleet)
 				total.Decisions += st.Decisions
@@ -102,13 +101,13 @@ func TestChaosSoak(t *testing.T) {
 // soakSchedule replays one seeded chaos schedule against a fresh
 // fleet, with the chaos store behind both the workers and the
 // coordinator, and fails the test unless the merged output equals want.
-func soakSchedule(t *testing.T, spec SpaceSpec, want []byte, seed int64, fleet soakFleet) chaos.Stats {
+func soakSchedule(t *testing.T, spec SpaceSpec, want []byte, seed int64, fleet soakFleet) chaosStats {
 	t.Helper()
-	sched := chaos.New(chaos.Default(seed))
-	cstore := NewChaosStore(simulate.NewCache(0), sched)
+	sched := newChaosSchedule(defaultChaos(seed))
+	cstore := &chaosStore{inner: simulate.NewCache(0), sched: sched}
 	tr, workers, storeURL, stop := fleet(cstore)
 	defer stop()
-	coord, err := NewCoordinator(NewChaos(tr, sched), workers,
+	coord, err := NewCoordinator(&chaosTransport{inner: tr, sched: sched}, workers,
 		WithSharedStore(cstore, storeURL),
 		WithShards(6),
 		WithMaxAttempts(30),

@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -190,6 +191,43 @@ func TestWorkerExecute(t *testing.T) {
 		if pr.Err != "" || pr.Cached || pr.Result.Events == 0 {
 			t.Fatalf("index %d: unexpected result %+v", idx, pr)
 		}
+	}
+}
+
+// TestWorkerExecuteStopsOnEmitFailure: a failed emit means nobody
+// reads the shard's points any more, so Execute must stop simulating
+// it and return that error.  Of 8 points at parallelism 1, at most
+// the one emitted, one buffered and the one in flight may run.
+func TestWorkerExecuteStopsOnEmitFailure(t *testing.T) {
+	w := NewWorker(WithWorkerParallelism(1))
+	errGone := errors.New("test: reader gone")
+	err := w.Execute(context.Background(), Job{Space: testSpec(t), Indices: []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		func(PointResult) error { return errGone })
+	if !errors.Is(err, errGone) {
+		t.Fatalf("Execute returned %v, want the emit error", err)
+	}
+	if done := w.Status().DonePoints; done > 3 {
+		t.Fatalf("worker ran %d of 8 points after its first emit failed, want at most 3", done)
+	}
+}
+
+// TestWorkerExecuteEmitsNoCancelledRun: a run that a cancel cut short
+// ends with an "aborted" error that says nothing about the point, so
+// Execute must not emit it — a coordinator that cancelled one dispatch
+// (a worker declared dead) would merge it as the point's failure.
+// Each attempt cancels at the first emit, while the next point runs.
+func TestWorkerExecuteEmitsNoCancelledRun(t *testing.T) {
+	for attempt := 0; attempt < 20; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		w := NewWorker(WithWorkerParallelism(1))
+		w.Execute(ctx, Job{Space: testSpec(t), Indices: []int{0, 1, 2, 3, 4, 5, 6, 7}}, func(pr PointResult) error {
+			cancel()
+			if pr.Err != "" {
+				t.Errorf("attempt %d: emitted point %d with Err %q", attempt, pr.Index, pr.Err)
+			}
+			return nil
+		})
+		cancel()
 	}
 }
 
@@ -408,10 +446,6 @@ func TestHTTPTransportTruncatedStream(t *testing.T) {
 	// surface an error, not a silent partial shard.
 	mux := http.NewServeMux()
 	mux.HandleFunc(jobsPath, func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintln(w, `{"id":"job-1"}`)
-	})
-	mux.HandleFunc(jobsPath+"/", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"point":{"index":0,"result":{}}}`)
 		// ...and then nothing: no done marker, no error line.
 	})

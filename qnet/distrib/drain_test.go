@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/qnet/distrib/chaos"
 	"repro/qnet/simulate"
 )
 
@@ -93,34 +92,52 @@ func TestAllWorkersDrainingFails(t *testing.T) {
 	}
 }
 
+// gatedStore blocks every Get until open is closed, signalling entered
+// on the first, then misses.
+type gatedStore struct {
+	simulate.Store
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+// newGatedStore builds a closed gate over an empty cache.
+func newGatedStore() *gatedStore {
+	return &gatedStore{Store: simulate.NewCache(0), entered: make(chan struct{}), open: make(chan struct{})}
+}
+
+// Get waits for the gate, then misses.
+func (s *gatedStore) Get(simulate.Key) (simulate.Result, bool) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.open
+	return simulate.Result{}, false
+}
+
 // TestHTTPServerDrain covers the server side of graceful shutdown: a
 // draining server refuses new submissions with 503 "draining", keeps
 // /v1/status alive with Draining set, and Drain blocks until every
 // accepted job has streamed its terminal line.
 func TestHTTPServerDrain(t *testing.T) {
 	spec := testSpec(t)
-	srv := NewServer(NewWorker())
+	store := newGatedStore()
+	srv := NewServer(NewWorker(WithWorkerStore(store), WithWorkerParallelism(1)))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	release := sync.OnceFunc(func() { close(store.open) })
+	defer release() // never leave the job blocked
 	tr := NewHTTPTransport()
 
 	if st, err := tr.Status(context.Background(), ts.URL); err != nil || st.Draining {
 		t.Fatalf("status before drain: %+v, %v", st, err)
 	}
 
-	// Accept one job pre-drain, but do not read its stream yet.
+	// Accept one job pre-drain; the gated store holds it mid-execution.
 	resp := submitJob(t, ts.URL, spec, []int{0})
-	if resp.StatusCode != http.StatusAccepted {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pre-drain submit: status %d", resp.StatusCode)
 	}
-	var accepted struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil || accepted.ID == "" {
-		t.Fatalf("accept body: %v", err)
-	}
-	resp.Body.Close()
+	<-store.entered
 
 	srv.StartDrain()
 	if !srv.Draining() {
@@ -153,103 +170,65 @@ func TestHTTPServerDrain(t *testing.T) {
 		t.Fatal("Status.Draining false during drain")
 	}
 
-	// Drain must not complete while the accepted job's stream is unread.
+	// Drain must not complete while the accepted job is executing.
 	shortCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	if err := srv.Drain(shortCtx); err == nil {
-		t.Fatal("Drain returned with an unstreamed job outstanding")
+		t.Fatal("Drain returned with an accepted job still executing")
 	}
 	cancel()
 
-	// Reading the stream through its terminal line completes the drain.
-	streamResp, err := http.Get(ts.URL + jobsPath + "/" + accepted.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
+	// Once the job is released, its stream runs to the terminal line
+	// and the drain completes.
+	release()
+	stream, err := io.ReadAll(resp.Body)
+	if err != nil || !bytes.HasSuffix(stream, []byte(`{"done":true}`+"\n")) {
+		t.Fatalf("accepted job's stream: %q, %v; want it to end with the done line", stream, err)
 	}
-	io.Copy(io.Discard, streamResp.Body)
-	streamResp.Body.Close()
 	drainCtx, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()
 	if err := srv.Drain(drainCtx); err != nil {
-		t.Fatalf("Drain after stream consumed: %v", err)
+		t.Fatalf("Drain after the job finished: %v", err)
 	}
 }
 
-// gatedStore blocks every Get until open is closed, signalling entered
-// on the first, then misses.
-type gatedStore struct {
-	simulate.Store
-	entered, open chan struct{}
-	once          sync.Once
-}
-
-// Get waits for the gate, then misses.
-func (s *gatedStore) Get(simulate.Key) (simulate.Result, bool) {
-	s.once.Do(func() { close(s.entered) })
-	<-s.open
-	return simulate.Result{}, false
-}
-
 // TestHTTPServerDrainAfterHangup: a coordinator that gives up on a
-// stream (its dispatch cancelled, its worker declared dead) never reads
-// that stream again, so the server must drop the job once the stream
-// breaks.  Here the reader hangs up while the job is held mid-execution;
-// once the job is released, Drain must return as soon as it has
-// finished executing, not wait out its timeout for a stream nobody
-// reads.
+// dispatch (its sweep cancelled or failed, its worker declared dead)
+// hangs up, and the job's request ends with it.  Here the hang-up
+// lands while the job is held mid-execution; once the job is
+// released, the worker must stop the shard rather than simulate it for
+// nobody, and Drain must return rather than wait out its timeout.
 func TestHTTPServerDrainAfterHangup(t *testing.T) {
 	spec := testSpec(t)
-	store := &gatedStore{Store: simulate.NewCache(0), entered: make(chan struct{}), open: make(chan struct{})}
-	srv := NewServer(NewWorker(WithWorkerStore(store), WithWorkerParallelism(1)))
+	store := newGatedStore()
+	w := NewWorker(WithWorkerStore(store), WithWorkerParallelism(1))
+	srv := NewServer(w)
 	defer srv.Close()
-	streaming := make(chan struct{})
-	h := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/stream") {
-			close(streaming)
-		}
-		h.ServeHTTP(w, r)
-	}))
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	release := sync.OnceFunc(func() { close(store.open) })
 	defer release() // never leave the job blocked
 
-	resp := submitJob(t, ts.URL, spec, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	var accepted struct {
-		ID string `json:"id"`
-	}
-	err := json.NewDecoder(resp.Body).Decode(&accepted)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || err != nil {
-		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
-	}
-	<-store.entered
-
-	// Open the stream, then hang up while the job is still held.
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+jobsPath+"/"+accepted.ID+"/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hungUp := make(chan error, 1)
+	ran := make(chan error, 1)
 	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			_, err = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		hungUp <- err
+		ran <- NewHTTPTransport().Run(ctx, ts.URL, Job{Space: spec, Indices: []int{0, 1, 2, 3, 4, 5, 6, 7}},
+			func(PointResult) error { return nil })
 	}()
-	<-streaming
+	<-store.entered
 	cancel()
-	if err := <-hungUp; err == nil {
-		t.Fatal("stream read completed although the job is held")
+	if err := <-ran; err == nil {
+		t.Fatal("Run completed although the job is held")
 	}
 
 	release()
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelDrain()
 	if err := srv.Drain(drainCtx); err != nil {
-		t.Fatalf("Drain after the reader hung up: %v", err)
+		t.Fatalf("Drain after the coordinator hung up: %v", err)
+	}
+	// The point in flight, one buffered and one emitted at most.
+	if done := w.Status().DonePoints; done > 3 {
+		t.Fatalf("worker ran %d of 8 points after the coordinator hung up, want at most 3", done)
 	}
 }
 
@@ -323,7 +302,7 @@ func TestLoopbackDrainSurvivesFlap(t *testing.T) {
 	lb.Add("w0", NewWorker())
 	lb.Add("w1", NewWorker())
 	lb.Drain("w0")
-	tr := NewChaos(lb, chaos.New(chaos.Config{Flap: 1}))
+	tr := &chaosTransport{inner: lb, sched: newChaosSchedule(chaosConfig{Flap: 1})}
 
 	st, err := tr.Status(context.Background(), "w0")
 	if err != nil || !st.Draining {

@@ -1,11 +1,12 @@
 // The worker job API over HTTP: Server exposes a Worker as the
-// three-endpoint protocol cmd/sweepd serves, and HTTPTransport is the
+// two-endpoint protocol cmd/sweepd serves, and HTTPTransport is the
 // coordinator-side client.
 //
-//	POST /v1/jobs             <- JSON Job, -> 202 + {"id": "..."}
-//	GET  /v1/jobs/{id}/stream -> newline-delimited JSON stream lines
-//	GET  /v1/status           -> 200 + JSON Status (live telemetry, liveness, drain)
+//	POST /v1/jobs   <- JSON Job, -> 200 + newline-delimited JSON stream lines
+//	GET  /v1/status -> 200 + JSON Status (live telemetry, liveness, drain)
 //
+// One shard dispatch is one request: the job runs under that
+// request's context, so a coordinator that hangs up stops its shard.
 // Each stream line carries either one finished point, a terminal
 // worker-side error, or the terminal done marker; a stream that ends
 // without a terminal line was truncated (worker death) and the client
@@ -18,7 +19,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,7 +27,7 @@ import (
 	"time"
 )
 
-// jobsPath is the URL prefix of the job endpoints.
+// jobsPath is the job endpoint.
 const jobsPath = "/v1/jobs"
 
 // statusPath is the live worker-telemetry endpoint, which doubles as
@@ -49,23 +49,6 @@ type streamLine struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// jobState buffers one job's results between the executing goroutine
-// and (possibly later, possibly slower) stream readers.
-type jobState struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	points []PointResult
-	done   bool
-	err    error
-}
-
-// newJobState builds an empty buffer.
-func newJobState() *jobState {
-	js := &jobState{}
-	js.cond = sync.NewCond(&js.mu)
-	return js
-}
-
 // Server serves the worker job API over a Worker.  Create it with
 // NewServer, mount Handler, and Close it on shutdown to cancel any
 // jobs still executing.  For a graceful shutdown, Drain first: the
@@ -77,16 +60,14 @@ type Server struct {
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
-	nextID    int
-	jobs      map[string]*jobState
-	executing int // jobs whose Execute has not returned yet
+	executing int // accepted jobs whose stream has not ended yet
 	draining  bool
 }
 
 // NewServer builds a job server executing on the given worker.
 func NewServer(w *Worker) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{worker: w, ctx: ctx, cancel: cancel, jobs: make(map[string]*jobState)}
+	return &Server{worker: w, ctx: ctx, cancel: cancel}
 }
 
 // Close cancels every job still executing.  In-flight streams end with
@@ -119,7 +100,10 @@ func (s *Server) Draining() bool {
 func (s *Server) Drain(ctx context.Context) error {
 	s.StartDrain()
 	for {
-		if s.drained() {
+		s.mu.Lock()
+		idle := s.executing == 0
+		s.mu.Unlock()
+		if idle {
 			return nil
 		}
 		select {
@@ -128,14 +112,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-}
-
-// drained reports whether no job is executing and every accepted
-// job's stream has ended.
-func (s *Server) drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.executing == 0 && len(s.jobs) == 0
 }
 
 // Handler returns the job API's http.Handler, with the store API's
@@ -153,20 +129,30 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(st)
 	})
-	mux.HandleFunc(jobsPath, s.serveSubmit)
-	mux.HandleFunc(jobsPath+"/", s.serveStream)
+	mux.HandleFunc(jobsPath, s.serveJob)
 	return mux
 }
 
-// serveSubmit accepts a job, starts executing it immediately, and
-// replies with its id.
-func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request) {
+// serveJob answers a job with its result stream.  Every refusal — a
+// malformed job (400) or a draining server (503) — is decided before
+// the 200.  The job then executes under the request's context, so a
+// coordinator that hangs up (or a Close) stops the shard; each
+// finished point is flushed as one stream line, and the stream ends
+// with a terminal done or error line.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	// Read the body to EOF: only then does net/http watch the
+	// connection and cancel r.Context() when the coordinator hangs up.
+	body := http.MaxBytesReader(w, r.Body, 64<<20)
 	var job Job
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&job); err != nil {
+	err := json.NewDecoder(body).Decode(&job)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -180,115 +166,38 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, drainingBody, http.StatusServiceUnavailable)
 		return
 	}
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	js := newJobState()
-	s.jobs[id] = js
 	s.executing++
 	s.mu.Unlock()
-	job.ID = id
-
-	go func() {
-		err := s.worker.Execute(s.ctx, job, func(pr PointResult) error {
-			js.mu.Lock()
-			js.points = append(js.points, pr)
-			js.cond.Broadcast()
-			js.mu.Unlock()
-			return nil
-		})
-		js.mu.Lock()
-		js.done, js.err = true, err
-		js.cond.Broadcast()
-		js.mu.Unlock()
+	defer func() {
 		s.mu.Lock()
 		s.executing--
 		s.mu.Unlock()
 	}()
 
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(struct {
-		ID string `json:"id"`
-	}{ID: id})
-}
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.ctx, cancel)()
 
-// serveStream streams a job's results as they finish, ending with a
-// terminal done or error line.  The job is dropped from the server's
-// table once its stream ends, whether it reached the terminal line or
-// the reader hung up: nothing reads a stream twice (a coordinator
-// retries by submitting a new job), and a job left in the table would
-// hold its points and stall Drain until its timeout.
-func (s *Server) serveStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, jobsPath+"/")
-	id, ok := strings.CutSuffix(rest, "/stream")
-	if !ok || id == "" || strings.Contains(id, "/") {
-		http.NotFound(w, r)
-		return
-	}
-	s.mu.Lock()
-	js := s.jobs[id]
-	s.mu.Unlock()
-	if js == nil {
-		http.NotFound(w, r)
-		return
+	rc := http.NewResponseController(w)
+	enc := json.NewEncoder(w)
+	// A failed flush fails the next Encode, and a writer that cannot
+	// flush delivers its lines late but whole: neither error is news.
+	write := func(line streamLine) error {
+		err := enc.Encode(line)
+		rc.Flush()
+		return err
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	write := func(line streamLine) bool {
-		if err := enc.Encode(line); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	w.WriteHeader(http.StatusOK)
+	rc.Flush() // the coordinator learns of the acceptance now, not at the first point
+	err = s.worker.Execute(ctx, job, func(pr PointResult) error {
+		return write(streamLine{Point: &pr})
+	})
+	if err != nil {
+		write(streamLine{Err: err.Error()})
+	} else {
+		write(streamLine{Done: true})
 	}
-
-	next := 0
-	for {
-		js.mu.Lock()
-		for next >= len(js.points) && !js.done {
-			js.cond.Wait()
-		}
-		batch := js.points[next:]
-		next = len(js.points)
-		done, err := js.done, js.err
-		js.mu.Unlock()
-		for i := range batch {
-			if !write(streamLine{Point: &batch[i]}) {
-				s.forget(id) // the reader hung up
-				return
-			}
-		}
-		if done && next == s.lenPoints(js) {
-			if err != nil {
-				write(streamLine{Err: err.Error()})
-			} else {
-				write(streamLine{Done: true})
-			}
-			s.forget(id)
-			return
-		}
-	}
-}
-
-// forget drops a job whose stream has ended from the server's table.
-func (s *Server) forget(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
-}
-
-// lenPoints reads the job's current point count under its lock.
-func (s *Server) lenPoints(js *jobState) int {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return len(js.points)
 }
 
 // HTTPTransport is the coordinator-side client of the worker job API:
@@ -308,21 +217,23 @@ func NewHTTPTransport() *HTTPTransport {
 	return &HTTPTransport{Client: &http.Client{}}
 }
 
-// Run submits the job to the worker at the given base URL and decodes
-// its result stream, emitting every point.  Failures are structured
-// *TransportError values: a 503 "draining" submission wraps
+// Run posts the job to the worker at the given base URL and decodes
+// the result stream that answers it, emitting every point.  Returning
+// before the stream's terminal line — an emit failure, a cancelled
+// ctx — hangs up, which stops the job on the worker.  Failures are
+// structured *TransportError values: a 503 "draining" refusal wraps
 // ErrWorkerDraining (the worker is shutting down gracefully, not
 // dead), and a stream that ends without a terminal line — whether cut
 // between lines or mid-line — wraps ErrTruncatedStream, so a worker
 // dying mid-shard can never read as a complete shard; either way the
 // coordinator reassigns.
 func (t *HTTPTransport) Run(ctx context.Context, worker string, job Job, emit func(PointResult) error) error {
-	base := strings.TrimSuffix(worker, "/")
 	body, err := json.Marshal(job)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+jobsPath, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		strings.TrimSuffix(worker, "/")+jobsPath, bytes.NewReader(body))
 	if err != nil {
 		return &TransportError{Worker: worker, Op: "submit", Err: err}
 	}
@@ -331,37 +242,16 @@ func (t *HTTPTransport) Run(ctx context.Context, worker string, job Job, emit fu
 	if err != nil {
 		return &TransportError{Worker: worker, Op: "submit", Err: err}
 	}
-	acceptBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		if resp.StatusCode == http.StatusServiceUnavailable && bytes.Contains(acceptBody, []byte(drainingBody)) {
+	defer resp.Body.Close()
+	// A body read to its end leaves the connection reusable.
+	drain := func() { io.Copy(io.Discard, resp.Body) }
+	if resp.StatusCode != http.StatusOK {
+		refusal, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		drain()
+		if resp.StatusCode == http.StatusServiceUnavailable && bytes.Contains(refusal, []byte(drainingBody)) {
 			return &TransportError{Worker: worker, Op: "submit", Err: ErrWorkerDraining}
 		}
 		return &TransportError{Worker: worker, Op: "submit", Err: fmt.Errorf("status %s", resp.Status)}
-	}
-	var accepted struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(acceptBody, &accepted); err != nil || accepted.ID == "" {
-		return &TransportError{Worker: worker, Op: "submit", Err: errors.New("bad accept body")}
-	}
-
-	req, err = http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s%s/%s/stream", base, jobsPath, accepted.ID), nil)
-	if err != nil {
-		return &TransportError{Worker: worker, Op: "stream", Err: err}
-	}
-	resp, err = t.Client.Do(req)
-	if err != nil {
-		return &TransportError{Worker: worker, Op: "stream", Err: err}
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return &TransportError{Worker: worker, Op: "stream", Err: fmt.Errorf("status %s", resp.Status)}
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -379,8 +269,10 @@ func (t *HTTPTransport) Run(ctx context.Context, worker string, job Job, emit fu
 		}
 		switch {
 		case line.Err != "":
+			drain()
 			return fmt.Errorf("distrib: worker %s: %s", worker, line.Err)
 		case line.Done:
+			drain()
 			return nil
 		case line.Point != nil:
 			if err := emit(*line.Point); err != nil {

@@ -20,9 +20,9 @@
 // the points the dead worker already finished, and a restarted sweep
 // merges every shard the store already holds without dispatching it.
 //
-// The wire protocol is deliberately small (three HTTP endpoints per
-// worker — POST /v1/jobs, GET /v1/jobs/{id}/stream as
-// newline-delimited JSON, GET /v1/status — plus a key/value store
+// The wire protocol is deliberately small (two HTTP endpoints per
+// worker — POST /v1/jobs, answered with the shard's results as
+// newline-delimited JSON, and GET /v1/status — plus a key/value store
 // API on the coordinator), and the Transport interface keeps it
 // pluggable: the in-process Loopback transport runs the whole
 // subsystem, including injected worker death, without opening a
@@ -153,9 +153,6 @@ func RoutingNames(policies []route.Policy) []string {
 // identical point list) plus the indices of the points this shard
 // owns, and optionally the URL of the fleet's shared result store.
 type Job struct {
-	// ID identifies the job on the worker that accepted it (assigned
-	// by the worker; empty in the submitted body).
-	ID string `json:"id,omitempty"`
 	// Space is the sweep space the indices refer into.
 	Space SpaceSpec `json:"space"`
 	// Indices are the Point.Index values of this shard, into the

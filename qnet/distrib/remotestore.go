@@ -145,14 +145,6 @@ func WithStoreTimeout(d time.Duration) RemoteStoreOption {
 	return func(rs *RemoteStore) { rs.timeout = d }
 }
 
-// WithStoreClient replaces the underlying http.Client (sharing a
-// transport pool, adding instrumentation, ...).  The client's own
-// Timeout stays zero-valued under RemoteStore's control; deadlines
-// come from WithStoreTimeout and the bound context.
-func WithStoreClient(c *http.Client) RemoteStoreOption {
-	return func(rs *RemoteStore) { rs.client = c }
-}
-
 // NewRemoteStore builds a client of the store API rooted at base
 // (e.g. "http://coordinator:9090").  A trailing slash is tolerated.
 func NewRemoteStore(base string, opts ...RemoteStoreOption) *RemoteStore {

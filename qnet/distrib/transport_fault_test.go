@@ -21,10 +21,6 @@ import (
 func TestHTTPTransportMidLineCut(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc(jobsPath, func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintln(w, `{"id":"job-1"}`)
-	})
-	mux.HandleFunc(jobsPath+"/", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"point":{"index":0,"result":{}}}`)
 		io.WriteString(w, `{"point":{"ind`) // cut mid-line, no newline, no terminal
 		if f, ok := w.(http.Flusher); ok {
@@ -65,10 +61,6 @@ func TestHTTPTransportMidLineCut(t *testing.T) {
 func TestHTTPTransportMissingTerminal(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc(jobsPath, func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintln(w, `{"id":"job-1"}`)
-	})
-	mux.HandleFunc(jobsPath+"/", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"point":{"index":0,"result":{}}}`)
 		// Clean close with no done marker.
 	})

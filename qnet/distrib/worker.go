@@ -112,13 +112,14 @@ func (w *Worker) storeFor(ctx context.Context, job Job) simulate.Store {
 // Execute runs every point of the job's shard and calls emit once per
 // finished point, in completion order, serialized (emit is never
 // called concurrently).  Points whose simulation fails are emitted
-// with Err set and do not abort the shard; Execute itself returns an
+// with Err set and do not abort the shard, but a point whose run a
+// cancellation cut short is not emitted.  Execute itself returns an
 // error only for a malformed job, a cancelled context, or an emit
-// failure (a broken result stream).  When a store is available —
-// per-job via Job.StoreURL or worker-wide via WithWorkerStore — every
-// point is looked up before simulating and stored back after, so a
-// reassigned shard re-hits the fleet's store for points its previous
-// owner already finished.
+// failure (a broken result stream), which stops the rest of the
+// shard.  When a store is available — per-job via Job.StoreURL or
+// worker-wide via WithWorkerStore — every point is looked up before
+// simulating and stored back after, so a reassigned shard re-hits the
+// fleet's store for points its previous owner already finished.
 func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) error) error {
 	if err := job.Validate(); err != nil {
 		return err
@@ -131,6 +132,10 @@ func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) er
 	if err != nil {
 		return err
 	}
+	// The first emit failure cancels the rest of the shard: nobody
+	// reads its points any more.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	store := w.storeFor(ctx, job)
 
 	parallel := w.parallel
@@ -143,7 +148,8 @@ func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) er
 
 	// The pool mirrors the sweep engine's shape: a feeder, N point
 	// runners, one collector serializing emits.  Execute returns the
-	// first emit error (the stream consumer hung up) or ctx.Err().
+	// first emit error (the stream consumer hung up), which stops the
+	// feeder and runners, or ctx.Err().
 	jobs := make(chan int)
 	results := make(chan PointResult, parallel)
 	var wg sync.WaitGroup
@@ -156,6 +162,9 @@ func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) er
 					return
 				}
 				pr := w.runPoint(ctx, space, pts[idx], store)
+				if ctx.Err() != nil {
+					return // the run may have been cut short: no result
+				}
 				select {
 				case results <- pr:
 				case <-ctx.Done():
@@ -185,6 +194,7 @@ func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) er
 		if emitErr == nil {
 			if err := emit(pr); err != nil {
 				emitErr = err
+				cancel()
 			} else {
 				emitted++
 			}

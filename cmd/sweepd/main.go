@@ -1,6 +1,7 @@
 // Command sweepd is the distributed sweep worker daemon: it serves
-// the qnet/distrib job API and executes dispatched shards through the
-// in-process sweep engine.
+// the qnet/distrib job API and executes dispatched shards through
+// simulate.Stream, the engine behind a local sweep, so points of a
+// shard that share a cache key simulate once.
 //
 // A worker keeps a local result store (in-memory by default, disk-
 // backed with -cache-dir) consulted for jobs that do not name a shared

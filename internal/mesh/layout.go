@@ -56,43 +56,3 @@ func (p *Placement) Home(q int) Coord {
 	}
 	return p.homes[q]
 }
-
-// MaxPairDistance returns the largest Manhattan distance between the
-// homes of any two logical qubits — the longest communication path.
-func (p *Placement) MaxPairDistance() int {
-	// The extremes lie on the bounding box of the homes.
-	minX, minY := p.homes[0].X, p.homes[0].Y
-	maxX, maxY := minX, minY
-	for _, h := range p.homes {
-		if h.X < minX {
-			minX = h.X
-		}
-		if h.X > maxX {
-			maxX = h.X
-		}
-		if h.Y < minY {
-			minY = h.Y
-		}
-		if h.Y > maxY {
-			maxY = h.Y
-		}
-	}
-	return maxX - minX + maxY - minY
-}
-
-// MeanPairDistance returns the average Manhattan distance over all
-// unordered pairs of logical qubit homes.
-func (p *Placement) MeanPairDistance() float64 {
-	n := len(p.homes)
-	if n < 2 {
-		return 0
-	}
-	var total int64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			total += int64(Manhattan(p.homes[i], p.homes[j]))
-		}
-	}
-	pairs := int64(n) * int64(n-1) / 2
-	return float64(total) / float64(pairs)
-}

@@ -139,10 +139,6 @@ func (g Grid) CoordOf(i int) Coord {
 	return Coord{X: i % g.Width, Y: i / g.Width}
 }
 
-// Diameter returns the longest dimension-ordered route on the grid, in
-// hops (the corner-to-corner Manhattan distance).
-func (g Grid) Diameter() int { return g.Width - 1 + g.Height - 1 }
-
 // Route returns the dimension-ordered (X then Y) path from src to dst as
 // a sequence of directions.  An empty path means src == dst.
 func (g Grid) Route(src, dst Coord) ([]Direction, error) {
@@ -166,16 +162,6 @@ func (g Grid) Route(src, dst Coord) ([]Direction, error) {
 		path = append(path, North)
 	}
 	return path, nil
-}
-
-// RouteTiles returns the dimension-ordered path as the sequence of tiles
-// visited, starting at src and ending at dst (len = Manhattan+1).
-func (g Grid) RouteTiles(src, dst Coord) ([]Coord, error) {
-	dirs, err := g.Route(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return g.Follow(src, dirs)
 }
 
 // Follow walks a hop sequence from src and returns the tiles visited,

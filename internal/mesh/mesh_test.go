@@ -28,9 +28,6 @@ func TestGridBasics(t *testing.T) {
 	if g.Tiles() != 256 {
 		t.Errorf("tiles = %d, want 256", g.Tiles())
 	}
-	if g.Diameter() != 30 {
-		t.Errorf("diameter = %d, want 30", g.Diameter())
-	}
 	if !g.Contains(Coord{15, 15}) || g.Contains(Coord{16, 0}) || g.Contains(Coord{0, -1}) {
 		t.Error("Contains is wrong at the boundary")
 	}
@@ -141,7 +138,11 @@ func TestRouteErrors(t *testing.T) {
 
 func TestRouteTiles(t *testing.T) {
 	g := mustGrid(t, 8, 8)
-	tiles, err := g.RouteTiles(Coord{0, 0}, Coord{2, 1})
+	dirs, err := g.Route(Coord{0, 0}, Coord{2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := g.Follow(Coord{0, 0}, dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,11 @@ func TestRouteProperty(t *testing.T) {
 	f := func(sx, sy, dx, dy uint8) bool {
 		src := Coord{int(sx) % 16, int(sy) % 16}
 		dst := Coord{int(dx) % 16, int(dy) % 16}
-		tiles, err := g.RouteTiles(src, dst)
+		dirs, err := g.Route(src, dst)
+		if err != nil {
+			return false
+		}
+		tiles, err := g.Follow(src, dirs)
 		if err != nil {
 			return false
 		}
@@ -174,7 +179,6 @@ func TestRouteProperty(t *testing.T) {
 			return false
 		}
 		axisSwitches := 0
-		dirs, _ := g.Route(src, dst)
 		for i := 1; i < len(dirs); i++ {
 			if dirs[i].Axis() != dirs[i-1].Axis() {
 				axisSwitches++
@@ -297,9 +301,6 @@ func TestRowMajorPlacement(t *testing.T) {
 	if p.Home(0) != (Coord{0, 0}) || p.Home(5) != (Coord{1, 1}) || p.Home(15) != (Coord{3, 3}) {
 		t.Error("row-major homes wrong")
 	}
-	if p.MaxPairDistance() != 6 {
-		t.Errorf("max distance = %d, want 6", p.MaxPairDistance())
-	}
 }
 
 func TestSnakePlacementAdjacency(t *testing.T) {
@@ -336,22 +337,4 @@ func TestHomePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	p.Home(4)
-}
-
-func TestMeanPairDistance(t *testing.T) {
-	g := mustGrid(t, 2, 1)
-	p, _ := RowMajorPlacement(g, 2)
-	if d := p.MeanPairDistance(); d != 1 {
-		t.Errorf("mean distance = %g, want 1", d)
-	}
-	g16 := mustGrid(t, 16, 16)
-	p16, _ := RowMajorPlacement(g16, 256)
-	// Mean Manhattan distance on a 16x16 grid is ~2/3*16 ≈ 10.7.
-	if d := p16.MeanPairDistance(); d < 10 || d > 11.5 {
-		t.Errorf("16x16 mean distance = %g, want ~10.7", d)
-	}
-	single, _ := RowMajorPlacement(g16, 1)
-	if d := single.MeanPairDistance(); d != 0 {
-		t.Errorf("single qubit mean distance = %g, want 0", d)
-	}
 }

@@ -107,14 +107,6 @@ func (q *QueuePurifier) decide(p float64) bool {
 	return q.Decide(p)
 }
 
-// Reset empties all levels and clears statistics.
-func (q *QueuePurifier) Reset() {
-	for i := range q.levels {
-		q.levels[i] = slot{}
-	}
-	q.offered, q.produced, q.purifies, q.discarded = 0, 0, 0, 0
-}
-
 // Stats reports cumulative counters: pairs offered, fully purified pairs
 // emitted, purification operations performed, and pairs lost to failed
 // purifications.
@@ -133,7 +125,3 @@ func (q *QueuePurifier) Occupancy() int {
 	}
 	return n
 }
-
-// PairsPerOutput returns the number of raw input pairs per emitted pair
-// in the always-succeeding limit: 2^depth.
-func (q *QueuePurifier) PairsPerOutput() int { return TreePairs(len(q.levels)) }

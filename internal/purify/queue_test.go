@@ -44,9 +44,6 @@ func TestQueuePurifierEmitsEveryEighthPair(t *testing.T) {
 	if emitted != 8 {
 		t.Errorf("emitted %d outputs from 64 pairs, want 8", emitted)
 	}
-	if got := q.PairsPerOutput(); got != 8 {
-		t.Errorf("PairsPerOutput = %d, want 8", got)
-	}
 }
 
 func TestQueuePurifierOutputQualityMatchesTree(t *testing.T) {
@@ -114,24 +111,6 @@ func TestQueuePurifierRandomizedThroughput(t *testing.T) {
 	}
 	if produced < n/10 {
 		t.Errorf("produced %d outputs from %d pairs, expected close to %d", produced, n, n/8)
-	}
-}
-
-func TestQueuePurifierReset(t *testing.T) {
-	q := mustQueue(t, 3)
-	in := fidelity.Werner(0.99)
-	for i := 0; i < 5; i++ {
-		q.Offer(in)
-	}
-	if q.Occupancy() == 0 {
-		t.Fatal("expected occupied levels before reset")
-	}
-	q.Reset()
-	if q.Occupancy() != 0 {
-		t.Error("levels should be empty after reset")
-	}
-	if offered, produced, purifies, discarded := q.Stats(); offered+produced+purifies+discarded != 0 {
-		t.Error("stats should be zeroed after reset")
 	}
 }
 

@@ -130,35 +130,3 @@ func Depth(prog workload.Program) int {
 	}
 	return depth
 }
-
-// MaxParallelism simulates greedy level-by-level execution with unlimited
-// resources and returns the largest number of ops in flight at once.
-func MaxParallelism(prog workload.Program) (int, error) {
-	s, err := New(prog)
-	if err != nil {
-		return 0, err
-	}
-	max := 0
-	for !s.Done() {
-		var batch []int
-		for {
-			id, _, ok := s.Issue()
-			if !ok {
-				break
-			}
-			batch = append(batch, id)
-		}
-		if len(batch) == 0 {
-			return 0, fmt.Errorf("sched: deadlock with %d/%d ops done", s.Completed(), s.Len())
-		}
-		if len(batch) > max {
-			max = len(batch)
-		}
-		for _, id := range batch {
-			if err := s.Complete(id); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return max, nil
-}

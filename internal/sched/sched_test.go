@@ -109,25 +109,6 @@ func TestDepthModMult(t *testing.T) {
 	}
 }
 
-func TestMaxParallelism(t *testing.T) {
-	// QFT(n)'s widest wavefront has floor(n/2) ops... for n=6: 3.
-	got, err := MaxParallelism(workload.QFT(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Errorf("MaxParallelism(QFT(6)) = %d, want 3", got)
-	}
-	// MM(n) rounds run n ops at once.
-	got, err = MaxParallelism(workload.ModMult(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 8 {
-		t.Errorf("MaxParallelism(MM(8)) = %d, want 8", got)
-	}
-}
-
 // Property: any program generated by the workload package executes to
 // completion (no deadlock) and completes exactly len(Ops) operations,
 // and per-qubit ops complete in program order.

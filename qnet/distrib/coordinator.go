@@ -305,9 +305,10 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.Swe
 	return r.result(pts)
 }
 
-// expand resolves the spec's run points and, with a store attached,
-// every point's content key up front (the same machine validation
-// single-process Sweep performs eagerly); the keys find the shards the
+// expand resolves the spec's run points and builds every point's
+// machine, validating it as single-process Sweep does, so an invalid
+// point fails the sweep before any dispatch.  With a store attached it
+// also returns every point's content key; the keys find the shards the
 // store already holds and drive the merge-time sanity check.
 func (c *Coordinator) expand(spec SpaceSpec) ([]simulate.Point, []simulate.Key, error) {
 	space, err := spec.Space()
@@ -315,16 +316,21 @@ func (c *Coordinator) expand(spec SpaceSpec) ([]simulate.Point, []simulate.Key, 
 		return nil, nil, err
 	}
 	pts, err := space.Points()
-	if err != nil || c.store == nil {
-		return pts, nil, err
+	if err != nil {
+		return nil, nil, err
 	}
-	keys := make([]simulate.Key, len(pts))
+	var keys []simulate.Key
+	if c.store != nil {
+		keys = make([]simulate.Key, len(pts))
+	}
 	for i, pt := range pts {
 		m, err := space.Machine(pt)
 		if err != nil {
 			return nil, nil, err
 		}
-		keys[i] = m.CacheKey(pt.Program)
+		if keys != nil {
+			keys[i] = m.CacheKey(pt.Program)
+		}
 	}
 	return pts, keys, nil
 }

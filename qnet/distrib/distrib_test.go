@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,113 @@ func TestLoopbackParity(t *testing.T) {
 		t.Fatal("no shard attribution recorded")
 	}
 	t.Logf("report: %s", rep)
+}
+
+// countingStore counts the Puts that reach a store: one per simulation.
+type countingStore struct {
+	simulate.Store
+	puts atomic.Int64
+}
+
+// Put counts, then stores.
+func (s *countingStore) Put(k simulate.Key, res simulate.Result) {
+	s.puts.Add(1)
+	s.Store.Put(k, res)
+}
+
+// TestWorkerSimulatesEachKeyOnce: a worker runs its shards through
+// simulate.Stream, so its runners share one flight group and start
+// every distinct key before its duplicates.  On a Figure 16 space whose
+// 50 points share 10 cache keys (the seeds of each deterministic
+// configuration), one worker with two runners simulates each key once,
+// like a local Sweep, and serves the other 40 points from the store.
+func TestWorkerSimulatesEachKeyOnce(t *testing.T) {
+	grid, err := qnet.NewGrid(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, err := simulate.Allocations(48, []int{1, 2, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := []simulate.Resources{{Teleporters: 1024, Generators: 1024, Purifiers: 1024}}
+	for _, a := range allocs {
+		res = append(res, simulate.AllocationResources(a))
+	}
+	spec := SpaceSpec{
+		Grids:     []qnet.Grid{grid},
+		Layouts:   []string{"HomeBase", "MobileQubit"},
+		Resources: res,
+		Programs:  []qnet.Program{qnet.QFT(grid.Tiles())},
+		Seeds:     simulate.SeedRange(5),
+	}
+	space, err := spec.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := simulate.Sweep(context.Background(), space, simulate.WithCache(simulate.NewCache(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := &countingStore{Store: simulate.NewCache(0)}
+	lb := NewLoopback()
+	lb.Add("w0", NewWorker(WithWorkerStore(st), WithWorkerParallelism(2)))
+	coord, err := NewCoordinator(lb, []string{"w0"}, WithSharedStore(st, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, rep, err := coord.Sweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonicalPoints(t, points), canonicalPoints(t, local); string(got) != string(want) {
+		t.Fatalf("distributed point set differs from single-process sweep:\n got %s\nwant %s", got, want)
+	}
+	if n := st.puts.Load(); n != 10 || rep.CacheHits != 40 {
+		t.Fatalf("%d store Puts and %d cache hits over %d points, want 10 and 40: %s", n, rep.CacheHits, len(points), rep)
+	}
+}
+
+// TestCoordinatorRejectsInvalidPoint: a spec with an invalid point
+// fails a distributed sweep with the *qnet.ConfigError a local Sweep
+// returns, before any dispatch, whether or not a store is attached.
+func TestCoordinatorRejectsInvalidPoint(t *testing.T) {
+	spec := testSpec(t)
+	spec.Depths = []int{0, 3}
+	space, err := spec.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := simulate.Sweep(context.Background(), space)
+	var ce *qnet.ConfigError
+	if !errors.As(want, &ce) {
+		t.Fatalf("local Sweep returned %v, want a *qnet.ConfigError", want)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []CoordinatorOption
+	}{
+		{"without store", nil},
+		{"with store", []CoordinatorOption{WithSharedStore(simulate.NewCache(0), "")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lb := NewLoopback()
+			w := NewWorker()
+			lb.Add("w0", w)
+			coord, err := NewCoordinator(lb, []string{"w0"}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points, _, err := coord.Sweep(context.Background(), spec)
+			if !errors.As(err, &ce) || err.Error() != want.Error() {
+				t.Fatalf("Sweep returned %d points and %v, want %v", len(points), err, want)
+			}
+			if done := w.Status().DonePoints; done != 0 {
+				t.Errorf("the worker ran %d points of an invalid spec", done)
+			}
+		})
+	}
 }
 
 // TestLoopbackWorkerDeath kills one worker mid-shard and asserts the

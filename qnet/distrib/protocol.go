@@ -8,9 +8,9 @@
 //
 //	Coordinator ── plans shards, dispatches, retries, merges
 //	   │ Transport (HTTPTransport over sockets, Loopback in-process)
-//	Worker ────── executes a shard via the in-process sweep engine
+//	Worker ────── executes a shard through simulate.Stream
 //	   │ simulate.Store (shared: RemoteStore → the coordinator's store)
-//	simulate ──── Machine.Run per point, content-addressed results
+//	simulate ──── Sweep's engine over the shard's indices, content-addressed results
 //
 // Scale-out is nearly free because every run point has been
 // content-addressed since the cache layer landed: a point's

@@ -16,10 +16,12 @@ type Status struct {
 	// healthy but unavailable — never dead.
 	Draining bool `json:"draining,omitempty"`
 	// ActivePoints is how many run points the worker is simulating
-	// right now.
+	// right now; a point being looked up in the store, or waiting for
+	// another run of its key, is not counted.
 	ActivePoints int `json:"active_points"`
 	// DonePoints counts run points the worker has finished since it
-	// started — simulated, store-served and failed alike.
+	// started — simulated, store-served and failed alike; a point whose
+	// run a cancellation cut short is not counted.
 	DonePoints uint64 `json:"done_points"`
 	// Events is the summed processed-event count of the active traced
 	// runs, as of each run's latest telemetry sample.

@@ -1,12 +1,11 @@
 // The worker half of the distributed sweep service: executes one
-// shard of run points through the in-process sweep engine, consulting
-// the fleet's shared result store, and streams finished points back.
+// shard of run points through simulate.Stream, consulting the fleet's
+// shared result store, and streams finished points back.
 
 package distrib
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"time"
 
@@ -14,10 +13,10 @@ import (
 	"repro/qnet/trace"
 )
 
-// Worker executes job shards via the in-process simulation engine.  A
-// Worker carries no job state between shards and is safe for concurrent
-// use; the HTTP Server and the Loopback transport both drive one
-// through Execute.  Status exposes its live progress counters and — with
+// Worker executes job shards through simulate.Stream.  A Worker
+// carries no job state between shards and is safe for concurrent use;
+// the HTTP Server and the Loopback transport both drive one through
+// Execute.  Status exposes its live progress counters and — with
 // WithWorkerTelemetry — the event-rate and occupancy telemetry of the
 // runs in flight.
 type Worker struct {
@@ -51,11 +50,12 @@ func WithWorkerParallelism(n int) WorkerOption {
 }
 
 // WithWorkerTelemetry attaches a telemetry tracer (qnet/trace) to every
-// point the worker simulates, sampled at the given simulated-time
-// interval (non-positive selects the trace package default).  The live
-// snapshots feed Worker.Status — and through it the /v1/status endpoint
-// and the coordinator's WithProgress callback — with the in-flight
-// runs' event rates and router occupancy.  Tracers are observers:
+// point the worker simulates (a point its store serves gets none),
+// sampled at the given simulated-time interval (non-positive selects
+// the trace package default).  The live snapshots feed Worker.Status —
+// and through it the /v1/status endpoint and the coordinator's
+// WithProgress callback — with the in-flight runs' event rates and
+// router occupancy.  Tracers are observers:
 // results and cache keys are unchanged, so telemetry-on and
 // telemetry-off workers may share one fleet store.
 func WithWorkerTelemetry(interval time.Duration) WorkerOption {
@@ -109,17 +109,19 @@ func (w *Worker) storeFor(ctx context.Context, job Job) simulate.Store {
 	return w.store
 }
 
-// Execute runs every point of the job's shard and calls emit once per
-// finished point, in completion order, serialized (emit is never
-// called concurrently).  Points whose simulation fails are emitted
-// with Err set and do not abort the shard, but a point whose run a
-// cancellation cut short is not emitted.  Execute itself returns an
-// error only for a malformed job, a cancelled context, or an emit
-// failure (a broken result stream), which stops the rest of the
-// shard.  When a store is available — per-job via Job.StoreURL or
-// worker-wide via WithWorkerStore — every point is looked up before
-// simulating and stored back after, so a reassigned shard re-hits the
-// fleet's store for points its previous owner already finished.
+// Execute runs every point of the job's shard through simulate.Stream
+// and calls emit once per finished point, in completion order,
+// serialized (emit is never called concurrently).  Points whose
+// simulation fails are emitted with Err set and do not abort the
+// shard, but a point whose run a cancellation cut short is not
+// emitted.  Execute itself returns an error only for a malformed job
+// (an invalid point included), a cancelled context, or an emit failure
+// (a broken result stream), which stops the rest of the shard.  When a
+// store is available — per-job via Job.StoreURL or worker-wide via
+// WithWorkerStore — the shard's points that share a key simulate once,
+// and every point is looked up before simulating and stored back
+// after, so a reassigned shard re-hits the fleet's store for points
+// its previous owner already finished.
 func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) error) error {
 	if err := job.Validate(); err != nil {
 		return err
@@ -128,76 +130,35 @@ func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) er
 	if err != nil {
 		return err
 	}
-	pts, err := space.Points()
-	if err != nil {
-		return err
-	}
 	// The first emit failure cancels the rest of the shard: nobody
 	// reads its points any more.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	store := w.storeFor(ctx, job)
-
-	parallel := w.parallel
-	if parallel < 1 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(job.Indices) {
-		parallel = len(job.Indices)
+	points, err := simulate.Stream(ctx, space, job.Indices, w.watch,
+		simulate.WithStore(w.storeFor(ctx, job)), simulate.WithWorkers(w.parallel))
+	if err != nil {
+		return err
 	}
 
-	// The pool mirrors the sweep engine's shape: a feeder, N point
-	// runners, one collector serializing emits.  Execute returns the
-	// first emit error (the stream consumer hung up), which stops the
-	// feeder and runners, or ctx.Err().
-	jobs := make(chan int)
-	results := make(chan PointResult, parallel)
-	var wg sync.WaitGroup
-	wg.Add(parallel)
-	for i := 0; i < parallel; i++ {
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				pr := w.runPoint(ctx, space, pts[idx], store)
-				if ctx.Err() != nil {
-					return // the run may have been cut short: no result
-				}
-				select {
-				case results <- pr:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for _, idx := range job.Indices {
-			select {
-			case jobs <- idx:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
+	// Drain the stream even after a failed emit, so no point of the
+	// shard is still running when Execute returns.
 	var emitErr error
 	emitted := 0
-	for pr := range results {
-		if emitErr == nil {
-			if err := emit(pr); err != nil {
-				emitErr = err
-				cancel()
-			} else {
-				emitted++
-			}
+	for sp := range points {
+		w.mu.Lock()
+		w.done++
+		w.mu.Unlock()
+		if emitErr != nil {
+			continue
+		}
+		pr := PointResult{Index: sp.Point.Index, Result: sp.Result, Cached: sp.Cached}
+		if sp.Err != nil {
+			pr.Err = sp.Err.Error()
+		}
+		if emitErr = emit(pr); emitErr != nil {
+			cancel()
+		} else {
+			emitted++
 		}
 	}
 	if emitErr != nil {
@@ -207,58 +168,32 @@ func (w *Worker) Execute(ctx context.Context, job Job, emit func(PointResult) er
 		return err
 	}
 	if emitted != len(job.Indices) {
-		// Runners bailed without a context error: impossible today, but
-		// a truncated shard must never read as a complete one.
+		// The stream ended early without a context error: impossible
+		// today, but a truncated shard must never read as a complete one.
 		return context.Canceled
 	}
 	return nil
 }
 
-// runPoint executes one expanded point against the store (when
-// present), mapping simulation failure into the wire error form.  The
-// point is registered in the worker's live Status for its duration;
-// with telemetry on, a per-point tracer makes its event rate and
-// occupancy observable while it simulates.
-func (w *Worker) runPoint(ctx context.Context, space simulate.Space, pt simulate.Point, store simulate.Store) PointResult {
-	w.mu.Lock()
-	w.inRun++
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		w.inRun--
-		w.done++
-		w.mu.Unlock()
-	}()
-
-	m, err := space.Machine(pt)
-	if err != nil {
-		return PointResult{Index: pt.Index, Err: err.Error()}
-	}
-	var key simulate.Key
-	if store != nil {
-		key = m.CacheKey(pt.Program)
-		if res, ok := store.Get(key); ok {
-			return PointResult{Index: pt.Index, Result: res, Cached: true}
-		}
-	}
+// watch is the hook simulate.Stream calls just before one of the
+// worker's points simulates: it counts the point in ActivePoints until
+// the run ends and, with telemetry on, returns a fresh tracer that
+// Status reads while the run is in flight.
+func (w *Worker) watch() (*trace.Tracer, func()) {
+	var tr *trace.Tracer
 	if w.telemetry {
-		tr := trace.New(trace.Config{Interval: w.traceIv})
-		m = m.WithTrace(tr)
-		w.mu.Lock()
+		tr = trace.New(trace.Config{Interval: w.traceIv})
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.inRun++
+	if tr != nil {
 		w.active[tr] = struct{}{}
-		w.mu.Unlock()
-		defer func() {
-			w.mu.Lock()
-			delete(w.active, tr)
-			w.mu.Unlock()
-		}()
 	}
-	res, err := m.Run(ctx, pt.Program)
-	if err != nil {
-		return PointResult{Index: pt.Index, Err: err.Error()}
+	return tr, func() {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.inRun--
+		delete(w.active, tr)
 	}
-	if store != nil {
-		store.Put(key, res)
-	}
-	return PointResult{Index: pt.Index, Result: res}
 }

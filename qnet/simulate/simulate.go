@@ -238,8 +238,9 @@ func (m *Machine) Trace() *trace.Tracer { return m.cfg.Trace }
 // WithTrace returns a copy of the machine with the given tracer
 // attached (or detached, with nil).  The copy shares the original's
 // configuration and store; because a Tracer records one run at a time,
-// deriving a per-run machine this way is how concurrent runs (sweep
-// points, distributed shards) each get their own telemetry.
+// deriving a per-run machine this way is how concurrent runs each get
+// their own telemetry (a Stream's points get theirs through its watch
+// hook).
 func (m *Machine) WithTrace(t *trace.Tracer) *Machine {
 	m2 := *m
 	m2.cfg.Trace = t
@@ -266,7 +267,7 @@ func (m *Machine) Store() Store { return m.store }
 // runs back, so a warm re-run of the same configuration and program is
 // a lookup instead of a simulation (Cache().Stats() reports the hit).
 func (m *Machine) Run(ctx context.Context, prog qnet.Program) (Result, error) {
-	res, _, err := m.run(ctx, m.cfg, prog, m.flights, m.keyOf(m.cfg, prog))
+	res, _, err := m.run(ctx, m.cfg, prog, m.flights, m.keyOf(m.cfg, prog), nil)
 	return res, err
 }
 
@@ -291,15 +292,14 @@ func (m *Machine) keyOf(cfg netsim.Config, prog qnet.Program) Key {
 // observes the simulation itself, and a stored Result has no time
 // series to give it — but its result is still stored: traced and
 // untraced runs produce identical Results, so the entry serves either.
-func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program, flights *flightGroup, key Key) (res Result, cached bool, err error) {
+// watch is Stream's per-point hook (nil elsewhere): it is called only
+// once the run is about to simulate, its tracer observes the
+// simulation, and its done is called when the simulation ends.
+func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program, flights *flightGroup, key Key, watch func() (*trace.Tracer, func())) (res Result, cached bool, err error) {
 	if err := netsim.CheckProgram(cfg.Grid, prog); err != nil {
 		return Result{}, false, err
 	}
-	if m.store == nil {
-		res, err = netsim.RunContext(ctx, cfg, prog)
-		return res, false, err
-	}
-	if cfg.Trace == nil {
+	if m.store != nil && cfg.Trace == nil {
 		if err := flights.claim(ctx, key); err != nil {
 			return Result{}, false, err
 		}
@@ -308,8 +308,15 @@ func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program,
 			return res, true, nil
 		}
 	}
+	var done func()
+	if watch != nil {
+		cfg.Trace, done = watch()
+	}
 	res, err = netsim.RunContext(ctx, cfg, prog)
-	if err == nil {
+	if done != nil {
+		done()
+	}
+	if err == nil && m.store != nil {
 		m.store.Put(key, res)
 	}
 	return res, false, err
@@ -352,7 +359,7 @@ func (s *Session) Run(ctx context.Context, prog qnet.Program) (Result, error) {
 	m := s.machine
 	cfg := m.cfg
 	cfg.Seed = deriveSeed(cfg.Seed, s.runs)
-	res, _, err := m.run(ctx, cfg, prog, m.flights, m.keyOf(cfg, prog))
+	res, _, err := m.run(ctx, cfg, prog, m.flights, m.keyOf(cfg, prog), nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -16,7 +16,8 @@ func TestStreamCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	space := test2x2x2Space(t) // 8 points, enough to be mid-sweep after one
-	ch, total, err := Stream(ctx, space, WithWorkers(4))
+	total := space.Size()
+	ch, err := Stream(ctx, space, allIndices(total), nil, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

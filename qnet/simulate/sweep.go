@@ -12,6 +12,7 @@ import (
 	"repro/qnet"
 	"repro/qnet/fault"
 	"repro/qnet/route"
+	"repro/qnet/trace"
 )
 
 // Resources is one per-node resource allocation: t teleporters, g
@@ -402,7 +403,12 @@ func WithCache(c *Cache) CacheOption {
 // the points finished before cancellation).
 func Sweep(ctx context.Context, space Space, opts ...SweepOption) ([]SweepPoint, error) {
 	cfg := sweepOptions(opts)
-	ch, total, err := stream(ctx, space, cfg)
+	total := space.Size()
+	all := make([]int, total)
+	for i := range all {
+		all[i] = i
+	}
+	ch, err := stream(ctx, space, all, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -420,16 +426,26 @@ func Sweep(ctx context.Context, space Space, opts ...SweepOption) ([]SweepPoint,
 	return out, nil
 }
 
-// Stream is Sweep with results delivered as they finish, in completion
-// order, over the returned channel; points are dispatched in Sweep's
-// order (every distinct key before its duplicates).  The second return
-// is the total point count.  The channel closes when every point has
-// been delivered or the context is cancelled.  The caller must either
-// drain the channel or cancel ctx; abandoning the channel mid-stream
-// leaves the worker goroutines blocked on their sends for the life of
-// ctx.
-func Stream(ctx context.Context, space Space, opts ...SweepOption) (<-chan SweepPoint, int, error) {
-	return stream(ctx, space, sweepOptions(opts))
+// Stream runs the points of the space that indices lists, by
+// Point.Index, and delivers each over the returned channel as it
+// finishes, in completion order: one shard of a sweep, as a
+// qnet/distrib worker runs it.  Only the listed points have their
+// machines built and their keys hashed, and they are dispatched in
+// Sweep's order (every distinct key before its duplicates).  A negative
+// or out-of-range index is a *qnet.ConfigError, returned before any
+// point runs.
+//
+// watch, when non-nil, is called just before a point simulates, after
+// its store lookup missed; the tracer it returns (nil for none)
+// observes that run, and done is called when the run ends.  A point
+// served from the store never reaches watch.
+//
+// The channel closes when every listed point has been delivered or the
+// context is cancelled.  The caller must either drain the channel or
+// cancel ctx; abandoning the channel mid-stream leaves the worker
+// goroutines blocked on their sends for the life of ctx.
+func Stream(ctx context.Context, space Space, indices []int, watch func() (tr *trace.Tracer, done func()), opts ...SweepOption) (<-chan SweepPoint, error) {
+	return stream(ctx, space, indices, watch, sweepOptions(opts))
 }
 
 func sweepOptions(opts []SweepOption) sweepConfig {
@@ -443,24 +459,30 @@ func sweepOptions(opts []SweepOption) sweepConfig {
 	return cfg
 }
 
-func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoint, int, error) {
-	pts, err := space.points()
+func stream(ctx context.Context, space Space, indices []int, watch func() (*trace.Tracer, func()), cfg sweepConfig) (<-chan SweepPoint, error) {
+	all, err := space.points()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	// Validate every point's machine up front so configuration errors
-	// surface before any simulation work is spent.  A sweep-level store
-	// replaces whatever store Space.Options attached; a point with a
-	// store has its content key hashed here, once.
-	machines := make([]*Machine, len(pts))
-	keys := make([]Key, len(pts))
-	for i, pt := range pts {
-		m, err := space.machine(pt)
+	// Validate every listed point's machine up front so configuration
+	// errors surface before any simulation work is spent.  A sweep-level
+	// store replaces whatever store Space.Options attached; a point with
+	// a store has its content key hashed here, once.
+	pts := make([]Point, len(indices))
+	machines := make([]*Machine, len(indices))
+	keys := make([]Key, len(indices))
+	for i, idx := range indices {
+		if idx < 0 || idx >= len(all) {
+			return nil, &qnet.ConfigError{Field: "indices", Value: idx,
+				Reason: fmt.Sprintf("point index out of range [0,%d)", len(all))}
+		}
+		pts[i] = all[idx]
+		m, err := space.machine(pts[i])
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if m.cfg.Trace != nil {
-			return nil, 0, &qnet.ConfigError{Field: "Space.Options", Value: "WithTrace",
+			return nil, &qnet.ConfigError{Field: "Space.Options", Value: "WithTrace",
 				Reason: "a Tracer records one run at a time, so a sweep's points cannot share one; " +
 					"trace a point through Space.Machine(pt), then Machine.WithTrace"}
 		}
@@ -468,7 +490,7 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 			m.store = cfg.store
 		}
 		machines[i] = m
-		keys[i] = m.keyOf(m.cfg, pt.Program)
+		keys[i] = m.keyOf(m.cfg, pts[i].Program)
 	}
 
 	// Feed the first point of every distinct key, in index order, before
@@ -523,7 +545,7 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 					return
 				}
 				m := machines[i]
-				res, cached, err := m.run(ctx, m.cfg, pts[i].Program, flights, keys[i])
+				res, cached, err := m.run(ctx, m.cfg, pts[i].Program, flights, keys[i], watch)
 				if ctx.Err() != nil {
 					return
 				}
@@ -552,5 +574,5 @@ func stream(ctx context.Context, space Space, cfg sweepConfig) (<-chan SweepPoin
 		wg.Wait()
 		close(results)
 	}()
-	return results, len(pts), nil
+	return results, nil
 }

@@ -3,9 +3,14 @@ package simulate
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/qnet"
+	"repro/qnet/trace"
 )
 
 // test2x2x2Space is the satellite-task space: layouts × resources ×
@@ -23,6 +28,16 @@ func test2x2x2Space(t testing.TB) Space {
 		Seeds:    []int64{1, 2},
 		Options:  []Option{WithFailureRate(0.1)},
 	}
+}
+
+// allIndices lists every point index of a space of n points, the shard
+// that covers the whole space.
+func allIndices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // TestSweepCoversSpaceExactlyOnce asserts the sweep returns every point
@@ -176,7 +191,8 @@ func TestSweepProgress(t *testing.T) {
 
 func TestStreamDeliversAll(t *testing.T) {
 	space := test2x2x2Space(t)
-	ch, total, err := Stream(context.Background(), space, WithWorkers(3))
+	total := space.Size()
+	ch, err := Stream(context.Background(), space, allIndices(total), nil, WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +208,108 @@ func TestStreamDeliversAll(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Errorf("stream delivered %d points, want 8", len(seen))
+	}
+}
+
+// TestStreamRejectsBadIndices: an index outside the space is a
+// *qnet.ConfigError, returned before any listed point runs.
+func TestStreamRejectsBadIndices(t *testing.T) {
+	space := test2x2x2Space(t)
+	var watched atomic.Int64
+	watch := func() (*trace.Tracer, func()) {
+		watched.Add(1)
+		return nil, func() {}
+	}
+	for _, indices := range [][]int{{0, -1}, {0, 8}} {
+		ch, err := Stream(context.Background(), space, indices, watch, WithWorkers(2))
+		var ce *qnet.ConfigError
+		if ch != nil || !errors.As(err, &ce) || ce.Value != indices[1] {
+			t.Errorf("Stream(%v) = %v, %v; want no channel and a *qnet.ConfigError on index %d",
+				indices, ch, err, indices[1])
+		}
+	}
+	if n := watched.Load(); n != 0 {
+		t.Errorf("rejected Streams simulated %d points", n)
+	}
+}
+
+// TestStreamSubset: a shard streams exactly its listed points, under
+// their space indices, with the points and results Sweep gives them.
+func TestStreamSubset(t *testing.T) {
+	space := test2x2x2Space(t)
+	want, err := Sweep(context.Background(), space, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indices := []int{6, 1, 3}
+	ch, err := Stream(context.Background(), space, indices, nil, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[int]SweepPoint)
+	for sp := range ch {
+		if _, dup := got[sp.Point.Index]; dup {
+			t.Errorf("stream delivered index %d twice", sp.Point.Index)
+		}
+		got[sp.Point.Index] = sp
+	}
+	if len(got) != len(indices) {
+		t.Errorf("stream delivered %d points, want %d", len(got), len(indices))
+	}
+	for _, idx := range indices {
+		if sp, ok := got[idx]; !ok || !reflect.DeepEqual(sp, want[idx]) {
+			t.Errorf("index %d: streamed %+v, Sweep gave %+v", idx, sp, want[idx])
+		}
+	}
+}
+
+// TestStreamWatchesSimulatedPointsOnly: watch fires once per point that
+// simulates, and its tracer observes that run, but never for a point
+// the store serves.  A second Stream over the warm cache watches
+// nothing and serves every point.
+func TestStreamWatchesSimulatedPointsOnly(t *testing.T) {
+	space := test2x2x2Space(t)
+	space.Options = nil // deterministic: both seeds of a configuration share one key
+	cache := NewCache(0)
+	var mu sync.Mutex
+	var tracers []*trace.Tracer
+	ended := 0
+	watch := func() (*trace.Tracer, func()) {
+		tr := trace.New(trace.Config{Interval: time.Millisecond})
+		mu.Lock()
+		defer mu.Unlock()
+		tracers = append(tracers, tr)
+		return tr, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			ended++
+		}
+	}
+	stream := func() (cached int) {
+		ch, err := Stream(context.Background(), space, allIndices(space.Size()), watch, WithCache(cache), WithWorkers(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sp := range ch {
+			if sp.Err != nil {
+				t.Fatalf("point %d: %v", sp.Point.Index, sp.Err)
+			}
+			if sp.Cached {
+				cached++
+			}
+		}
+		return cached
+	}
+	if cached := stream(); cached != 4 || len(tracers) != 4 || ended != 4 {
+		t.Errorf("cold stream: %d cached, %d watched, %d ended; want 4 of each", cached, len(tracers), ended)
+	}
+	for i, tr := range tracers {
+		if tr.Samples() == 0 {
+			t.Errorf("watched run %d left its tracer empty", i)
+		}
+	}
+	if cached := stream(); cached != 8 || len(tracers) != 4 {
+		t.Errorf("warm stream: %d cached, %d more watched; want 8 cached, none watched", cached, len(tracers)-4)
 	}
 }
 

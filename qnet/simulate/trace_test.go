@@ -254,9 +254,9 @@ func TestTraceSharedBySweepIsConfigError(t *testing.T) {
 		t.Errorf("Sweep returned %d points", len(points))
 	}
 	check("Sweep", err)
-	ch, total, err := Stream(context.Background(), space, WithWorkers(4))
-	if ch != nil || total != 0 {
-		t.Errorf("Stream returned a channel for %d points", total)
+	ch, err := Stream(context.Background(), space, allIndices(space.Size()), nil, WithWorkers(4))
+	if ch != nil {
+		t.Errorf("Stream returned a channel for %d points", space.Size())
 	}
 	check("Stream", err)
 	if n := tr.Samples(); n != 0 {

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/epr"
 	"repro/internal/fidelity"
 	"repro/internal/figures"
 	"repro/internal/mesh"
@@ -19,6 +18,8 @@ import (
 	"repro/internal/phys"
 	"repro/internal/purify"
 	"repro/internal/workload"
+
+	"repro/qnet/channel"
 )
 
 var base = phys.IonTrap2006()
@@ -52,7 +53,7 @@ func BenchmarkFig8Purification(b *testing.B) {
 
 func BenchmarkFig9ChainedTeleport(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := epr.Fig9Series(base, figures.Fig9InitialErrors, 70)
+		pts := figures.Fig9Series(base, figures.Fig9InitialErrors, 70)
 		if len(pts) == 0 {
 			b.Fatal("empty series")
 		}
@@ -60,11 +61,11 @@ func BenchmarkFig9ChainedTeleport(b *testing.B) {
 }
 
 func BenchmarkFig10TotalPairs(b *testing.B) {
-	cfg := epr.DefaultConfig(base)
+	cfg := channel.DefaultDistribution(base)
 	hops := figures.DistanceHops()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts := cfg.DistanceSeries(hops)
+		pts := figures.DistanceSeries(cfg, hops)
 		if len(pts) == 0 {
 			b.Fatal("empty series")
 		}
@@ -75,10 +76,10 @@ func BenchmarkFig11TeleportedPairs(b *testing.B) {
 	// Same evaluation as Figure 10 but asserting the teleported metric,
 	// benchmarked separately because the paper reports them as distinct
 	// figures.
-	cfg := epr.DefaultConfig(base)
+	cfg := channel.DefaultDistribution(base)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range epr.Schemes {
+		for _, s := range channel.Schemes {
 			c := cfg.Evaluate(s, 60)
 			if c.TeleportedPairs <= 0 {
 				b.Fatal("no teleported pairs")
@@ -91,7 +92,7 @@ func BenchmarkFig12ErrorSweep(b *testing.B) {
 	rates := figures.Fig12Rates()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts := epr.Fig12Series(base, rates, 10)
+		pts := figures.Fig12Series(base, rates, 10)
 		if len(pts) == 0 {
 			b.Fatal("empty series")
 		}
@@ -133,11 +134,11 @@ func BenchmarkAblationProtocol(b *testing.B) {
 	for _, proto := range []purify.Protocol{purify.DEJMPS{Params: base}, purify.BBPSSW{Params: base}} {
 		proto := proto
 		b.Run(proto.Name(), func(b *testing.B) {
-			cfg := epr.DefaultConfig(base)
+			cfg := channel.DefaultDistribution(base)
 			cfg.Protocol = proto
 			cfg.MaxEndpointRounds = 80
 			for i := 0; i < b.N; i++ {
-				c := cfg.Evaluate(epr.EndpointsOnly, 20)
+				c := cfg.Evaluate(channel.EndpointsOnly, 20)
 				if !c.Feasible {
 					b.Fatal("infeasible")
 				}
@@ -178,10 +179,10 @@ func BenchmarkAblationHopLength(b *testing.B) {
 	for _, cells := range []int{100, 600, 2400} {
 		cells := cells
 		b.Run(benchName("cells", cells), func(b *testing.B) {
-			cfg := epr.DefaultConfig(base)
+			cfg := channel.DefaultDistribution(base)
 			cfg.HopCells = cells
 			for i := 0; i < b.N; i++ {
-				c := cfg.Evaluate(epr.EndpointsOnly, 20)
+				c := cfg.Evaluate(channel.EndpointsOnly, 20)
 				if !c.Feasible {
 					b.Fatal("infeasible")
 				}

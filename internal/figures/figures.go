@@ -10,11 +10,12 @@ import (
 	"time"
 
 	"repro/internal/ecc"
-	"repro/internal/epr"
 	"repro/internal/fidelity"
 	"repro/internal/phys"
 	"repro/internal/purify"
 	"repro/internal/report"
+
+	"repro/qnet/channel"
 )
 
 // Table1 reproduces the paper's Table 1: time constants for ion-trap
@@ -83,7 +84,7 @@ var Fig9InitialErrors = []float64{1e-4, 1e-5, 1e-6, 1e-7, 1e-8}
 
 // Fig9 reproduces Figure 9: EPR error versus teleportation hop count.
 func Fig9(p phys.Params, maxHops int) (*report.Table, *report.Plot) {
-	pts := epr.Fig9Series(p, Fig9InitialErrors, maxHops)
+	pts := Fig9Series(p, Fig9InitialErrors, maxHops)
 	t := report.NewTable("Figure 9: EPR error at logical qubit vs teleportation hops",
 		"InitialError", "Hops", "Error")
 	plot := report.NewPlot("Figure 9: error vs teleport distance (threshold 7.5e-5)",
@@ -128,18 +129,18 @@ func DistanceHops() []int {
 // Fig10 reproduces Figure 10 (metric: total EPR pairs used) and Figure 11
 // (metric: EPR pairs teleported) from the same evaluation; which figure
 // is selected by the teleported flag.
-func Fig10(cfg epr.Config, teleported bool) (*report.Table, *report.Plot) {
+func Fig10(cfg channel.Distribution, teleported bool) (*report.Table, *report.Plot) {
 	name, metric := "Figure 10: total EPR pairs used", "TotalPairs"
 	if teleported {
 		name, metric = "Figure 11: EPR pairs teleported", "TeleportedPairs"
 	}
-	pts := cfg.DistanceSeries(DistanceHops())
+	pts := DistanceSeries(cfg, DistanceHops())
 	t := report.NewTable(name+" vs distance and purification placement",
 		"Scheme", "Hops", "ArrivalError", "EndpointRounds", metric)
 	plot := report.NewPlot(name, "distance travelled in teleports", metric)
 	plot.LogY = true
 
-	curves := map[epr.Scheme]*report.Series{}
+	curves := map[channel.Scheme]*report.Series{}
 	for _, pt := range pts {
 		val := pt.Cost.TotalPairs
 		if teleported {
@@ -157,7 +158,7 @@ func Fig10(cfg epr.Config, teleported bool) (*report.Table, *report.Plot) {
 			c.Y = append(c.Y, val)
 		}
 	}
-	for _, s := range epr.Schemes {
+	for _, s := range channel.Schemes {
 		plot.Add(*curves[s])
 	}
 	return t, plot
@@ -178,14 +179,14 @@ func Fig12Rates() []float64 {
 // length.  The paper does not state the path length; we default to 10
 // hops (see EXPERIMENTS.md).
 func Fig12(base phys.Params, hops int) (*report.Table, *report.Plot) {
-	pts := epr.Fig12Series(base, Fig12Rates(), hops)
+	pts := Fig12Series(base, Fig12Rates(), hops)
 	t := report.NewTable(fmt.Sprintf("Figure 12: EPR pairs teleported vs uniform error rate (%d hops)", hops),
 		"Scheme", "ErrorRate", "Feasible", "EndpointRounds", "TeleportedPairs")
 	plot := report.NewPlot("Figure 12: pairs teleported vs operation error rate",
 		"error rate of all operations", "EPR pairs teleported")
 	plot.LogX, plot.LogY = true, true
 
-	curves := map[epr.Scheme]*report.Series{}
+	curves := map[channel.Scheme]*report.Series{}
 	for _, pt := range pts {
 		t.AddRow(pt.Scheme.String(), pt.ErrorRate, pt.Cost.Feasible, pt.Cost.EndpointRounds, pt.Cost.TeleportedPairs)
 		c, ok := curves[pt.Scheme]
@@ -198,7 +199,7 @@ func Fig12(base phys.Params, hops int) (*report.Table, *report.Plot) {
 			c.Y = append(c.Y, pt.Cost.TeleportedPairs)
 		}
 	}
-	for _, s := range epr.Schemes {
+	for _, s := range channel.Schemes {
 		plot.Add(*curves[s])
 	}
 	return t, plot
@@ -220,9 +221,9 @@ func Claims(p phys.Params) *report.Table {
 			code.RawPairsPerLogicalTeleport(3))
 	}
 	t.AddRow("Distribution breakdown error rate (Fig 12)", "near 1e-5",
-		epr.BreakdownRate(p, 10, 1e-7, 1e-3))
-	cfg := epr.DefaultConfig(p)
+		BreakdownRate(p, 10, 1e-7, 1e-3))
+	cfg := channel.DefaultDistribution(p)
 	t.AddRow("Pairs to set up one channel, 30 hops, end-only (§6)", "several dozen",
-		cfg.Evaluate(epr.EndpointsOnly, 30).TeleportedPairs/30)
+		cfg.Evaluate(channel.EndpointsOnly, 30).TeleportedPairs/30)
 	return t
 }

@@ -4,9 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/epr"
 	"repro/internal/netsim"
 	"repro/internal/phys"
+
+	"repro/qnet/channel"
 )
 
 var base = phys.IonTrap2006()
@@ -88,7 +89,7 @@ func TestFig9Renders(t *testing.T) {
 }
 
 func TestFig10And11Render(t *testing.T) {
-	cfg := epr.DefaultConfig(base)
+	cfg := channel.DefaultDistribution(base)
 	for _, teleported := range []bool{false, true} {
 		tab, plot := Fig10(cfg, teleported)
 		var b strings.Builder

@@ -1,10 +1,15 @@
-package epr
+// The data series behind Figures 9-12, computed from the qnet/channel
+// distribution model.
+
+package figures
 
 import (
 	"math"
 
 	"repro/internal/fidelity"
 	"repro/internal/phys"
+
+	"repro/qnet/channel"
 )
 
 // Fig9Point is one sample of Figure 9: the error of an EPR pair after a
@@ -39,16 +44,17 @@ func Fig9Series(p phys.Params, initialErrors []float64, maxHops int) []Fig9Point
 // Fig10Point is one sample of Figures 10 and 11: delivery cost versus
 // distance for one placement scheme.
 type Fig10Point struct {
-	Scheme Scheme
+	Scheme channel.Scheme
 	Hops   int
-	Cost   Cost
+	Cost   channel.Cost
 }
 
-// DistanceSeries evaluates every scheme at each distance, producing the
-// data behind Figures 10 (TotalPairs) and 11 (TeleportedPairs).
-func (c Config) DistanceSeries(hops []int) []Fig10Point {
+// DistanceSeries evaluates every scheme of c at each distance,
+// producing the data behind Figures 10 (TotalPairs) and 11
+// (TeleportedPairs).
+func DistanceSeries(c channel.Distribution, hops []int) []Fig10Point {
 	var out []Fig10Point
-	for _, s := range Schemes {
+	for _, s := range channel.Schemes {
 		for _, h := range hops {
 			out = append(out, Fig10Point{s, h, c.Evaluate(s, h)})
 		}
@@ -59,9 +65,9 @@ func (c Config) DistanceSeries(hops []int) []Fig10Point {
 // Fig12Point is one sample of Figure 12: pairs teleported to sustain the
 // threshold as a function of a uniform operation error rate.
 type Fig12Point struct {
-	Scheme    Scheme
+	Scheme    channel.Scheme
 	ErrorRate float64
-	Cost      Cost
+	Cost      channel.Cost
 }
 
 // Fig12Series reproduces Figure 12: for each scheme, sweep a uniform
@@ -73,9 +79,9 @@ type Fig12Point struct {
 // 1e-5 in the paper's figure.
 func Fig12Series(base phys.Params, rates []float64, hops int) []Fig12Point {
 	var out []Fig12Point
-	for _, s := range Schemes {
+	for _, s := range channel.Schemes {
 		for _, r := range rates {
-			cfg := DefaultConfig(base.WithUniformError(r))
+			cfg := channel.DefaultDistribution(base.WithUniformError(r))
 			out = append(out, Fig12Point{s, r, cfg.Evaluate(s, hops)})
 		}
 	}
@@ -88,8 +94,8 @@ func Fig12Series(base phys.Params, rates []float64, hops int) []Fig12Point {
 // tolerance) at which EndpointsOnly delivery over hops is still feasible.
 func BreakdownRate(base phys.Params, hops int, lo, hi float64) float64 {
 	feasible := func(rate float64) bool {
-		cfg := DefaultConfig(base.WithUniformError(rate))
-		return cfg.Evaluate(EndpointsOnly, hops).Feasible
+		cfg := channel.DefaultDistribution(base.WithUniformError(rate))
+		return cfg.Evaluate(channel.EndpointsOnly, hops).Feasible
 	}
 	if !feasible(lo) {
 		return lo

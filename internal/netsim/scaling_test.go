@@ -54,3 +54,44 @@ func TestTimeScalingIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestMoreResourcesNeverSlower: one more teleporter, generator or
+// purifier per node, the other two counts held at 16, must never make
+// a run slower.  The sweeps cover each count over 1–40 on 4×4 QFT-16
+// in both layouts, and the purifier count on 6×6 HomeBase QFT-36.
+// Exec never rises, except at the steps listed in slower, which must
+// still rise so the list stays honest.  The one listed step is 6×6
+// HomeBase at p 4 → 5, 2.8159592s → 2.916523s (+3.6%).
+func TestMoreResourcesNeverSlower(t *testing.T) {
+	slower := map[string]bool{"6x6/HomeBase/p=4": true}
+	sweeps := []struct {
+		n      int
+		layout Layout
+		count  int // index into {t, g, p}
+	}{
+		{4, HomeBase, 0}, {4, HomeBase, 1}, {4, HomeBase, 2},
+		{4, MobileQubit, 0}, {4, MobileQubit, 1}, {4, MobileQubit, 2},
+		{6, HomeBase, 2},
+	}
+	for _, sw := range sweeps {
+		name := fmt.Sprintf("%dx%d/%v/%c", sw.n, sw.n, sw.layout, "tgp"[sw.count])
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			g := grid(t, sw.n, sw.n)
+			prog := workload.QFT(g.Tiles())
+			var prev time.Duration
+			for c := 1; c <= 40; c++ {
+				units := [3]int{16, 16, 16}
+				units[sw.count] = c
+				res, err := Run(DefaultConfig(g, sw.layout, units[0], units[1], units[2]), prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if step := fmt.Sprintf("%s=%d", name, c-1); c > 1 && (res.Exec > prev) != slower[step] {
+					t.Errorf("%s → %d: Exec %v → %v; listed as slower: %v", step, c, prev, res.Exec, slower[step])
+				}
+				prev = res.Exec
+			}
+		})
+	}
+}

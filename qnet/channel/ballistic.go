@@ -1,16 +1,4 @@
-// Package ballistic models the Ballistic Movement Distribution
-// Methodology of the paper's Figure 4 — the alternative to chained
-// teleportation in which EPR pairs are generated at a midpoint G node and
-// physically shuttled down channels of ion traps to purifier nodes near
-// the endpoints — together with the electrode-level control model of
-// Figure 2 that quantifies the paper's Classical Control Complexity
-// metric (Section 3.3).
-//
-// The paper's Section 4.6 compares the two methodologies: their final
-// fidelities are approximately equal (gate error is far below movement
-// error for ion traps), while their latencies cross over near 600 cells.
-// This package makes those comparisons executable.
-package ballistic
+package channel
 
 import (
 	"fmt"
@@ -21,67 +9,68 @@ import (
 	"repro/internal/purify"
 )
 
-// ElectrodesPerTrap is the number of electrode pairs forming one ion
+// electrodesPerTrap is the number of electrode pairs forming one ion
 // trap in the Figure 2 layout (three: confinement on both sides plus the
 // well centre).
-const ElectrodesPerTrap = 3
+const electrodesPerTrap = 3
 
-// PhasesPerCell is the number of waveform phases needed to shuttle an
+// phasesPerCell is the number of waveform phases needed to shuttle an
 // ion across one cell: the well must be squeezed, shifted and re-opened,
 // each phase changing the levels of the adjacent electrode pairs (the
 // waveform staircase of Figure 2).
-const PhasesPerCell = 6
+const phasesPerCell = 6
 
-// Level is a discrete electrode drive level of the simplified waveform
-// model: Low confines, Mid carries, High pushes.
-type Level int8
+// driveLevel is a discrete electrode drive level of the simplified
+// waveform model: low confines, mid carries, high pushes.
+type driveLevel int8
 
 // The three drive levels.
 const (
-	Low Level = iota
-	Mid
-	High
+	low driveLevel = iota
+	mid
+	high
 )
 
 // String names the level.
-func (l Level) String() string {
+func (l driveLevel) String() string {
 	switch l {
-	case Low:
+	case low:
 		return "low"
-	case Mid:
+	case mid:
 		return "mid"
-	case High:
+	case high:
 		return "high"
 	default:
 		return fmt.Sprintf("Level(%d)", int8(l))
 	}
 }
 
-// PulseStep is one phase of a shuttle waveform: the set of electrode
+// pulseStep is one phase of a shuttle waveform: the set of electrode
 // levels applied simultaneously.  Electrodes are indexed along the
 // channel; each index addresses a top/bottom pair driven together (the a
 // and b traces of Figure 2 mirror each other).
-type PulseStep struct {
+type pulseStep struct {
 	// Phase is the step index within the move.
 	Phase int
 	// Levels maps electrode index to the drive level it must take this
 	// phase.  Electrodes not listed hold their previous level.
-	Levels map[int]Level
+	Levels map[int]driveLevel
 }
 
-// MovePlan is the waveform program that shuttles an ion between traps.
+// MovePlan is the electrode-level waveform program that shuttles an
+// ion between traps (Figure 2).
 type MovePlan struct {
 	FromTrap, ToTrap int
-	Steps            []PulseStep
+	Steps            []pulseStep
 }
 
 // PlanMove builds the pulse program to shuttle one ion from trap from to
 // trap to along a straight channel.  The returned plan has
-// PhasesPerCell × |to-from| steps, each touching the three electrode
+// phasesPerCell × |to-from| steps, each touching the three electrode
 // pairs around the ion's current position.
 func PlanMove(from, to int) (MovePlan, error) {
 	if from < 0 || to < 0 {
-		return MovePlan{}, fmt.Errorf("ballistic: trap indices must be >= 0 (got %d -> %d)", from, to)
+		return MovePlan{}, fmt.Errorf("channel: trap indices must be >= 0 (got %d -> %d)", from, to)
 	}
 	plan := MovePlan{FromTrap: from, ToTrap: to}
 	if from == to {
@@ -101,17 +90,17 @@ func PlanMove(from, to int) (MovePlan, error) {
 		// locality (three electrode pairs per phase).
 		cells := [][]struct {
 			offset int
-			level  Level
+			level  driveLevel
 		}{
-			{{pos, Mid}, {next, Mid}},
-			{{pos, High}, {next, Mid}},
-			{{pos, High}, {next, Low}},
-			{{pos, Mid}, {next, Low}},
-			{{pos, Low}, {next, Low}},
-			{{next, Mid}, {pos, Low}},
+			{{pos, mid}, {next, mid}},
+			{{pos, high}, {next, mid}},
+			{{pos, high}, {next, low}},
+			{{pos, mid}, {next, low}},
+			{{pos, low}, {next, low}},
+			{{next, mid}, {pos, low}},
 		}
 		for _, settings := range cells {
-			step := PulseStep{Phase: phase, Levels: make(map[int]Level, len(settings))}
+			step := pulseStep{Phase: phase, Levels: make(map[int]driveLevel, len(settings))}
 			for _, s := range settings {
 				step.Levels[s.offset] = s.level
 			}
@@ -152,12 +141,12 @@ func (m MovePlan) Fidelity(p phys.Params) float64 {
 	return fidelity.Ballistic(p, 1, m.Cells())
 }
 
-// Distribution models the Figure 4 methodology end to end: EPR pairs are
-// generated at the midpoint of a channel of DistanceCells ion traps,
-// each half shuttled DistanceCells/2 to its endpoint purifier, and the
-// arrivals tree-purified until the pair error is at or below
-// TargetError.
-type Distribution struct {
+// BallisticDistribution models the Figure 4 methodology end to end:
+// EPR pairs are generated at the midpoint of a channel of
+// DistanceCells ion traps, each half shuttled DistanceCells/2 to its
+// endpoint purifier, and the arrivals tree-purified until the pair
+// error is at or below TargetError.
+type BallisticDistribution struct {
 	Params phys.Params
 	// DistanceCells is the endpoint-to-endpoint channel length.
 	DistanceCells int
@@ -168,9 +157,9 @@ type Distribution struct {
 	MaxRounds int
 }
 
-// Result is the cost of delivering one above-target EPR pair
+// BallisticResult is the cost of delivering one above-target EPR pair
 // ballistically.
-type Result struct {
+type BallisticResult struct {
 	// ArrivalError is the pair error after both halves are shuttled.
 	ArrivalError float64
 	// Rounds is the endpoint purification tree depth.
@@ -189,12 +178,12 @@ type Result struct {
 }
 
 // Evaluate runs the distribution model.
-func (d Distribution) Evaluate() (Result, error) {
+func (d BallisticDistribution) Evaluate() (BallisticResult, error) {
 	if d.DistanceCells < 2 {
-		return Result{}, fmt.Errorf("ballistic: distance must be >= 2 cells, got %d", d.DistanceCells)
+		return BallisticResult{}, fmt.Errorf("channel: distance must be >= 2 cells, got %d", d.DistanceCells)
 	}
 	if err := d.Params.Validate(); err != nil {
-		return Result{}, err
+		return BallisticResult{}, err
 	}
 	target := d.TargetError
 	if target == 0 {
@@ -213,7 +202,7 @@ func (d Distribution) Evaluate() (Result, error) {
 
 	proto := purify.DEJMPS{Params: d.Params}
 	rounds, final, pairs, ok := purify.RoundsToReach(proto, arrived.Twirl(), target, maxRounds)
-	res := Result{
+	res := BallisticResult{
 		ArrivalError:  arrived.Error(),
 		Rounds:        rounds,
 		FinalError:    final.Error(),
@@ -233,7 +222,7 @@ func (d Distribution) Evaluate() (Result, error) {
 	// Control: each consumed pair shuttles two halves of D/2 cells.
 	plan, err := PlanMove(0, d.DistanceCells/2)
 	if err != nil {
-		return Result{}, err
+		return BallisticResult{}, err
 	}
 	res.ControlSignals = int(pairs+0.5) * 2 * plan.Signals()
 	return res, nil
@@ -254,11 +243,11 @@ type Comparison struct {
 	ChainedPairError   float64
 }
 
-// Compare evaluates both methodologies over the same physical span,
+// CompareMethodologies evaluates both methodologies over the same physical span,
 // chaining teleports every hopCells for the teleportation methodology.
-func Compare(p phys.Params, distanceCells, hopCells int) (Comparison, error) {
+func CompareMethodologies(p phys.Params, distanceCells, hopCells int) (Comparison, error) {
 	if distanceCells < 1 || hopCells < 1 {
-		return Comparison{}, fmt.Errorf("ballistic: distances must be >= 1 (got %d, %d)", distanceCells, hopCells)
+		return Comparison{}, fmt.Errorf("channel: distances must be >= 1 (got %d, %d)", distanceCells, hopCells)
 	}
 	c := Comparison{
 		DistanceCells:    distanceCells,

@@ -1,14 +1,10 @@
-package ballistic
+package channel
 
 import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/phys"
 )
-
-var base = phys.IonTrap2006()
 
 func TestPlanMoveBasics(t *testing.T) {
 	plan, err := PlanMove(3, 9)
@@ -18,7 +14,7 @@ func TestPlanMoveBasics(t *testing.T) {
 	if plan.Cells() != 6 {
 		t.Errorf("cells = %d, want 6", plan.Cells())
 	}
-	if want := 6 * PhasesPerCell; len(plan.Steps) != want {
+	if want := 6 * phasesPerCell; len(plan.Steps) != want {
 		t.Errorf("steps = %d, want %d", len(plan.Steps), want)
 	}
 	if plan.Signals() <= 0 {
@@ -79,11 +75,11 @@ func TestPlanMoveLinearSignalsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if plan.Signals() != plan.Cells()*2*PhasesPerCell {
+		if plan.Signals() != plan.Cells()*2*phasesPerCell {
 			return false
 		}
 		for _, s := range plan.Steps {
-			if len(s.Levels) > ElectrodesPerTrap {
+			if len(s.Levels) > electrodesPerTrap {
 				return false
 			}
 		}
@@ -96,7 +92,7 @@ func TestPlanMoveLinearSignalsProperty(t *testing.T) {
 
 func TestDistributionBaseline(t *testing.T) {
 	// A 16x16-grid diameter worth of distance: 30 hops x 600 cells.
-	d := Distribution{Params: base, DistanceCells: 18000}
+	d := BallisticDistribution{Params: base, DistanceCells: 18000}
 	res, err := d.Evaluate()
 	if err != nil {
 		t.Fatal(err)
@@ -120,18 +116,18 @@ func TestDistributionBaseline(t *testing.T) {
 }
 
 func TestDistributionValidation(t *testing.T) {
-	if _, err := (Distribution{Params: base, DistanceCells: 1}).Evaluate(); err == nil {
+	if _, err := (BallisticDistribution{Params: base, DistanceCells: 1}).Evaluate(); err == nil {
 		t.Error("distance 1 should fail")
 	}
 	bad := base
 	bad.Errors.MoveCell = -1
-	if _, err := (Distribution{Params: bad, DistanceCells: 100}).Evaluate(); err == nil {
+	if _, err := (BallisticDistribution{Params: bad, DistanceCells: 100}).Evaluate(); err == nil {
 		t.Error("invalid params should fail")
 	}
 }
 
 func TestDistributionInfeasibleAtHighError(t *testing.T) {
-	d := Distribution{Params: base.WithUniformError(1e-3), DistanceCells: 1200}
+	d := BallisticDistribution{Params: base.WithUniformError(1e-3), DistanceCells: 1200}
 	res, err := d.Evaluate()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +142,7 @@ func TestFidelityDifferenceClaim(t *testing.T) {
 	// approximately the same" because gate error is far below movement
 	// error.  Check within 2x over a range of distances.
 	for _, cells := range []int{600, 3000, 12000, 36000} {
-		c, err := Compare(base, cells, 600)
+		c, err := CompareMethodologies(base, cells, 600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +155,7 @@ func TestFidelityDifferenceClaim(t *testing.T) {
 
 func TestLatencyCrossoverClaim(t *testing.T) {
 	// Paper §4.6: ballistic wins below ~600 cells, teleportation above.
-	short, err := Compare(base, 300, 600)
+	short, err := CompareMethodologies(base, 300, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +163,7 @@ func TestLatencyCrossoverClaim(t *testing.T) {
 		t.Errorf("at 300 cells ballistic %v should beat teleport %v",
 			short.BallisticLatency, short.TeleportLatency)
 	}
-	long, err := Compare(base, 6000, 600)
+	long, err := CompareMethodologies(base, 6000, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,19 +174,19 @@ func TestLatencyCrossoverClaim(t *testing.T) {
 }
 
 func TestCompareValidation(t *testing.T) {
-	if _, err := Compare(base, 0, 600); err == nil {
+	if _, err := CompareMethodologies(base, 0, 600); err == nil {
 		t.Error("zero distance should fail")
 	}
-	if _, err := Compare(base, 600, 0); err == nil {
+	if _, err := CompareMethodologies(base, 600, 0); err == nil {
 		t.Error("zero hop length should fail")
 	}
 }
 
 func TestLevelString(t *testing.T) {
-	if Low.String() != "low" || Mid.String() != "mid" || High.String() != "high" {
+	if low.String() != "low" || mid.String() != "mid" || high.String() != "high" {
 		t.Error("level names wrong")
 	}
-	if Level(9).String() != "Level(9)" {
+	if driveLevel(9).String() != "Level(9)" {
 		t.Error("unknown level rendering wrong")
 	}
 }

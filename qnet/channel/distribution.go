@@ -1,22 +1,4 @@
-// Package epr models the distribution of EPR pairs across the
-// teleporter-grid interconnect: chained teleportation over virtual-wire
-// links, the five purification placement policies of Section 4.7, and the
-// resource accounting behind the paper's Figures 9, 10, 11 and 12.
-//
-// Terminology (Sections 3 and 4):
-//
-//   - A virtual wire is the constant stream of EPR pairs a G node
-//     generates between two adjacent T' (teleporter) nodes one hop
-//     (~600 cells) apart.  A "link pair" is one pair of that stream.
-//   - Channel setup distributes an end-to-end EPR pair by chaining
-//     teleports across the wire links, then purifies at the endpoints
-//     until the pair is above the fault-tolerance threshold.
-//   - "Before teleport" purification pumps each link pair with fresh
-//     pairs from its G node before it is used to teleport (virtual-wire
-//     purification).  "After each teleport" purifies the traveling pair
-//     itself after every hop, which requires extra copies spanning the
-//     same distance and is therefore exponential in hop count.
-package epr
+package channel
 
 import (
 	"fmt"
@@ -85,8 +67,9 @@ func (s Scheme) PumpRounds() int {
 // every teleport (the exponential-resource policies).
 func (s Scheme) After() bool { return s == OnceAfter || s == TwiceAfter }
 
-// Config holds the channel-setup model parameters.
-type Config struct {
+// Distribution models EPR-pair distribution over a chain of teleporter
+// hops: the channel-setup model's parameters.
+type Distribution struct {
 	// Params are the device constants (Tables 1 and 2).
 	Params phys.Params
 	// HopCells is the ballistic span of one teleporter hop; the paper
@@ -103,10 +86,10 @@ type Config struct {
 	MaxEndpointRounds int
 }
 
-// DefaultConfig returns the configuration the paper's evaluation uses:
-// 600-cell hops, DEJMPS purification, the 7.5e-5 threshold.
-func DefaultConfig(p phys.Params) Config {
-	return Config{
+// DefaultDistribution returns the paper's channel-setup model: 600-cell
+// hops, DEJMPS purification, the 7.5e-5 threshold.
+func DefaultDistribution(p phys.Params) Distribution {
+	return Distribution{
 		Params:            p,
 		HopCells:          600,
 		Protocol:          purify.DEJMPS{Params: p},
@@ -116,21 +99,21 @@ func DefaultConfig(p phys.Params) Config {
 }
 
 // Validate reports configuration errors.
-func (c Config) Validate() error {
+func (c Distribution) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return err
 	}
 	if c.HopCells < 1 {
-		return fmt.Errorf("epr: HopCells must be >= 1, got %d", c.HopCells)
+		return fmt.Errorf("channel: HopCells must be >= 1, got %d", c.HopCells)
 	}
 	if c.Protocol == nil {
-		return fmt.Errorf("epr: Protocol must be set")
+		return fmt.Errorf("channel: Protocol must be set")
 	}
 	if c.TargetError <= 0 || c.TargetError >= 1 {
-		return fmt.Errorf("epr: TargetError must be in (0,1), got %g", c.TargetError)
+		return fmt.Errorf("channel: TargetError must be in (0,1), got %g", c.TargetError)
 	}
 	if c.MaxEndpointRounds < 1 {
-		return fmt.Errorf("epr: MaxEndpointRounds must be >= 1, got %d", c.MaxEndpointRounds)
+		return fmt.Errorf("channel: MaxEndpointRounds must be >= 1, got %d", c.MaxEndpointRounds)
 	}
 	return nil
 }
@@ -139,17 +122,17 @@ func (c Config) Validate() error {
 // by its G node: generated (Eq 4) and ballistically distributed over the
 // hop (half the hop distance per side, the full hop of movement error on
 // the pair).
-func (c Config) RawLinkPair() fidelity.Bell {
+func (c Distribution) RawLinkPair() fidelity.Bell {
 	gen := fidelity.Werner(fidelity.GeneratePerfectInit(c.Params))
 	return gen.AfterBallistic(c.Params, c.HopCells)
 }
 
-// Pump applies rounds of entanglement pumping to base: each round
+// pump applies rounds of entanglement pumping to base: each round
 // purifies the current pair with one fresh copy of fresh.  It returns the
 // pumped state and the expected total number of fresh-quality pairs
 // consumed per pumped pair (including the base pair), accounting for
 // retries on purification failure.
-func Pump(proto purify.Protocol, base, fresh fidelity.Bell, rounds int) (fidelity.Bell, float64) {
+func pump(proto purify.Protocol, base, fresh fidelity.Bell, rounds int) (fidelity.Bell, float64) {
 	state := base
 	cost := 1.0
 	for i := 0; i < rounds; i++ {
@@ -166,9 +149,9 @@ func Pump(proto purify.Protocol, base, fresh fidelity.Bell, rounds int) (fidelit
 // WirePair returns the link-pair state used for chained teleportation
 // under the given number of pump rounds, together with the expected raw
 // link pairs consumed per delivered wire pair.
-func (c Config) WirePair(pumpRounds int) (fidelity.Bell, float64) {
+func (c Distribution) WirePair(pumpRounds int) (fidelity.Bell, float64) {
 	raw := c.RawLinkPair()
-	return Pump(c.Protocol, raw, raw, pumpRounds)
+	return pump(c.Protocol, raw, raw, pumpRounds)
 }
 
 // Cost is the resource accounting for delivering one above-threshold EPR
@@ -204,7 +187,7 @@ type Cost struct {
 
 // Evaluate computes the delivery cost of one above-threshold EPR pair
 // over hops teleporter hops under scheme s.
-func (c Config) Evaluate(s Scheme, hops int) Cost {
+func (c Distribution) Evaluate(s Scheme, hops int) Cost {
 	if hops < 0 {
 		hops = 0
 	}
@@ -259,7 +242,7 @@ func (c Config) Evaluate(s Scheme, hops int) Cost {
 			moved := fidelity.TeleportBell(c.Params, state, wire)
 			hopTeleported := teleported + 1
 			hopTotal := total + 1
-			pumped, copies := Pump(c.Protocol, moved, moved, k)
+			pumped, copies := pump(c.Protocol, moved, moved, k)
 			if math.IsInf(copies, 1) {
 				res.Feasible = false
 				res.TeleportedPairs = math.Inf(1)

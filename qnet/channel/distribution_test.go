@@ -1,4 +1,4 @@
-package epr
+package channel
 
 import (
 	"math"
@@ -6,13 +6,10 @@ import (
 	"testing/quick"
 
 	"repro/internal/fidelity"
-	"repro/internal/phys"
 	"repro/internal/purify"
 )
 
-var base = phys.IonTrap2006()
-
-func defCfg() Config { return DefaultConfig(base) }
+func defCfg() Distribution { return DefaultDistribution(base) }
 
 func TestSchemeStrings(t *testing.T) {
 	want := map[Scheme]string{
@@ -87,7 +84,7 @@ func TestPumpImprovesFidelity(t *testing.T) {
 	raw := defCfg().RawLinkPair()
 	proto := purify.DEJMPS{Params: base}
 	for rounds := 1; rounds <= 3; rounds++ {
-		pumped, cost := Pump(proto, raw, raw, rounds)
+		pumped, cost := pump(proto, raw, raw, rounds)
 		if pumped.Error() >= raw.Error() {
 			t.Errorf("%d pump rounds did not improve error: %g >= %g", rounds, pumped.Error(), raw.Error())
 		}
@@ -100,7 +97,7 @@ func TestPumpImprovesFidelity(t *testing.T) {
 
 func TestPumpZeroRounds(t *testing.T) {
 	raw := defCfg().RawLinkPair()
-	out, cost := Pump(purify.DEJMPS{Params: base}, raw, raw, 0)
+	out, cost := pump(purify.DEJMPS{Params: base}, raw, raw, 0)
 	if out != raw || cost != 1 {
 		t.Errorf("zero pump rounds should be identity with cost 1, got cost %g", cost)
 	}
@@ -244,97 +241,22 @@ func TestFig11AfterSchemesTeleportFarMore(t *testing.T) {
 	}
 }
 
-func TestFig9Series(t *testing.T) {
-	initial := []float64{1e-4, 1e-5, 1e-6, 1e-7, 1e-8}
-	pts := Fig9Series(base, initial, 70)
-	if want := 5 * 71; len(pts) != want {
-		t.Fatalf("series has %d points, want %d", len(pts), want)
-	}
-	// Error increases monotonically with hops for each curve.
-	for _, e0 := range initial {
-		var prev float64 = -1
-		for _, p := range pts {
-			if p.InitialError != e0 {
-				continue
-			}
-			if p.Error < prev {
-				t.Errorf("e0=%g: error decreased at hop %d", e0, p.Hops)
-			}
-			prev = p.Error
-		}
-	}
-}
-
-func TestFig9Factor100At64Hops(t *testing.T) {
-	// Paper §4.6: "teleporting 64 times could increase EPR pair qubit
-	// error by a factor of 100."
-	pts := Fig9Series(base, []float64{1e-6}, 64)
-	last := pts[len(pts)-1]
-	factor := last.Error / 1e-6
-	if factor < 50 || factor > 200 {
-		t.Errorf("64-hop amplification = %gx, want ~100x", factor)
-	}
-}
-
-func TestDistanceSeriesShape(t *testing.T) {
-	c := defCfg()
-	hops := []int{10, 20, 30}
-	pts := c.DistanceSeries(hops)
-	if want := len(Schemes) * len(hops); len(pts) != want {
-		t.Fatalf("series has %d points, want %d", len(pts), want)
-	}
-	for _, p := range pts {
-		if p.Cost.Scheme != p.Scheme || p.Cost.Hops != p.Hops {
-			t.Errorf("point metadata mismatch: %+v", p)
-		}
-	}
-}
-
-func TestFig12BreakdownNearPaperValue(t *testing.T) {
-	// Paper: "the abrupt ends of all the plots near 1e-5.  This is the
-	// point at which our whole distribution network breaks down."  Our
-	// noise model places the breakdown in the same decade.
-	rate := BreakdownRate(base, 10, 1e-7, 1e-3)
-	if rate < 5e-6 || rate > 8e-5 {
-		t.Errorf("breakdown rate = %g, want within [5e-6, 8e-5] (paper: near 1e-5)", rate)
-	}
-}
-
 func TestFig12AllSchemesBreakTogether(t *testing.T) {
 	// Paper: "all the purification configurations stop working for the
 	// same error rate" — the limit is the purification noise floor, not
 	// the incoming fidelity.
 	broken := base.WithUniformError(1e-4)
-	cfg := DefaultConfig(broken)
+	cfg := DefaultDistribution(broken)
 	for _, s := range Schemes {
 		if got := cfg.Evaluate(s, 10); got.Feasible {
 			t.Errorf("%v should be infeasible at rate 1e-4", s)
 		}
 	}
 	working := base.WithUniformError(1e-6)
-	cfg = DefaultConfig(working)
+	cfg = DefaultDistribution(working)
 	for _, s := range Schemes {
 		if got := cfg.Evaluate(s, 10); !got.Feasible {
 			t.Errorf("%v should be feasible at rate 1e-6", s)
-		}
-	}
-}
-
-func TestFig12SeriesInfeasibleMarked(t *testing.T) {
-	pts := Fig12Series(base, []float64{1e-8, 1e-4}, 10)
-	for _, p := range pts {
-		switch p.ErrorRate {
-		case 1e-8:
-			if !p.Cost.Feasible {
-				t.Errorf("%v at 1e-8 should be feasible", p.Scheme)
-			}
-		case 1e-4:
-			if p.Cost.Feasible {
-				t.Errorf("%v at 1e-4 should be infeasible", p.Scheme)
-			}
-			if !math.IsInf(p.Cost.TotalPairs, 1) {
-				t.Errorf("%v at 1e-4 should report infinite cost", p.Scheme)
-			}
 		}
 	}
 }
@@ -343,8 +265,8 @@ func TestFig12ResourceSpreadWithinWorkingRegime(t *testing.T) {
 	// Paper: "Throughout the regime at which our system does work ...
 	// the total network resources only differ by a factor of up to 100
 	// for a 10,000 times difference in operation error rate."
-	lo := DefaultConfig(base.WithUniformError(1e-9)).Evaluate(EndpointsOnly, 10)
-	hi := DefaultConfig(base.WithUniformError(1e-5)).Evaluate(EndpointsOnly, 10)
+	lo := DefaultDistribution(base.WithUniformError(1e-9)).Evaluate(EndpointsOnly, 10)
+	hi := DefaultDistribution(base.WithUniformError(1e-5)).Evaluate(EndpointsOnly, 10)
 	if !lo.Feasible || !hi.Feasible {
 		t.Fatal("both ends of the working regime should be feasible")
 	}

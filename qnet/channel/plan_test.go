@@ -1,14 +1,16 @@
-package core
+package channel
 
 import (
+	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/epr"
 	"repro/internal/mesh"
 	"repro/internal/netsim"
 	"repro/internal/phys"
 	"repro/internal/workload"
+
+	"repro/qnet"
 )
 
 var base = phys.IonTrap2006()
@@ -48,6 +50,45 @@ func TestPlanValidation(t *testing.T) {
 	// Unreachable threshold: huge error rates.
 	if _, err := Plan(Spec{Params: base.WithUniformError(1e-3), Hops: 5}); err == nil {
 		t.Error("infeasible channel should fail")
+	}
+}
+
+// TestPlanRejectsInvalidSpec: a negative resource count, hop or turn
+// span or code level, or an abstract path under one hop, is a
+// *qnet.ConfigError naming the field, not a plan with a negative
+// bandwidth; zero values still select the documented defaults.
+func TestPlanRejectsInvalidSpec(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		spec  Spec
+	}{
+		{"Teleporters", Spec{Params: base, Hops: 5, Teleporters: -8}},
+		{"Generators", Spec{Params: base, Hops: 5, Generators: -1}},
+		{"Purifiers", Spec{Params: base, Hops: 5, Purifiers: -4}},
+		{"HopCells", Spec{Params: base, Hops: 5, HopCells: -600}},
+		{"TurnCells", Spec{Params: base, Hops: 5, TurnCells: -1}},
+		{"CodeLevel", Spec{Params: base, Hops: 5, CodeLevel: -1}},
+		{"Hops", Spec{Params: base, Hops: 0}},
+		{"Hops", Spec{Params: base, Hops: -3}},
+	} {
+		ch, err := Plan(tc.spec)
+		var ce *qnet.ConfigError
+		if !errors.Is(err, qnet.ErrInvalidConfig) || !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("Plan with an invalid %s returned %v, %v; want a *qnet.ConfigError on that field", tc.field, ch, err)
+		}
+	}
+
+	zero, err := Plan(Spec{Params: base, Hops: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := Plan(Spec{Params: base, Hops: 5, HopCells: 600, CodeLevel: 2,
+		Teleporters: 16, Generators: 16, Purifiers: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero != explicit {
+		t.Errorf("zero-valued Spec plans %v, explicit defaults plan %v", zero, explicit)
 	}
 }
 
@@ -107,11 +148,11 @@ func TestBottleneckShiftsToPurifier(t *testing.T) {
 }
 
 func TestWireSchemeReducesPairHops(t *testing.T) {
-	end, err := Plan(Spec{Params: base, Hops: 30, Scheme: epr.EndpointsOnly})
+	end, err := Plan(Spec{Params: base, Hops: 30, Scheme: EndpointsOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := Plan(Spec{Params: base, Hops: 30, Scheme: epr.TwiceBefore})
+	wire, err := Plan(Spec{Params: base, Hops: 30, Scheme: TwiceBefore})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,6 +64,9 @@ type CoordinatorOption func(*Coordinator)
 // WithShards sets how many shards the space is partitioned into.  The
 // default is four per worker: small enough to amortize dispatch,
 // large enough that losing a worker mid-shard forfeits little work.
+// With a shared store (WithSharedStore) the shards partition the
+// space's distinct keys, so the points of one key never split across
+// shards.
 func WithShards(n int) CoordinatorOption {
 	return func(c *Coordinator) { c.shards = n }
 }
@@ -286,7 +289,15 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.Swe
 	if err != nil {
 		return nil, nil, err
 	}
-	r := newSweepRun(ctx, c, spec, keys, PlanShards(len(pts), c.shards), len(pts))
+	var plan []Shard
+	if keys != nil {
+		// Every point's key is known: keep each key's points in one
+		// shard, so no key simulates on two workers.
+		plan = planKeyShards(keys, c.shards)
+	} else {
+		plan = PlanShards(len(pts), c.shards)
+	}
+	r := newSweepRun(ctx, c, spec, keys, plan, len(pts))
 	defer r.cancel()
 	for _, w := range c.workers {
 		r.dispatchers.Add(1)
@@ -308,8 +319,9 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.Swe
 // expand resolves the spec's run points and builds every point's
 // machine, validating it as single-process Sweep does, so an invalid
 // point fails the sweep before any dispatch.  With a store attached it
-// also returns every point's content key; the keys find the shards the
-// store already holds and drive the merge-time sanity check.
+// also returns every point's content key; the keys plan the shards,
+// find the shards the store already holds and drive the merge-time
+// sanity check.
 func (c *Coordinator) expand(spec SpaceSpec) ([]simulate.Point, []simulate.Key, error) {
 	space, err := spec.Space()
 	if err != nil {

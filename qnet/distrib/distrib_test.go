@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,25 @@ func TestPlanShards(t *testing.T) {
 		if next != tc.total {
 			t.Fatalf("PlanShards(%d, %d) covered %d points", tc.total, tc.shards, next)
 		}
+	}
+}
+
+// TestPlanKeyShards: shards planned over store keys keep every point
+// of a key in one shard, and with every key distinct the plan is
+// exactly PlanShards'.
+func TestPlanKeyShards(t *testing.T) {
+	a, b, c := simulate.Key{1}, simulate.Key{2}, simulate.Key{3}
+	got := planKeyShards([]simulate.Key{a, b, a, c, b, a}, 2)
+	want := []Shard{{ID: 0, Indices: []int{0, 1, 2, 4, 5}}, {ID: 1, Indices: []int{3}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("planKeyShards over duplicate keys = %v, want %v", got, want)
+	}
+	distinct := make([]simulate.Key, 7)
+	for i := range distinct {
+		distinct[i][0] = byte(i)
+	}
+	if got, want := planKeyShards(distinct, 3), PlanShards(7, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("planKeyShards over distinct keys = %v, want PlanShards' %v", got, want)
 	}
 }
 
@@ -281,10 +301,15 @@ func (s *countingStore) Put(k simulate.Key, res simulate.Result) {
 
 // TestWorkerSimulatesEachKeyOnce: a worker runs its shards through
 // simulate.Stream, so its runners share one flight group and start
-// every distinct key before its duplicates.  On a Figure 16 space whose
-// 50 points share 10 cache keys (the seeds of each deterministic
-// configuration), one worker with two runners simulates each key once,
-// like a local Sweep, and serves the other 40 points from the store.
+// every distinct key before its duplicates, and with a shared store the
+// coordinator plans shards over distinct keys, so a key's seeds never
+// straddle two workers.  On a Figure 16 space whose 50 points share 10
+// cache keys (the seeds of each deterministic configuration), every
+// fleet — one worker with two runners, two with two, two with one —
+// simulates each key once, like a local Sweep, and serves the other 40
+// points from the store.  Which duplicate of a key wins its flight is
+// timing, so the test counts Puts and hits, not which points are
+// marked Cached.
 func TestWorkerSimulatesEachKeyOnce(t *testing.T) {
 	grid, err := qnet.NewGrid(6, 6)
 	if err != nil {
@@ -313,23 +338,33 @@ func TestWorkerSimulatesEachKeyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := canonicalPoints(t, local)
 
-	st := &countingStore{Store: simulate.NewCache(0)}
-	lb := NewLoopback()
-	lb.Add("w0", NewWorker(WithWorkerStore(st), WithWorkerParallelism(2)))
-	coord, err := NewCoordinator(lb, []string{"w0"}, WithSharedStore(st, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, rep, err := coord.Sweep(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := canonicalPoints(t, points), canonicalPoints(t, local); string(got) != string(want) {
-		t.Fatalf("distributed point set differs from single-process sweep:\n got %s\nwant %s", got, want)
-	}
-	if n := st.puts.Load(); n != 10 || rep.CacheHits != 40 {
-		t.Fatalf("%d store Puts and %d cache hits over %d points, want 10 and 40: %s", n, rep.CacheHits, len(points), rep)
+	for _, fleet := range []struct{ workers, runners int }{{1, 2}, {2, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", fleet.workers, fleet.runners), func(t *testing.T) {
+			st := &countingStore{Store: simulate.NewCache(0)}
+			lb := NewLoopback()
+			var names []string
+			for i := 0; i < fleet.workers; i++ {
+				name := fmt.Sprintf("w%d", i)
+				lb.Add(name, NewWorker(WithWorkerStore(st), WithWorkerParallelism(fleet.runners)))
+				names = append(names, name)
+			}
+			coord, err := NewCoordinator(lb, names, WithSharedStore(st, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			points, rep, err := coord.Sweep(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canonicalPoints(t, points); string(got) != string(want) {
+				t.Fatalf("distributed point set differs from single-process sweep:\n got %s\nwant %s", got, want)
+			}
+			if n := st.puts.Load(); n != 10 || rep.CacheHits != 40 {
+				t.Fatalf("%d store Puts and %d cache hits over %d points, want 10 and 40: %s", n, rep.CacheHits, len(points), rep)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,10 @@
 
 package distrib
 
-// Shard is one planned unit of dispatch: a contiguous slice of point
-// indices into a space's deterministic expansion.
+import "repro/qnet/simulate"
+
+// Shard is one planned unit of dispatch: a set of point indices into a
+// space's deterministic expansion.
 type Shard struct {
 	// ID is the shard's position in plan order, 0-based.
 	ID int
@@ -41,4 +43,36 @@ func PlanShards(total, shards int) []Shard {
 		out = append(out, Shard{ID: i, Indices: idx})
 	}
 	return out
+}
+
+// planKeyShards is PlanShards over a space's distinct store keys rather
+// than its points: it numbers the keys in first-appearance order, plans
+// shards over those numbers, and gives each shard the points of its
+// keys, in index order.  Every point of one key then lands in one
+// shard, where the worker's flight group simulates the key once.  With
+// every key distinct the plan equals PlanShards(len(keys), shards).
+func planKeyShards(keys []simulate.Key, shards int) []Shard {
+	groupOf := make(map[simulate.Key]int, len(keys))
+	group := make([]int, len(keys)) // each point's key number
+	for i, k := range keys {
+		g, ok := groupOf[k]
+		if !ok {
+			g = len(groupOf)
+			groupOf[k] = g
+		}
+		group[i] = g
+	}
+	plan := PlanShards(len(groupOf), shards)
+	shardOf := make([]int, len(groupOf))
+	for s := range plan {
+		for _, g := range plan[s].Indices {
+			shardOf[g] = s
+		}
+		plan[s].Indices = plan[s].Indices[:0]
+	}
+	for i, g := range group {
+		s := shardOf[g]
+		plan[s].Indices = append(plan[s].Indices, i)
+	}
+	return plan
 }

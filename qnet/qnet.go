@@ -10,11 +10,11 @@
 //     Figure 14 queue purifier, error-correction sizing, mesh grids,
 //     workload programs, and the structured error types shared by the
 //     whole tree.
-//   - qnet/channel: the analytical reliable-channel models — EPR
+//   - qnet/channel: the closed-form reliable-channel model — EPR
 //     distribution over chained teleporters, the five purification
-//     placement policies (Figs 9-12), ballistic-versus-teleportation
-//     methodology comparison, and end-to-end channel planning
-//     (latency, bandwidth, error rate, resources).
+//     placement policies (Figs 9-12), the ballistic methodology and
+//     its comparison with teleportation (Figs 2, 4-5), and channel
+//     planning (latency, bandwidth, error rate, resources).
 //   - qnet/simulate: the event-driven mesh-interconnect simulator
 //     (Figs 15-16) behind a Machine/Session abstraction with
 //     functional options, context-aware runs, a concurrent

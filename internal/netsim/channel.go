@@ -170,7 +170,15 @@ type batch struct {
 	// lo and hi are the tile indices of the endpoint purifiers, in the
 	// canonical acquisition order.
 	lo, hi int
-	next   *batch // free-list link
+	// unit is the generator or teleporter unit the batch holds while
+	// that stage serves it, and q the teleport stage's queue, with or
+	// without the turn penalty.  A stage takes its unit with
+	// AcquireCall, schedules its completion on its queue and releases
+	// the unit when that runs, so serving a batch needs no bookkeeping
+	// record besides the batch's own.
+	unit *sim.Resource
+	q    sim.Queue
+	next *batch // free-list link
 }
 
 // newBatch takes a batch record off the free list, minting one only
@@ -286,37 +294,59 @@ func (b *batch) startHop() {
 	s.storage(b.at.Step(dir), dir).AcquireCall(hopStored, b)
 }
 
-// hopStored runs once the batch holds its storage credit: it takes link
-// pairs from the G node of the crossed link, a dense-slice lookup via
-// the canonical link index.
+// hopStored runs once the batch holds its storage credit: it takes a
+// generator unit of the G node of the crossed link, a dense-slice
+// lookup via the canonical link index.
 func hopStored(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
 	b.link = s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(b.at, b.dirs[b.hop]))
-	s.gnodes[b.link].ServeCall(s.genLatency, hopGenerated, b)
+	b.unit = s.gnodes[b.link]
+	b.unit.AcquireCall(generate, b)
 }
 
-// hopGenerated runs once the link pairs exist: the batch takes a
-// teleporter from the sending node's directional set, plus a turn
-// penalty when the route changes axis at this node.
+// generate runs once the batch holds a generator unit: the link pairs
+// are ready after the G node's service time.
+func generate(a any) {
+	b := a.(*batch)
+	s := b.ch.sim
+	s.engine.ScheduleOn(s.genQ, hopGenerated, b)
+}
+
+// hopGenerated runs once the link pairs exist: the batch frees its
+// generator unit and takes a teleporter from the sending node's
+// directional set, plus a turn penalty when the route changes axis at
+// this node.
 func hopGenerated(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
+	b.unit.Release()
 	i, dir := b.hop, b.dirs[b.hop]
 	node := s.nodes[s.cfg.Grid.Index(b.at)]
-	latency := s.teleportLatency
+	b.q = s.teleportQ
 	if i > 0 && b.dirs[i-1].Axis() != dir.Axis() {
-		latency += node.TurnPenalty()
+		node.TurnPenalty() // counts the node's turn; turnQ's delay holds its penalty
 		s.turns++
+		b.q = s.turnQ
 	}
-	node.TeleporterSet(dir.Axis()).ServeCall(latency, hopTeleported, b)
+	b.unit = node.TeleporterSet(dir.Axis())
+	b.unit.AcquireCall(teleport, b)
 }
 
-// hopTeleported runs once the batch has crossed the link.
+// teleport runs once the batch holds a teleporter unit: the batch
+// crosses the link after the stage's service time.
+func teleport(a any) {
+	b := a.(*batch)
+	b.ch.sim.engine.ScheduleOn(b.q, hopTeleported, b)
+}
+
+// hopTeleported runs once the batch has crossed the link, freeing its
+// teleporter unit.
 func hopTeleported(a any) {
 	b := a.(*batch)
 	ch := b.ch
 	s := ch.sim
+	b.unit.Release()
 	i := b.hop
 	s.pairHops += uint64(s.batchPairs)
 	s.net.RecordTeleports(s.batchPairs)
@@ -371,9 +401,7 @@ func (b *batch) arrive() {
 	if b.lo > b.hi {
 		b.lo, b.hi = b.hi, b.lo
 	}
-	// Corrector: the accumulated Pauli frame costs at most two
-	// single-qubit gates, applied to each pair of the batch in parallel.
-	s.engine.ScheduleCall(2*s.cfg.Params.Times.OneQubitGate, arriveCorrected, b)
+	s.engine.ScheduleOn(s.correctQ, arriveCorrected, b)
 }
 
 // arriveCorrected queues the corrected batch for its first endpoint
@@ -395,9 +423,8 @@ func purify(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
 	s.storage(b.at, b.dirs[len(b.dirs)-1]).Release()
-	latency := s.purifyBatchLatency(len(b.dirs))
 	s.net.RecordPurifies(s.batchPairs - 1) // tree of 2^d leaves has 2^d - 1 purifications
-	s.engine.ScheduleCall(latency, purified, b)
+	s.engine.ScheduleOn(s.queuesFor(len(b.dirs)).purify, purified, b)
 }
 
 // purified frees both endpoint purifiers and outputs the batch's pair,
@@ -427,25 +454,42 @@ func (ch *channelRun) output() {
 		return
 	}
 	ch.finished = true
-	// All physical qubits of the logical qubit teleport in parallel,
-	// each consuming one delivered pair; the latency is one teleport
-	// plus the classical correction round trip over the setup-time path
-	// (the channel-level delivery metric; minimal-policy resends fly
-	// paths of the same length).
-	latency := s.cfg.Params.TeleportTime(len(ch.dirs)*s.cfg.HopCells) +
-		s.net.Latency(len(ch.dirs))
-	s.engine.Schedule(latency, ch.done)
+	// The data teleport over the setup-time path: its length sets the
+	// delivery latency (minimal-policy resends fly paths of the same
+	// length).
+	s.engine.ScheduleOn(s.queuesFor(len(ch.dirs)).deliver, runFunc, ch.done)
 }
 
-// purifyBatchLatency is the queue-purifier makespan for one batch: the
-// bottom level performs 2^(depth-1) sequential purifications and the
-// remaining levels add a pipeline-drain tail of depth-1 rounds; each
-// round exchanges classical bits across the channel (Eq 6).
-func (s *simulator) purifyBatchLatency(hops int) time.Duration {
-	depth := s.cfg.PurifyDepth
-	rounds := 1<<uint(depth-1) + depth - 1
-	per := s.cfg.Params.PurifyRoundTime(hops * s.cfg.HopCells)
-	return per * time.Duration(rounds)
+// pathQueues are the engine queues of the two stages whose delay
+// depends on a path's hop count.
+type pathQueues struct {
+	// purify is a batch's queue-purifier makespan: the bottom level
+	// performs 2^(depth-1) sequential purifications and the remaining
+	// levels add a pipeline-drain tail of depth-1 rounds; each round
+	// exchanges classical bits across the channel (Eq 6).
+	purify sim.Queue
+	// deliver is the data teleport: all physical qubits of the logical
+	// qubit teleport in parallel, each consuming one delivered pair, so
+	// it takes one teleport plus the classical correction round trip
+	// (the channel-level delivery metric).
+	deliver sim.Queue
+}
+
+// queuesFor returns the queues of a path of the given hop count,
+// resolving them on the first use of that length.
+func (s *simulator) queuesFor(hops int) *pathQueues {
+	if hops >= len(s.paths) {
+		s.paths = append(s.paths, make([]pathQueues, hops+1-len(s.paths))...)
+	}
+	q := &s.paths[hops]
+	if q.purify == (sim.Queue{}) {
+		depth := s.cfg.PurifyDepth
+		rounds := 1<<uint(depth-1) + depth - 1
+		cells := hops * s.cfg.HopCells
+		q.purify = s.engine.Queue(s.cfg.Params.PurifyRoundTime(cells) * time.Duration(rounds))
+		q.deliver = s.engine.Queue(s.cfg.Params.TeleportTime(cells) + s.net.Latency(hops))
+	}
+	return q
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -276,12 +276,18 @@ type simulator struct {
 	numBatches int
 	code       ecc.Code
 	// batchPairs is the EPR pairs per simulated batch (one purifier
-	// tree's worth); genLatency and teleportLatency are the G-node and
-	// teleporter-set service times of one batch.  All three are per-run
-	// constants of the hop datapath, computed once in build.
-	batchPairs      int
-	genLatency      time.Duration
-	teleportLatency time.Duration
+	// tree's worth), a per-run constant of the hop datapath.
+	batchPairs int
+	// Every delay the datapath schedules is resolved once to a pinned
+	// engine queue, so no event looks its delay up: a batch's G-node
+	// service (genQ), its teleport without and with the turn penalty
+	// (teleportQ, turnQ), its correction (correctQ) and the two-qubit
+	// gate (gateQ).  Purification and data delivery depend on the path
+	// length; paths holds their queues by hop count, resolved on first
+	// use because a fault-adaptive detour can outgrow every minimal
+	// path.
+	genQ, teleportQ, turnQ, correctQ, gateQ sim.Queue
+	paths                                   []pathQueues
 	// freeBatches recycles batch records; batchRecords counts the
 	// records ever minted, so a drained run can show every one returned.
 	freeBatches  *batch
@@ -387,14 +393,23 @@ func (s *simulator) build(prog workload.Program) error {
 	s.code = code
 	s.numBatches = code.PairsPerLogicalTeleport()
 	s.batchPairs = 1 << uint(cfg.PurifyDepth)
-	s.genLatency = cfg.Params.GenerateTime() * time.Duration(ceilDiv(s.batchPairs, cfg.Generators))
+	s.genQ = s.engine.Queue(cfg.Params.GenerateTime() * time.Duration(ceilDiv(s.batchPairs, cfg.Generators)))
 	// A teleporter set's units work in parallel, so a batch needs
-	// ceil(batch/setSize) rounds of the hop-local teleport time.
+	// ceil(batch/setSize) rounds of the hop-local teleport time.  A
+	// batch that turns at the node also pays the router's ballistic
+	// move between its X and Y sets.
 	setSize := cfg.Teleporters / 2
 	if setSize < 1 {
 		setSize = 1
 	}
-	s.teleportLatency = cfg.Params.TeleportTime(cfg.HopCells) * time.Duration(ceilDiv(s.batchPairs, setSize))
+	teleport := cfg.Params.TeleportTime(cfg.HopCells) * time.Duration(ceilDiv(s.batchPairs, setSize))
+	s.teleportQ = s.engine.Queue(teleport)
+	s.turnQ = s.engine.Queue(teleport + cfg.Params.BallisticTime(cfg.TurnCells))
+	// The corrector applies the accumulated Pauli frame, at most two
+	// single-qubit gates, to each pair of a batch in parallel.
+	s.correctQ = s.engine.Queue(2 * cfg.Params.Times.OneQubitGate)
+	s.gateQ = s.engine.Queue(cfg.Params.Times.TwoQubitGate)
+	s.paths = make([]pathQueues, cfg.Grid.Width+cfg.Grid.Height-1)
 
 	switch cfg.Layout {
 	case HomeBase:
@@ -576,8 +591,12 @@ func (s *simulator) finishOp(id int, op workload.Op) {
 
 // gate runs the local two-logical-qubit gate latency.
 func (s *simulator) gate(done func()) {
-	s.engine.Schedule(s.cfg.Params.Times.TwoQubitGate, done)
+	s.engine.ScheduleOn(s.gateQ, runFunc, done)
 }
+
+// runFunc runs a func() continuation scheduled in the call form; a
+// func value is pointer-shaped, so boxing it allocates nothing.
+func runFunc(a any) { a.(func())() }
 
 // Allocation is one point of the paper's Figure 16 resource sweep:
 // teleporters and generators are scaled to Ratio times the purifier

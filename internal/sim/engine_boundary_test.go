@@ -99,6 +99,19 @@ func TestSchedulingAllocationFreeOnceWarm(t *testing.T) {
 		t.Errorf("schedule/step cycle allocated %.1f objects per run, want 0", allocs)
 	}
 
+	// The same cycle through a Queue handle.
+	q := e.Queue(time.Microsecond)
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := 0; i < 256; i++ {
+			e.ScheduleOn(q, runFunc, fn)
+		}
+		for e.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ScheduleOn/step cycle allocated %.1f objects per run, want 0", allocs)
+	}
+
 	// One job in service on a one-unit resource and one queued behind
 	// it; every completion hands the unit over and queues the next job.
 	r, err := NewResource(e, "r", 1)
@@ -147,39 +160,67 @@ func acquireAgain(a any) {
 
 // TestEngineFIFOCountBoundedByBacklog churns 1M events, each with a
 // fresh random delay, through an engine that never holds more than 32
-// pending.  The sweep must keep the FIFO count within the bound it
-// guarantees, 2×pending+fifoSlack, rather than one FIFO per delay ever
-// used; the delay map must hold no more entries than there are FIFOs;
-// and the churn must allocate nothing once warm.
+// pending.  The sweep must keep the unpinned FIFO count within the
+// bound it guarantees, 2×pending+fifoSlack, rather than one FIFO per
+// delay ever used; the delay map must hold no more entries than there
+// are FIFOs; and the churn must allocate nothing once warm.  It runs
+// again with more Queue handles pinned than the sweep threshold, and
+// one schedule in four on them: pinned FIFOs are never swept and do not
+// count towards the threshold, so pinning must neither break the bound
+// nor make every new delay sweep.  A sweep frees at least fifoSlack
+// FIFOs, so the schedules that leave the delay map no larger (a sweep,
+// or a rare repeated delay) stay below events/fifoSlack.
 func TestEngineFIFOCountBoundedByBacklog(t *testing.T) {
 	const maxPending, events, measured = 32, 1_000_000, 100
-	e := New()
-	fn := func() {}
-	x := uint64(88172645463325252)
-	churn := func(n int) {
-		for i := 0; i < n; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			e.Schedule(time.Duration(1+x>>34), fn)
-			if e.Pending() == maxPending {
-				e.Step()
+	for _, pin := range []int{0, 3 * fifoSlack} {
+		e := New()
+		fn := func() {}
+		var queues []Queue
+		for i := 0; i < pin; i++ {
+			queues = append(queues, e.Queue(time.Hour+time.Duration(i)))
+		}
+		x := uint64(88172645463325252)
+		unmapped := 0 // fresh-delay schedules that did not grow the delay map
+		churn := func(n int) {
+			for i := 0; i < n; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				if pin > 0 && x%4 == 0 {
+					e.ScheduleOn(queues[x>>2%uint64(pin)], runFunc, fn)
+				} else {
+					mapped := len(e.byDelay)
+					e.Schedule(time.Duration(1+x>>34), fn)
+					if len(e.byDelay) <= mapped {
+						unmapped++
+					}
+				}
+				if e.Pending() == maxPending {
+					e.Step()
+				}
 			}
 		}
+		churn(events - (measured+1)*1000)
+		allocs := testing.AllocsPerRun(measured, func() { churn(1000) })
+		if allocs != 0 {
+			t.Errorf("%d pinned: fresh-delay churn allocated %.2f objects per 1,000 events once warm, want 0", pin, allocs)
+		}
+		if bound := 2*maxPending + fifoSlack; len(e.fifos)-pin > bound {
+			t.Errorf("%d pinned: %d unpinned FIFOs for at most %d pending, want at most %d", pin, len(e.fifos)-pin, maxPending, bound)
+		}
+		if e.pinned != pin {
+			t.Errorf("engine counts %d pinned FIFOs, want %d", e.pinned, pin)
+		}
+		if len(e.byDelay) > len(e.fifos) {
+			t.Errorf("%d pinned: %d mapped delays for %d FIFOs", pin, len(e.byDelay), len(e.fifos))
+		}
+		if unmapped > events/fifoSlack {
+			t.Errorf("%d pinned: %d schedules swept or repeated a delay, want at most %d", pin, unmapped, events/fifoSlack)
+		}
+		if e.Processed()+uint64(e.Pending()) != events {
+			t.Errorf("%d pinned: processed %d + pending %d, want %d events", pin, e.Processed(), e.Pending(), events)
+		}
+		t.Logf("%d pinned: %d FIFOs, %d mapped, %d pending, %d schedules swept or repeated a delay",
+			pin, len(e.fifos), len(e.byDelay), e.Pending(), unmapped)
 	}
-	churn(events - (measured+1)*1000)
-	allocs := testing.AllocsPerRun(measured, func() { churn(1000) })
-	if allocs != 0 {
-		t.Errorf("fresh-delay churn allocated %.2f objects per 1,000 events once warm, want 0", allocs)
-	}
-	if bound := 2*maxPending + fifoSlack; len(e.fifos) > bound {
-		t.Errorf("%d FIFOs for at most %d pending, want at most %d", len(e.fifos), maxPending, bound)
-	}
-	if len(e.byDelay) > len(e.fifos) {
-		t.Errorf("%d mapped delays for %d FIFOs", len(e.byDelay), len(e.fifos))
-	}
-	if e.Processed()+uint64(e.Pending()) != events {
-		t.Errorf("processed %d + pending %d, want %d events", e.Processed(), e.Pending(), events)
-	}
-	t.Logf("%d FIFOs, %d mapped, %d pending", len(e.fifos), len(e.byDelay), e.Pending())
 }

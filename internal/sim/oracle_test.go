@@ -73,19 +73,32 @@ func (h *oracleHeap) Pop() interface{} {
 // path: a few netsim-like delays repeated all trial long, zero and
 // negative delays (which clamp to zero), and fresh random delays,
 // numerous enough that the empty-FIFO sweep runs mid-trial and a
-// recycled FIFO serves a different delay.
+// recycled FIFO serves a different delay.  A share of the schedules
+// goes through Queue handles: two resolved before the trial on
+// repeated delays, which also arrive through Schedule, and one resolved
+// on a fresh delay once the sweep has recycled a FIFO mid-trial.  Every
+// handle's FIFO must keep its delay, however often the sweep runs.
 func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060618))
 	repeated := []time.Duration{
 		122 * time.Microsecond, 122600 * time.Nanosecond,
 		2 * time.Microsecond, 723600 * time.Nanosecond,
 	}
+	type handle struct {
+		delay time.Duration
+		q     Queue
+	}
 	recycled := 0 // schedules that found their FIFO serving a new delay
+	onHandle := 0 // schedules through a handle resolved mid-trial
 	for trial := 0; trial < 100; trial++ {
 		e := New()
 		o := &oracleEngine{}
 		var got, want []int
 		owner := make(map[int32]time.Duration) // FIFO -> delay it last served
+		handles := []handle{
+			{repeated[0], e.Queue(repeated[0])},
+			{repeated[2], e.Queue(repeated[2])},
+		}
 		label := 0
 		ops := 200 + rng.Intn(800)
 		for i := 0; i < ops; i++ {
@@ -94,23 +107,35 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 				k := label
 				label++
 				var d time.Duration
-				switch r := rng.Intn(10); {
+				h := -1 // the handle scheduled on, or -1 for Schedule
+				switch r := rng.Intn(12); {
 				case r < 4:
 					d = repeated[rng.Intn(len(repeated))]
 				case r < 5:
 					d = -time.Duration(rng.Intn(3)) * time.Microsecond
+				case r < 7:
+					h = rng.Intn(len(handles))
+					d = handles[h].delay
 				default:
 					d = time.Duration(1 + rng.Int63n(int64(time.Millisecond)))
 				}
 				// Every third event schedules a follow-up from inside
 				// its own execution.
 				follow := time.Duration(k%7) * time.Microsecond
-				e.Schedule(d, func() {
+				body := func() {
 					got = append(got, k)
 					if k%3 == 0 {
 						e.Schedule(follow, func() { got = append(got, -k-1) })
 					}
-				})
+				}
+				if h >= 0 {
+					e.ScheduleOn(handles[h].q, runFunc, body)
+					if h >= 2 {
+						onHandle++
+					}
+				} else {
+					e.Schedule(d, body)
+				}
 				o.Schedule(d, func() {
 					want = append(want, k)
 					if k%3 == 0 {
@@ -121,6 +146,11 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 				f := e.byDelay[d]
 				if prev, ok := owner[f]; ok && prev != d {
 					recycled++
+					if len(handles) == 2 {
+						// The sweep has recycled a FIFO: pin the fresh
+						// delay just scheduled.
+						handles = append(handles, handle{d, e.Queue(d)})
+					}
 				}
 				owner[f] = d
 			case 2, 3, 4: // step both
@@ -133,6 +163,12 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 			}
 			if e.Pending() != o.Pending() {
 				t.Fatalf("trial %d: pending %d, oracle %d", trial, e.Pending(), o.Pending())
+			}
+			for _, h := range handles {
+				if f := h.q.fifo - 1; e.fifos[f].delay != h.delay || e.byDelay[h.delay] != f {
+					t.Fatalf("trial %d: handle on %v holds FIFO %d, which serves %v; the delay map gives FIFO %d",
+						trial, h.delay, f, e.fifos[f].delay, e.byDelay[h.delay])
+				}
 			}
 		}
 		for { // drain both queues to the end
@@ -160,5 +196,8 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 	if recycled == 0 {
 		t.Error("no schedule landed on a recycled FIFO: the sweep path went untested")
 	}
-	t.Logf("%d schedules landed on a FIFO recycled from another delay", recycled)
+	if onHandle == 0 {
+		t.Error("no schedule went through a handle resolved after a sweep")
+	}
+	t.Logf("%d schedules landed on a FIFO recycled from another delay, %d on a handle resolved after a sweep", recycled, onHandle)
 }

@@ -105,10 +105,12 @@ func (r *Resource) Serve(latency time.Duration, done func()) {
 }
 
 // ServeCall is Serve in the call form, running done(arg) (done may be
-// nil) after the service.  Unlike hand-rolling AcquireCall+Schedule+
-// Release it allocates nothing in steady state: its bookkeeping record
-// is recycled through a free list and neither the wait nor the
-// completion event captures a closure.
+// nil) after the service.  It allocates nothing in steady state: its
+// bookkeeping record is recycled through a free list and neither the
+// wait nor the completion event captures a closure.  A caller that
+// already keeps a record per job can hand-roll the same cycle on it,
+// AcquireCall then Engine.ScheduleOn then Release, and skip the free
+// list; netsim's batches do.
 func (r *Resource) ServeCall(latency time.Duration, done func(any), arg any) {
 	j := r.freeJobs
 	if j != nil {

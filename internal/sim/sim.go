@@ -9,10 +9,13 @@
 // FIFO ring per distinct delay instead of one heap of all events: the
 // clock never goes back and scheduling sequence numbers only rise, so
 // events pushed with the same delay arrive in (time, sequence) order
-// and each FIFO is already sorted.  A small 4-ary heap over the FIFO
+// and each FIFO is already sorted.  A small binary heap over the FIFO
 // heads then picks the next event.  Scheduling onto a non-empty FIFO
 // is O(1), and a step sifts a heap of at most one entry per delay in
-// use rather than one per pending event.  Each FIFO entry holds its
+// use rather than one per pending event.  A model that schedules the
+// same delays over and over resolves each once with Queue and schedules
+// it with ScheduleOn, which skips the delay's lookup; the FIFO behind a
+// Queue handle is pinned to its delay.  Each FIFO entry holds its
 // continuation, one (func(any), any) call, inline, since nothing sifts
 // FIFO entries, and scheduling does not allocate once the rings have
 // grown to the working-set size.  Semaphore's
@@ -37,27 +40,33 @@ type Engine struct {
 
 	// fifos holds one ring of events per distinct delay.  Every FIFO is
 	// either mapped in byDelay, possibly empty, or parked on spare.
-	// Drained FIFOs stay mapped, because netsim reuses a few dozen
-	// delays for a whole run.  Only when a new delay needs a FIFO, none
-	// is spare and the FIFO count has reached 2×pending+fifoSlack does
-	// sweep unmap the empty ones onto spare.  That keeps the FIFO count
-	// bounded by the backlog, not by the number of delays ever used,
-	// and the O(FIFOs) sweep is paid for by the new delays its spares
-	// then serve, at least pending+fifoSlack of them.
+	// Drained FIFOs stay mapped, because a model reuses a few dozen
+	// delays for a whole run.  A FIFO behind a Queue handle is pinned:
+	// it stays mapped to its delay for the engine's life.  Only when a
+	// new delay needs a FIFO, none is spare and the unpinned FIFOs
+	// number 2×pending+fifoSlack does sweep unmap the empty unpinned
+	// ones onto spare.  That keeps the unpinned FIFO count bounded by
+	// the backlog, not by the number of delays ever used, and the
+	// O(FIFOs) sweep is paid for by the new delays its spares then
+	// serve, at least pending+fifoSlack of them.  Counting only the
+	// unpinned FIFOs keeps that true however many a model pins.
 	fifos   []eventFIFO
 	byDelay map[time.Duration]int32
 	spare   []int32
+	pinned  int
 	// lastDelay and lastFIFO cache the most recent delay lookup, which
 	// skips the map for runs of one delay.  lastDelay is -1, never a
 	// clamped delay, when the cache is empty.
 	lastDelay time.Duration
 	lastFIFO  int32
 
-	// heads is a 4-ary min-heap holding the (at, seq) key of each
+	// heads is a binary min-heap holding the (at, seq) key of each
 	// non-empty FIFO's oldest event, so the heap root is the next event
-	// to run.  Its entries are pointer-free; a 4-ary layout halves the
-	// tree depth of a binary heap and keeps sibling comparisons inside
-	// one or two cache lines.
+	// to run.  Its entries are pointer-free.  It holds one entry per
+	// delay with events pending: in netsim a handful (4.7 on average on
+	// a 16×16 MobileQubit QFT-256, 10.5 on a lossy 10×10 HomeBase
+	// QFT-100), where a binary heap's two comparisons per level cost
+	// less than a 4-ary heap's four over a tree one level shallower.
 	heads []headEntry
 
 	// probe, when non-nil, is sampled at every probeInterval boundary of
@@ -96,10 +105,22 @@ type event struct {
 }
 
 // eventFIFO is the ring of pending events scheduled with one delay, in
-// (at, seq) order.
+// (at, seq) order.  A pinned FIFO backs a Queue handle and is never
+// swept.
 type eventFIFO struct {
 	events ring[event]
 	delay  time.Duration
+	pinned bool
+}
+
+// Queue is a handle on the FIFO of one delay, resolved once by
+// Engine.Queue, so that ScheduleOn pushes onto it with no delay lookup.
+// Its FIFO is pinned: the engine never recycles it for another delay,
+// so the handle stays valid for the engine's life, and ScheduleCall
+// with the same delay reaches the same FIFO.  The zero Queue is no
+// queue; scheduling on it panics.
+type Queue struct {
+	fifo int32 // index in Engine.fifos, plus one
 }
 
 // headEntry is one head-heap element: the key of a FIFO's oldest event
@@ -180,10 +201,40 @@ func (e *Engine) ScheduleCall(delay time.Duration, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
 	}
-	e.seq++
-	at := e.now + delay
+	e.push(e.fifoFor(delay), fn, arg)
+}
+
+// Queue returns the handle of delay's FIFO, pinning the FIFO to delay
+// for the engine's life.  A negative delay is treated as zero, as in
+// Schedule.  Resolve the delays a model schedules over and over once,
+// then schedule them with ScheduleOn.
+func (e *Engine) Queue(delay time.Duration) Queue {
+	if delay < 0 {
+		delay = 0
+	}
 	i := e.fifoFor(delay)
+	if f := &e.fifos[i]; !f.pinned {
+		f.pinned = true
+		e.pinned++
+	}
+	return Queue{fifo: i + 1}
+}
+
+// ScheduleOn runs fn(arg) after q's delay of simulated time: it is
+// ScheduleCall on a delay resolved beforehand, with the same ordering
+// semantics and no lookup of the delay's FIFO.
+func (e *Engine) ScheduleOn(q Queue, fn func(any), arg any) {
+	if fn == nil {
+		panic("sim: scheduling nil event function")
+	}
+	e.push(q.fifo-1, fn, arg)
+}
+
+// push appends the call fn(arg) to FIFO i, due after the FIFO's delay.
+func (e *Engine) push(i int32, fn func(any), arg any) {
+	e.seq++
 	f := &e.fifos[i]
+	at := e.now + f.delay
 	if f.events.len() == 0 {
 		e.pushHead(headEntry{at: at, seq: e.seq, fifo: i})
 	}
@@ -207,10 +258,11 @@ func (e *Engine) fifoFor(delay time.Duration) int32 {
 }
 
 // newFIFO maps an empty FIFO to delay.  It takes a spare one, first
-// sweeping for spares if there are none and the FIFO count has reached
-// the threshold, and appends a new FIFO only when no spare exists.
+// sweeping for spares if there are none and the unpinned FIFO count has
+// reached the threshold, and appends a new FIFO only when no spare
+// exists.
 func (e *Engine) newFIFO(delay time.Duration) int32 {
-	if len(e.spare) == 0 && len(e.fifos) >= 2*e.pending+fifoSlack {
+	if len(e.spare) == 0 && len(e.fifos)-e.pinned >= 2*e.pending+fifoSlack {
 		e.sweep()
 	}
 	var i int32
@@ -226,16 +278,16 @@ func (e *Engine) newFIFO(delay time.Duration) int32 {
 	return i
 }
 
-// sweep unmaps every empty FIFO onto the spare list.  It runs only when
-// spare is empty, so every FIFO is mapped; at most pending of them hold
-// events, so at least pending+fifoSlack come free.  A recycled FIFO
-// keeps its ring buffer.  The last-delay cache needs no reset: sweep
-// runs only inside fifoFor's lookup of a new delay, which then caches
-// that delay.
+// sweep unmaps every empty unpinned FIFO onto the spare list.  It runs
+// only when spare is empty, so every FIFO is mapped; at most pending of
+// the unpinned ones hold events, so at least pending+fifoSlack come
+// free.  A recycled FIFO keeps its ring buffer.  The last-delay cache
+// needs no reset: sweep runs only inside fifoFor's lookup of a new
+// delay, which then caches that delay.
 func (e *Engine) sweep() {
 	for i := range e.fifos {
 		f := &e.fifos[i]
-		if f.events.len() == 0 {
+		if f.events.len() == 0 && !f.pinned {
 			delete(e.byDelay, f.delay)
 			e.spare = append(e.spare, int32(i))
 		}
@@ -308,19 +360,21 @@ func headLess(a, b headEntry) bool {
 	return a.seq < b.seq
 }
 
-// pushHead appends a FIFO's head entry and sifts it up the 4-ary heap.
+// pushHead appends a FIFO's head entry and sifts it up the heap,
+// moving each larger parent down into the hole rather than swapping.
 func (e *Engine) pushHead(x headEntry) {
 	e.heads = append(e.heads, x)
 	h := e.heads
 	i := len(h) - 1
 	for i > 0 {
-		p := (i - 1) >> 2
-		if !headLess(h[i], h[p]) {
+		p := (i - 1) >> 1
+		if !headLess(x, h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = x
 }
 
 // popHead removes the root entry, moving the tail entry to the root and
@@ -329,33 +383,32 @@ func (e *Engine) popHead() {
 	n := len(e.heads) - 1
 	e.heads[0] = e.heads[n]
 	e.heads = e.heads[:n]
-	e.siftDown()
+	if n > 0 {
+		e.siftDown()
+	}
 }
 
-// siftDown restores the heap order after the root's key grew.
+// siftDown restores the heap order after the root's key grew, moving
+// each smaller child up into the hole and writing the root entry once
+// where it lands.
 func (e *Engine) siftDown() {
 	h := e.heads
 	n := len(h)
+	x := h[0]
 	i := 0
 	for {
-		c := i<<2 + 1
+		c := 2*i + 1
 		if c >= n {
-			return
+			break
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
+		if c+1 < n && headLess(h[c+1], h[c]) {
+			c++
 		}
-		for j := c + 1; j < end; j++ {
-			if headLess(h[j], h[m]) {
-				m = j
-			}
+		if !headLess(h[c], x) {
+			break
 		}
-		if !headLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }

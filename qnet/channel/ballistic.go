@@ -7,6 +7,8 @@ import (
 	"repro/internal/fidelity"
 	"repro/internal/phys"
 	"repro/internal/purify"
+
+	"repro/qnet"
 )
 
 // electrodesPerTrap is the number of electrode pairs forming one ion
@@ -150,10 +152,10 @@ type BallisticDistribution struct {
 	Params phys.Params
 	// DistanceCells is the endpoint-to-endpoint channel length.
 	DistanceCells int
-	// TargetError is the delivered pair error bound (default: the
-	// 7.5e-5 threshold).
+	// TargetError is the delivered pair error bound, in [0, 1); 0
+	// selects the 7.5e-5 threshold.
 	TargetError float64
-	// MaxRounds caps endpoint purification (default 40).
+	// MaxRounds caps endpoint purification, at least 0; 0 selects 40.
 	MaxRounds int
 }
 
@@ -177,13 +179,20 @@ type BallisticResult struct {
 	Feasible bool
 }
 
-// Evaluate runs the distribution model.
+// Evaluate runs the distribution model.  A TargetError outside [0, 1)
+// or a negative MaxRounds is a *qnet.ConfigError naming the field.
 func (d BallisticDistribution) Evaluate() (BallisticResult, error) {
 	if d.DistanceCells < 2 {
 		return BallisticResult{}, fmt.Errorf("channel: distance must be >= 2 cells, got %d", d.DistanceCells)
 	}
 	if err := d.Params.Validate(); err != nil {
 		return BallisticResult{}, err
+	}
+	if !(d.TargetError >= 0 && d.TargetError < 1) {
+		return BallisticResult{}, &qnet.ConfigError{Field: "TargetError", Value: d.TargetError, Reason: "must be in [0,1) (0 selects the default)"}
+	}
+	if d.MaxRounds < 0 {
+		return BallisticResult{}, &qnet.ConfigError{Field: "MaxRounds", Value: d.MaxRounds, Reason: "must be >= 0 (0 selects the default)"}
 	}
 	target := d.TargetError
 	if target == 0 {

@@ -1,9 +1,15 @@
 package channel
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/fidelity"
+
+	"repro/qnet"
 )
 
 func TestPlanMoveBasics(t *testing.T) {
@@ -123,6 +129,43 @@ func TestDistributionValidation(t *testing.T) {
 	bad.Errors.MoveCell = -1
 	if _, err := (BallisticDistribution{Params: bad, DistanceCells: 100}).Evaluate(); err == nil {
 		t.Error("invalid params should fail")
+	}
+}
+
+// TestBallisticDistributionRejectsInvalidInputs: an error target
+// outside [0, 1) or a negative round cap is a *qnet.ConfigError naming
+// the field, not an answer; zero values select the documented defaults.
+func TestBallisticDistributionRejectsInvalidInputs(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		d     BallisticDistribution
+	}{
+		{"TargetError", BallisticDistribution{TargetError: -1}},
+		{"TargetError", BallisticDistribution{TargetError: 1}},
+		{"TargetError", BallisticDistribution{TargetError: 1.5}},
+		{"TargetError", BallisticDistribution{TargetError: math.NaN()}},
+		{"MaxRounds", BallisticDistribution{MaxRounds: -3}},
+	} {
+		tc.d.Params, tc.d.DistanceCells = base, 1200
+		res, err := tc.d.Evaluate()
+		var ce *qnet.ConfigError
+		if !errors.Is(err, qnet.ErrInvalidConfig) || !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("Evaluate with TargetError %v, MaxRounds %d returned %+v, %v; want a *qnet.ConfigError on %s",
+				tc.d.TargetError, tc.d.MaxRounds, res, err, tc.field)
+		}
+	}
+
+	zero, err := BallisticDistribution{Params: base, DistanceCells: 1200}.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := BallisticDistribution{Params: base, DistanceCells: 1200,
+		TargetError: fidelity.ThresholdError, MaxRounds: 40}.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero != explicit {
+		t.Errorf("zero-valued distribution evaluates %+v, explicit defaults %+v", zero, explicit)
 	}
 }
 

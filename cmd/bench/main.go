@@ -26,8 +26,10 @@
 //
 // The -check form is the CI smoke mode: it exercises every benchmark
 // body and the whole JSON emission path in seconds, failing loudly if
-// either rots, without recording numbers from an unloaded shared
-// runner as if they were a trustworthy baseline.
+// either rots (a report without the tracer trio or the 12x12 HomeBase
+// row, or with no events/sec on one of them, is invalid), without
+// recording numbers from an unloaded shared runner as if they were a
+// trustworthy baseline.
 package main
 
 import (
@@ -191,7 +193,7 @@ func main() {
 		os.Exit(1)
 	}
 	data = append(data, '\n')
-	if _, err := decode(data); err != nil {
+	if _, err := checkFresh(data); err != nil {
 		fmt.Fprintln(os.Stderr, "bench: invalid report:", err)
 		os.Exit(1)
 	}
@@ -227,12 +229,13 @@ type namedBench struct {
 
 // benchmarks enumerates the report's benchmark suite in fixed order:
 // the engine and waiter micro-benchmarks, the full-run layout x policy
-// matrix, the tracer-overhead trio, the 8-worker sweep and the 2-worker
-// distributed sweep.
+// matrix, the 12x12 HomeBase run, the tracer-overhead trio, the
+// 8-worker sweep and the 2-worker distributed sweep.
 func benchmarks() []namedBench {
 	list := []namedBench{
 		{name: "EngineSchedule", fn: perfbench.EngineSchedule},
 		{name: "EngineScheduleMix", fn: perfbench.EngineScheduleMix},
+		{name: "EngineScheduleMixOn", fn: perfbench.EngineScheduleMixOn},
 		{name: "EngineScheduleDistinct", fn: perfbench.EngineScheduleDistinct},
 		{name: "ResourceServe", fn: perfbench.ResourceServe},
 		{name: "SemaphoreCycle", fn: perfbench.SemaphoreCycle},
@@ -243,6 +246,7 @@ func benchmarks() []namedBench {
 			fn:   perfbench.QFTRun(cfg.Layout, cfg.Policy),
 		})
 	}
+	list = append(list, namedBench{name: largeQFT, fn: perfbench.LargeHomeBaseQFT})
 	for _, mode := range perfbench.TraceModes {
 		list = append(list, namedBench{
 			name: traceName(mode),
@@ -253,6 +257,10 @@ func benchmarks() []namedBench {
 	list = append(list, namedBench{name: "DistribSweep/workers=2", fn: perfbench.DistributedSweep(2)})
 	return list
 }
+
+// largeQFT is the report name of the 12x12 HomeBase QFT-144 run, the
+// layout that dominates a paper-scale Figure 16 sweep.
+const largeQFT = "LargeQFT/grid=12x12/layout=HomeBase/t=21,g=21,p=5"
 
 // traceName is the report name of one TraceQFT mode.
 func traceName(mode string) string {
@@ -378,16 +386,44 @@ func decode(data []byte) (report, error) {
 	// throughput, or the report cannot answer "what does telemetry
 	// cost" — the question those entries exist for.
 	for _, mode := range perfbench.TraceModes {
-		name := traceName(mode)
-		e, ok := byName[name]
-		if !ok {
-			return report{}, fmt.Errorf("missing benchmark %q", name)
-		}
-		if e.EventsPerSec <= 0 {
-			return report{}, fmt.Errorf("%s: events/sec = %g", name, e.EventsPerSec)
+		if err := requireEventRate(byName, traceName(mode)); err != nil {
+			return report{}, err
 		}
 	}
 	return rep, nil
+}
+
+// checkFresh validates a report this run produced: on top of decode's
+// checks, it must carry the 12x12 HomeBase row with positive
+// throughput, or the report cannot track the cost per event at the
+// scale that dominates Figure 16.  Reports recorded before that row
+// existed still decode, so they remain usable as -compare bases.
+func checkFresh(data []byte) (report, error) {
+	rep, err := decode(data)
+	if err != nil {
+		return report{}, err
+	}
+	byName := make(map[string]entry, len(rep.Benchmarks))
+	for _, e := range rep.Benchmarks {
+		byName[e.Name] = e
+	}
+	if err := requireEventRate(byName, largeQFT); err != nil {
+		return report{}, err
+	}
+	return rep, nil
+}
+
+// requireEventRate reports an error unless the named benchmark is in
+// the report with a positive events/sec.
+func requireEventRate(byName map[string]entry, name string) error {
+	e, ok := byName[name]
+	if !ok {
+		return fmt.Errorf("missing benchmark %q", name)
+	}
+	if e.EventsPerSec <= 0 {
+		return fmt.Errorf("%s: events/sec = %g", name, e.EventsPerSec)
+	}
+	return nil
 }
 
 // checkEntry validates one entry: count usable samples, and the means

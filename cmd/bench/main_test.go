@@ -53,6 +53,42 @@ func TestDecodeChecksSamplesAndSummaries(t *testing.T) {
 	}
 }
 
+// TestCheckFreshRequiresLargeQFT: a report this command writes must
+// carry the 12x12 HomeBase row with positive events/sec, while a base
+// recorded before that row existed still decodes for -compare.
+func TestCheckFreshRequiresLargeQFT(t *testing.T) {
+	withRow := func(eventsPerSec float64) report {
+		rep := testReport(100, 120)
+		s := []sample{{Iterations: 1, NsPerOp: 2e9, EventsPerSec: eventsPerSec}, {Iterations: 1, NsPerOp: 2e9, EventsPerSec: eventsPerSec}}
+		rep.Benchmarks = append(rep.Benchmarks, summarize(largeQFT, s))
+		return rep
+	}
+	for _, tc := range []struct {
+		name string
+		rep  report
+		want string // checkFresh error substring, "" for a valid report
+	}{
+		{"with the row", withRow(9e6), ""},
+		{"no events/sec", withRow(0), "events/sec = 0"},
+		{"missing row", testReport(100, 120), "missing benchmark"},
+	} {
+		data, err := json.Marshal(tc.rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decode(data); err != nil {
+			t.Errorf("%s: decode: %v", tc.name, err)
+		}
+		_, err = checkFresh(data)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestCompareMarksOnlySignificantChanges(t *testing.T) {
 	base := testReport(100, 101, 99, 100)
 	faster := testReport(50, 51, 49, 50)

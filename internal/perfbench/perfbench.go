@@ -1,9 +1,10 @@
 // Package perfbench is the repository's performance measurement layer:
 // reusable benchmark bodies covering the discrete-event engine's hot
-// operation (schedule plus step, over one delay, netsim's delay mix and
-// all-distinct delays), the resource and semaphore waiter cycles, a
-// full 5x5 QFT simulation per layout and routing policy, and the
-// concurrent sweep engine.
+// operation (schedule plus step, over one delay, netsim's delay mix by
+// delay and through Queue handles, and all-distinct delays), the
+// resource and semaphore waiter cycles, a full 5x5 QFT simulation per
+// layout and routing policy, a 12x12 HomeBase QFT-144 at the paper's
+// allocation, and the concurrent sweep engine.
 //
 // The bodies are exported plain functions taking *testing.B so that two
 // harnesses can share them: the conventional `go test -bench .` wrappers
@@ -69,17 +70,23 @@ func EngineSchedule(b *testing.B) {
 // events; a tail of four more delays stands in for the other 61.
 func EngineScheduleMix(b *testing.B) { benchStep(b, engineScheduleMixLoop) }
 
+// EngineScheduleMixOn is EngineScheduleMix with every delay of the mix
+// resolved once to a Queue handle and scheduled with ScheduleOn, as
+// netsim's datapath schedules: the difference between the two is the
+// cost of looking a delay's FIFO up.
+func EngineScheduleMixOn(b *testing.B) { benchStep(b, engineScheduleMixOnLoop) }
+
 // EngineScheduleDistinct is the event queue's worst case: a steady
 // backlog of schedulePending events in which every event has a fresh
 // random delay, so each Schedule opens a FIFO and the drained ones are
 // swept for reuse.
 func EngineScheduleDistinct(b *testing.B) { benchStep(b, engineScheduleDistinctLoop) }
 
-// engineScheduleMixLoop builds EngineScheduleMix's engine and returns
-// one iteration of its churn.
-func engineScheduleMixLoop() (func(), error) {
+// netsimMix returns EngineScheduleMix's delay mix in 1,000 equally
+// likely slots.
+func netsimMix() []time.Duration {
 	const us, ns = time.Microsecond, time.Nanosecond
-	var delays []time.Duration // the mix in 1,000 equally likely slots
+	var delays []time.Duration
 	for _, d := range []struct {
 		delay time.Duration
 		slots int
@@ -91,42 +98,71 @@ func engineScheduleMixLoop() (func(), error) {
 			delays = append(delays, d.delay)
 		}
 	}
-	return churnLoop(mixPending, func(x uint64) time.Duration {
-		return delays[x%uint64(len(delays))]
+	return delays
+}
+
+// engineScheduleMixLoop builds EngineScheduleMix's engine and returns
+// one iteration of its churn.
+func engineScheduleMixLoop() (func(), error) {
+	e := sim.New()
+	delays := netsimMix()
+	fn := func() {}
+	return churnLoop(e, mixPending, func(x uint64) {
+		e.Schedule(delays[x%uint64(len(delays))], fn)
 	}), nil
 }
+
+// engineScheduleMixOnLoop builds EngineScheduleMixOn's engine, with a
+// Queue handle per slot of the mix, and returns one iteration of its
+// churn.
+func engineScheduleMixOnLoop() (func(), error) {
+	e := sim.New()
+	delays := netsimMix()
+	queues := make([]sim.Queue, len(delays))
+	for i, d := range delays {
+		queues[i] = e.Queue(d)
+	}
+	fn := func() {}
+	return churnLoop(e, mixPending, func(x uint64) {
+		e.ScheduleOn(queues[x%uint64(len(queues))], runFunc, fn)
+	}), nil
+}
+
+// runFunc runs a func() continuation scheduled in the call form, as
+// Schedule does for its own.
+func runFunc(a any) { a.(func())() }
 
 // engineScheduleDistinctLoop builds EngineScheduleDistinct's engine
 // and returns one iteration of its churn.  Delays are 30 random bits
 // of nanoseconds (up to ~1.07 s), so a repeat among the delays an
 // engine holds is rare enough to ignore.
 func engineScheduleDistinctLoop() (func(), error) {
-	return churnLoop(schedulePending, func(x uint64) time.Duration {
-		return time.Duration(1 + x>>34)
+	e := sim.New()
+	fn := func() {}
+	return churnLoop(e, schedulePending, func(x uint64) {
+		e.Schedule(time.Duration(1+x>>34), fn)
 	}), nil
 }
 
-// churnLoop fills an engine with pending events and returns one
+// churnLoop fills engine e with pending events and returns one
 // iteration of its churn: schedule one event, then step one.  Each
-// delay is delay(x) for the next x of a xorshift stream.  The churn
-// runs 16 backlogs' worth of iterations before it returns, so the
-// rings, the FIFO list and the delay map have reached their working
-// size when timing starts.
-func churnLoop(pending int, delay func(x uint64) time.Duration) func() {
-	e := sim.New()
-	fn := func() {}
+// event is scheduled by schedule(x) for the next x of a xorshift
+// stream.  The churn runs 16 backlogs' worth of iterations before it
+// returns, so the rings, the FIFO list and the delay map have reached
+// their working size when timing starts.
+func churnLoop(e *sim.Engine, pending int, schedule func(x uint64)) func() {
 	x := uint64(88172645463325252)
-	next := func() time.Duration {
+	next := func() {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		return delay(x)
+		schedule(x)
 	}
 	for i := 0; i < pending; i++ {
-		e.Schedule(next(), fn)
+		next()
 	}
 	step := func() {
-		e.Schedule(next(), fn)
+		next()
 		e.Step()
 	}
 	for i := 0; i < 16*pending; i++ {
@@ -138,14 +174,19 @@ func churnLoop(pending int, delay func(x uint64) time.Duration) func() {
 // ResourceServe measures one Serve cycle of a one-unit resource with a
 // job in service and one queued behind it: each iteration steps the
 // engine once, completing a service, which hands the unit to the queued
-// job, whose continuation queues the next.  It uses the call form
-// (ServeCall) the netsim datapath runs on.
+// job, whose continuation queues the next.  It uses the call form,
+// ServeCall, which keeps a bookkeeping record per job on the
+// resource's free list.  The netsim datapath does not run on it: its
+// stages take their unit with AcquireCall, hold it on the batch record
+// and release it when their queue's event runs.
 func ResourceServe(b *testing.B) { benchStep(b, resourceServeLoop) }
 
 // SemaphoreCycle measures one credit hand-over of a one-credit
 // semaphore with a waiter queued: each iteration releases the credit to
 // the waiter, whose continuation queues for it again.  It uses the call
-// form (AcquireCall) the netsim datapath runs on.
+// form, AcquireCall, which every netsim stage waits through: storage
+// credits are semaphores, and generator, teleporter and purifier units
+// are the credits of a Resource's semaphore.
 func SemaphoreCycle(b *testing.B) { benchStep(b, semaphoreCycleLoop) }
 
 // benchStep times one call per iteration of the step build returns.
@@ -205,32 +246,52 @@ func acquireAgain(a any) {
 // "as fast as the hardware allows" north star is tracked by.
 func QFTRun(layout simulate.Layout, policy route.Policy) func(*testing.B) {
 	return func(b *testing.B) {
-		grid, err := qnet.NewGrid(benchGrid, benchGrid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := simulate.New(grid, layout,
-			simulate.WithResources(16, 16, 8),
-			simulate.WithRouting(policy))
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog := qnet.QFT(grid.Tiles())
-		ctx := context.Background()
-		res, err := m.Run(ctx, prog) // warm run: learn the event count
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Run(ctx, prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		reportEventRate(b, res.Events)
+		m, prog := qftMachine(b, benchGrid, layout, 16, 16, 8, simulate.WithRouting(policy))
+		timeRuns(b, m, prog)
 	}
+}
+
+// LargeHomeBaseQFT runs a 12x12 HomeBase QFT-144 at t=g=21, p=5, the
+// t=g=4p point of Figure 16's area budget, under dimension-order
+// routing: about 18.2M events a run.  HomeBase pays two channels per
+// op, so at paper scale its runs dominate a Figure 16 sweep, and only
+// the cost per event moves their wall time.
+func LargeHomeBaseQFT(b *testing.B) {
+	m, prog := qftMachine(b, 12, simulate.HomeBase, 21, 21, 5)
+	timeRuns(b, m, prog)
+}
+
+// qftMachine builds a machine with t/g/p resources for a QFT over
+// every tile of an n x n mesh, and returns it with the program.
+func qftMachine(b *testing.B, n int, layout simulate.Layout, t, g, p int, opts ...simulate.Option) (*simulate.Machine, qnet.Program) {
+	grid, err := qnet.NewGrid(n, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := simulate.New(grid, layout, append(opts, simulate.WithResources(t, g, p))...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, qnet.QFT(grid.Tiles())
+}
+
+// timeRuns times complete runs of prog on m, one per iteration, and
+// reports their simulated-event throughput.  Every run of one machine
+// makes the same events, so the count comes from the timed runs.
+func timeRuns(b *testing.B, m *simulate.Machine, prog qnet.Program) {
+	ctx := context.Background()
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := m.Run(ctx, prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = res.Events
+	}
+	b.StopTimer()
+	reportEventRate(b, events)
 }
 
 // SweepWorkers returns a benchmark driving the concurrent sweep engine

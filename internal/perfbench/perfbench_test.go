@@ -11,6 +11,8 @@ func BenchmarkEngineSchedule(b *testing.B) { EngineSchedule(b) }
 
 func BenchmarkEngineScheduleMix(b *testing.B) { EngineScheduleMix(b) }
 
+func BenchmarkEngineScheduleMixOn(b *testing.B) { EngineScheduleMixOn(b) }
+
 func BenchmarkEngineScheduleDistinct(b *testing.B) { EngineScheduleDistinct(b) }
 
 func BenchmarkResourceServe(b *testing.B) { ResourceServe(b) }
@@ -22,6 +24,8 @@ func BenchmarkQFT(b *testing.B) {
 		b.Run(cfg.Name, QFTRun(cfg.Layout, cfg.Policy))
 	}
 }
+
+func BenchmarkLargeHomeBaseQFT(b *testing.B) { LargeHomeBaseQFT(b) }
 
 func BenchmarkSweep(b *testing.B) {
 	b.Run("workers=8", SweepWorkers(8))
@@ -41,8 +45,9 @@ func BenchmarkTraceQFT(b *testing.B) {
 // disabled cost: with no probe attached, the engine's schedule+step
 // churn must not allocate at all.  The probe hook is one nil check on
 // the hot path; if it ever grows an allocation, tracer-off runs pay
-// for telemetry nobody asked for.  The EngineScheduleMix and
-// EngineScheduleDistinct churns are pinned at 0 allocs/op the same way.
+// for telemetry nobody asked for.  The EngineScheduleMix,
+// EngineScheduleMixOn and EngineScheduleDistinct churns are pinned at
+// 0 allocs/op the same way.
 func TestEngineStepZeroAllocWithoutProbe(t *testing.T) {
 	const pending = 256
 	e := sim.New()
@@ -59,6 +64,7 @@ func TestEngineStepZeroAllocWithoutProbe(t *testing.T) {
 	}
 	for name, build := range map[string]func() (func(), error){
 		"EngineScheduleMix":      engineScheduleMixLoop,
+		"EngineScheduleMixOn":    engineScheduleMixOnLoop,
 		"EngineScheduleDistinct": engineScheduleDistinctLoop,
 	} {
 		step, err := build()

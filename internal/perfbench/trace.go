@@ -5,11 +5,9 @@
 package perfbench
 
 import (
-	"context"
 	"testing"
 	"time"
 
-	"repro/qnet"
 	"repro/qnet/simulate"
 	"repro/qnet/trace"
 )
@@ -45,34 +43,12 @@ func traceModeInterval(b *testing.B, mode string) (time.Duration, bool) {
 func TraceQFT(mode string) func(*testing.B) {
 	return func(b *testing.B) {
 		interval, traced := traceModeInterval(b, mode)
-		grid, err := qnet.NewGrid(benchGrid, benchGrid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := simulate.New(grid, simulate.MobileQubit,
-			simulate.WithResources(16, 16, 8))
-		if err != nil {
-			b.Fatal(err)
-		}
+		m, prog := qftMachine(b, benchGrid, simulate.MobileQubit, 16, 16, 8)
 		if traced {
 			// One tracer reused across iterations: each run rebinds it,
 			// which resets the rings, exactly as a long-lived worker does.
 			m = m.WithTrace(trace.New(trace.Config{Interval: interval}))
 		}
-		prog := qnet.QFT(grid.Tiles())
-		ctx := context.Background()
-		res, err := m.Run(ctx, prog) // warm run: learn the event count
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Run(ctx, prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		reportEventRate(b, res.Events)
+		timeRuns(b, m, prog)
 	}
 }

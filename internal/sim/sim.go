@@ -42,7 +42,8 @@ type Engine struct {
 	// either mapped in byDelay, possibly empty, or parked on spare.
 	// Drained FIFOs stay mapped, because a model reuses a few dozen
 	// delays for a whole run.  A FIFO behind a Queue handle is pinned:
-	// it stays mapped to its delay for the engine's life.  Only when a
+	// it stays mapped to its delay for the engine's life, and pinned
+	// counts such FIFOs.  Only when a
 	// new delay needs a FIFO, none is spare and the unpinned FIFOs
 	// number 2×pending+fifoSlack does sweep unmap the empty unpinned
 	// ones onto spare.  That keeps the unpinned FIFO count bounded by

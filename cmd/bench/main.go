@@ -386,7 +386,7 @@ func decode(data []byte) (report, error) {
 	// throughput, or the report cannot answer "what does telemetry
 	// cost" — the question those entries exist for.
 	for _, mode := range perfbench.TraceModes {
-		if err := requireEventRate(byName, traceName(mode)); err != nil {
+		if err := requireEventRate(rep, traceName(mode)); err != nil {
 			return report{}, err
 		}
 	}
@@ -403,11 +403,7 @@ func checkFresh(data []byte) (report, error) {
 	if err != nil {
 		return report{}, err
 	}
-	byName := make(map[string]entry, len(rep.Benchmarks))
-	for _, e := range rep.Benchmarks {
-		byName[e.Name] = e
-	}
-	if err := requireEventRate(byName, largeQFT); err != nil {
+	if err := requireEventRate(rep, largeQFT); err != nil {
 		return report{}, err
 	}
 	return rep, nil
@@ -415,15 +411,16 @@ func checkFresh(data []byte) (report, error) {
 
 // requireEventRate reports an error unless the named benchmark is in
 // the report with a positive events/sec.
-func requireEventRate(byName map[string]entry, name string) error {
-	e, ok := byName[name]
-	if !ok {
-		return fmt.Errorf("missing benchmark %q", name)
+func requireEventRate(rep report, name string) error {
+	for _, e := range rep.Benchmarks {
+		if e.Name == name {
+			if e.EventsPerSec <= 0 {
+				return fmt.Errorf("%s: events/sec = %g", name, e.EventsPerSec)
+			}
+			return nil
+		}
 	}
-	if e.EventsPerSec <= 0 {
-		return fmt.Errorf("%s: events/sec = %g", name, e.EventsPerSec)
-	}
-	return nil
+	return fmt.Errorf("missing benchmark %q", name)
 }
 
 // checkEntry validates one entry: count usable samples, and the means

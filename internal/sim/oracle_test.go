@@ -130,7 +130,7 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 				}
 				if h >= 0 {
 					e.ScheduleOn(handles[h].q, runFunc, body)
-					if h >= 2 {
+					if h >= 2 { // the handle resolved after a sweep
 						onHandle++
 					}
 				} else {

@@ -82,10 +82,11 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 	}
 
 	ch := &channelRun{
-		sim:  s,
-		src:  src,
-		dst:  dst,
-		dirs: dirs,
+		sim:     s,
+		src:     src,
+		dst:     dst,
+		srcTile: srcIdx,
+		dirs:    dirs,
 		done: func() {
 			s.latencies.Add(float64(s.engine.Now() - start))
 			done()
@@ -129,6 +130,7 @@ func (s *simulator) routeChannel(src, dst mesh.Coord) ([]mesh.Direction, error) 
 type channelRun struct {
 	sim      *simulator
 	src, dst mesh.Coord
+	srcTile  int // the index of src
 	// dirs is the channel's setup-time path from src, shared read-only
 	// by every batch that flies it; resent batches of an adaptive policy
 	// may fly a fresher path (see resend).
@@ -152,30 +154,35 @@ type channelRun struct {
 // an aborted run).
 //
 // The path a batch flies (dirs, from the channel source) is immutable
-// once built: in-flight batches release storage by indexing their own
-// path, so a path is never mutated while any batch references it.
+// once built, so a path is never mutated while any batch references it.
 // Initial batches fly the channel's setup-time path; only
-// adaptive-policy resends fly a fresh one.  The batch carries the tile
-// it is at and steps it one direction per hop, so a path needs no
-// stored tile sequence.
+// adaptive-policy resends fly a fresh one.  The batch carries the index
+// of the tile it is at and moves it along the port of each hop, so a
+// path needs no stored tile sequence and a hop no mesh arithmetic.
 type batch struct {
 	ch   *channelRun
 	dirs []mesh.Direction
-	// at is the batch's current tile: the sending end of hop while the
-	// hop is in flight, the destination once the batch has arrived.
-	at mesh.Coord
-	// hop is the hop in flight, from at in direction dirs[hop]; link is
-	// the canonical index of the mesh link it crosses.
-	hop, link int
+	// tile is the index of the batch's current tile: the sending end of
+	// hop while the hop is in flight, the destination once the batch has
+	// arrived.
+	tile int
+	// hop is the hop in flight, from tile in direction dirs[hop], and
+	// port the units it takes.
+	hop  int
+	port *port
+	// held is the storage slot the batch occupies: none at the channel
+	// source, then the receiving tile's slot of the last hop it crossed,
+	// until it drains into its purifiers or is dropped.
+	held *sim.Semaphore
 	// lo and hi are the tile indices of the endpoint purifiers, in the
 	// canonical acquisition order.
 	lo, hi int
 	// unit is the generator or teleporter unit the batch holds while
 	// that stage serves it, and q the teleport stage's queue, with or
-	// without the turn penalty.  A stage takes its unit with
-	// AcquireCall, schedules its completion on its queue and releases
-	// the unit when that runs, so serving a batch needs no bookkeeping
-	// record besides the batch's own.
+	// without the turn penalty.  A stage takes its unit with Take,
+	// schedules its completion on its queue and releases the unit when
+	// that runs, so serving a batch needs no bookkeeping record besides
+	// the batch's own.
 	unit *sim.Resource
 	q    sim.Queue
 	next *batch // free-list link
@@ -202,10 +209,17 @@ func (s *simulator) freeBatch(b *batch) {
 	s.freeBatches = b
 }
 
-// storage returns the incoming-storage credits at tile for a batch that
-// travelled in direction dir: it arrives from the opposite direction.
-func (s *simulator) storage(tile mesh.Coord, dir mesh.Direction) *sim.Semaphore {
-	return s.nodes[s.cfg.Grid.Index(tile)].Storage(dir.Opposite())
+// port is the hop out of one tile in one direction, resolved once in
+// build: the canonical index of the link it crosses and that link's G
+// node, the sending tile's teleporter set for the hop's axis, and the
+// incoming-storage credits and index of the receiving tile.  A
+// direction that leaves the mesh has the zero port.
+type port struct {
+	link    int
+	gen     *sim.Resource
+	tele    *sim.Resource
+	storage *sim.Semaphore
+	to      int
 }
 
 // startBatch sends one of the channel's initial batches along its
@@ -257,8 +271,7 @@ func (ch *channelRun) resend(b *batch) {
 		}
 	}
 	if t := s.cfg.Trace; t != nil {
-		li := s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(ch.src, dirs[0]))
-		t.RecordResend(s.engine.Now(), li)
+		t.RecordResend(s.engine.Now(), s.ports[4*ch.srcTile+int(dirs[0])].link)
 	}
 	b.fly(dirs)
 }
@@ -282,27 +295,28 @@ func (ch *channelRun) reroute() []mesh.Direction {
 
 // fly sends the batch along a path from the channel source.
 func (b *batch) fly(dirs []mesh.Direction) {
-	b.dirs, b.at, b.hop = dirs, b.ch.src, 0
+	b.dirs, b.tile, b.hop, b.held = dirs, b.ch.srcTile, 0, nil
 	b.startHop()
 }
 
-// startHop advances the batch from at toward the next tile of its path:
-// it first needs a storage credit at the receiving T' node.
+// startHop advances the batch from its tile toward the next tile of its
+// path: it first needs a storage credit at the receiving T' node.  Each
+// stage runs its continuation inline when its Take finds a unit free.
 func (b *batch) startHop() {
-	s := b.ch.sim
-	dir := b.dirs[b.hop]
-	s.storage(b.at.Step(dir), dir).AcquireCall(hopStored, b)
+	b.port = &b.ch.sim.ports[4*b.tile+int(b.dirs[b.hop])]
+	if b.port.storage.Take(hopStored, b) {
+		hopStored(b)
+	}
 }
 
 // hopStored runs once the batch holds its storage credit: it takes a
-// generator unit of the G node of the crossed link, a dense-slice
-// lookup via the canonical link index.
+// generator unit of the G node of the crossed link.
 func hopStored(a any) {
 	b := a.(*batch)
-	s := b.ch.sim
-	b.link = s.cfg.Grid.LinkIndex(s.cfg.Grid.LinkFrom(b.at, b.dirs[b.hop]))
-	b.unit = s.gnodes[b.link]
-	b.unit.AcquireCall(generate, b)
+	b.unit = b.port.gen
+	if b.unit.Take(generate, b) {
+		generate(b)
+	}
 }
 
 // generate runs once the batch holds a generator unit: the link pairs
@@ -321,16 +335,16 @@ func hopGenerated(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
 	b.unit.Release()
-	i, dir := b.hop, b.dirs[b.hop]
-	node := s.nodes[s.cfg.Grid.Index(b.at)]
 	b.q = s.teleportQ
-	if i > 0 && b.dirs[i-1].Axis() != dir.Axis() {
-		node.TurnPenalty() // counts the node's turn; turnQ's delay holds its penalty
+	if i := b.hop; i > 0 && b.dirs[i-1].Axis() != b.dirs[i].Axis() {
+		s.nodes[b.tile].TurnPenalty() // counts the node's turn; turnQ's delay holds its penalty
 		s.turns++
 		b.q = s.turnQ
 	}
-	b.unit = node.TeleporterSet(dir.Axis())
-	b.unit.AcquireCall(teleport, b)
+	b.unit = b.port.tele
+	if b.unit.Take(teleport, b) {
+		teleport(b)
+	}
 }
 
 // teleport runs once the batch holds a teleporter unit: the batch
@@ -347,28 +361,28 @@ func hopTeleported(a any) {
 	ch := b.ch
 	s := ch.sim
 	b.unit.Release()
-	i := b.hop
 	s.pairHops += uint64(s.batchPairs)
 	s.net.RecordTeleports(s.batchPairs)
 	// The batch now occupies storage at the next tile; it frees its slot
 	// at the tile it left (held since the prior hop), then steps there.
-	if i > 0 {
-		s.storage(b.at, b.dirs[i-1]).Release()
+	if b.held != nil {
+		b.held.Release()
 	}
-	b.at = b.at.Step(b.dirs[i])
-	if ch.droppedOn(b.link) {
+	p := b.port
+	b.held, b.tile = p.storage, p.to
+	if ch.droppedOn(p.link) {
 		// The fault model dropped the batch on this link: it frees the
 		// slot it just occupied and a replacement is sent from the
 		// channel source (budget permitting).
-		s.storage(b.at, b.dirs[i]).Release()
+		b.held.Release()
 		s.droppedBatches++
 		if t := s.cfg.Trace; t != nil {
-			t.RecordDrop(s.engine.Now(), b.link)
+			t.RecordDrop(s.engine.Now(), p.link)
 		}
 		ch.resend(b)
 		return
 	}
-	if i+1 < len(b.dirs) {
+	if b.hop+1 < len(b.dirs) {
 		b.hop++
 		b.startHop()
 	} else {
@@ -397,7 +411,7 @@ func (b *batch) arrive() {
 	// Queue purification holds one purifier unit at each endpoint (the
 	// channel source and the tile the batch arrived at), acquired in
 	// canonical index order to prevent circular wait.
-	b.lo, b.hi = s.cfg.Grid.Index(b.ch.src), s.cfg.Grid.Index(b.at)
+	b.lo, b.hi = b.ch.srcTile, b.tile
 	if b.lo > b.hi {
 		b.lo, b.hi = b.hi, b.lo
 	}
@@ -408,13 +422,17 @@ func (b *batch) arrive() {
 // purifier.
 func arriveCorrected(a any) {
 	b := a.(*batch)
-	b.ch.sim.purify[b.lo].AcquireCall(purifyLoHeld, b)
+	if b.ch.sim.purify[b.lo].Take(purifyLoHeld, b) {
+		purifyLoHeld(b)
+	}
 }
 
 // purifyLoHeld queues the batch for its second endpoint purifier.
 func purifyLoHeld(a any) {
 	b := a.(*batch)
-	b.ch.sim.purify[b.hi].AcquireCall(purify, b)
+	if b.ch.sim.purify[b.hi].Take(purify, b) {
+		purify(b)
+	}
 }
 
 // purify runs once both endpoint purifiers are held: the batch drains
@@ -422,7 +440,7 @@ func purifyLoHeld(a any) {
 func purify(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
-	s.storage(b.at, b.dirs[len(b.dirs)-1]).Release()
+	b.held.Release()
 	s.net.RecordPurifies(s.batchPairs - 1) // tree of 2^d leaves has 2^d - 1 purifications
 	s.engine.ScheduleOn(s.queuesFor(len(b.dirs)).purify, purified, b)
 }

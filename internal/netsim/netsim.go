@@ -266,6 +266,7 @@ type simulator struct {
 	nodes   []*router.Node  // per tile
 	purify  []*sim.Resource // per tile P node
 	gnodes  []*sim.Resource // per link G node, indexed by mesh.Grid.LinkIndex
+	ports   []port          // per tile and direction, at 4·tile+dir (see port)
 	net     *classical.Network
 	sch     *sched.Scheduler
 	place   *mesh.Placement
@@ -363,6 +364,7 @@ func (ts traceSource) SampleOccupancy(dst []float64) {
 }
 
 // SampleLinkBusy fills per-link cumulative generator busy time.
+// Resource.Busy only reads, so sampling leaves the model untouched.
 func (ts traceSource) SampleLinkBusy(dst []time.Duration) {
 	for i, g := range ts.s.gnodes {
 		dst[i] = g.Busy()
@@ -478,6 +480,26 @@ func (s *simulator) build(prog workload.Program) error {
 			return err
 		}
 		s.gnodes[i] = r
+	}
+
+	s.ports = make([]port, 4*cfg.Grid.Tiles())
+	for i, n := range s.nodes {
+		c := cfg.Grid.CoordOf(i)
+		for _, d := range []mesh.Direction{mesh.East, mesh.West, mesh.North, mesh.South} {
+			next := c.Step(d)
+			if !cfg.Grid.Contains(next) {
+				continue // off the mesh: the zero port
+			}
+			li := cfg.Grid.LinkIndex(cfg.Grid.LinkFrom(c, d))
+			to := cfg.Grid.Index(next)
+			s.ports[4*i+int(d)] = port{
+				link:    li,
+				gen:     s.gnodes[li],
+				tele:    n.TeleporterSet(d.Axis()),
+				storage: s.nodes[to].Storage(d.Opposite()),
+				to:      to,
+			}
+		}
 	}
 
 	s.net, err = classical.NewNetwork(cfg.Params, cfg.HopCells)

@@ -177,16 +177,17 @@ func churnLoop(e *sim.Engine, pending int, schedule func(x uint64)) func() {
 // job, whose continuation queues the next.  It uses the call form,
 // ServeCall, which keeps a bookkeeping record per job on the
 // resource's free list.  The netsim datapath does not run on it: its
-// stages take their unit with AcquireCall, hold it on the batch record
-// and release it when their queue's event runs.
+// stages take their unit with Take, hold it on the batch record and
+// release it when their queue's event runs.
 func ResourceServe(b *testing.B) { benchStep(b, resourceServeLoop) }
 
 // SemaphoreCycle measures one credit hand-over of a one-credit
 // semaphore with a waiter queued: each iteration releases the credit to
-// the waiter, whose continuation queues for it again.  It uses the call
-// form, AcquireCall, which every netsim stage waits through: storage
-// credits are semaphores, and generator, teleporter and purifier units
-// are the credits of a Resource's semaphore.
+// the waiter, whose continuation queues for it again.  It waits through
+// Take, as every netsim stage does: storage credits are semaphores, and
+// generator, teleporter and purifier units are the credits of a
+// Resource's semaphore.  A stage whose Take finds a credit free goes on
+// inline; this cycle measures the other case, the queued hand-over.
 func SemaphoreCycle(b *testing.B) { benchStep(b, semaphoreCycleLoop) }
 
 // benchStep times one call per iteration of the step build returns.
@@ -228,14 +229,16 @@ func semaphoreCycleLoop() (func(), error) {
 	if err != nil {
 		return nil, err
 	}
-	s.AcquireCall(acquireAgain, s)
+	s.Take(takeAgain, s) // takes the credit
+	s.Take(takeAgain, s) // queues behind it
 	return s.Release, nil
 }
 
-// acquireAgain queues for another credit of its semaphore.
-func acquireAgain(a any) {
+// takeAgain queues for another credit of its semaphore: the credit it
+// was just handed is still out, so Take queues it.
+func takeAgain(a any) {
 	s := a.(*sim.Semaphore)
-	s.AcquireCall(acquireAgain, s)
+	s.Take(takeAgain, s)
 }
 
 // QFTRun returns a benchmark running the full event-driven simulator —

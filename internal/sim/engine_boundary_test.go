@@ -83,8 +83,8 @@ func TestScheduleCallPanicsOnNilFunc(t *testing.T) {
 // once the rings cover the backlog, a schedule/step cycle performs zero
 // heap allocations.  (AllocsPerRun runs its function once before it
 // measures; that run grows the rings.)  The call-form waiters keep it:
-// a ServeCall cycle and an AcquireCall cycle, each with a waiter
-// queued, allocate nothing once warm.
+// a ServeCall cycle, an AcquireCall cycle and a Take cycle, each with a
+// waiter queued, allocate nothing once warm.
 func TestSchedulingAllocationFreeOnceWarm(t *testing.T) {
 	e := New()
 	fn := func() {}
@@ -144,6 +144,23 @@ func TestSchedulingAllocationFreeOnceWarm(t *testing.T) {
 	if allocs != 0 || sem.Waiting() != 1 {
 		t.Errorf("AcquireCall cycle allocated %.1f objects per run with %d waiting, want 0 with 1", allocs, sem.Waiting())
 	}
+
+	// The same cycle through Take, the path netsim's stages wait on.
+	sem, err = NewSemaphore("take", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sem.Take(takeAgain, sem) || sem.Take(takeAgain, sem) {
+		t.Fatal("Take did not take the free credit and queue behind it")
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := 0; i < 256; i++ {
+			sem.Release()
+		}
+	})
+	if allocs != 0 || sem.Waiting() != 1 {
+		t.Errorf("Take cycle allocated %.1f objects per run with %d waiting, want 0 with 1", allocs, sem.Waiting())
+	}
 }
 
 // serveAgain queues another one-microsecond job on its resource.
@@ -156,6 +173,13 @@ func serveAgain(a any) {
 func acquireAgain(a any) {
 	s := a.(*Semaphore)
 	s.AcquireCall(acquireAgain, s)
+}
+
+// takeAgain queues for another credit of its semaphore: the credit it
+// was just handed is still out, so Take queues it.
+func takeAgain(a any) {
+	s := a.(*Semaphore)
+	s.Take(takeAgain, s)
 }
 
 // TestEngineFIFOCountBoundedByBacklog churns 1M events, each with a

@@ -13,7 +13,7 @@ import (
 // It is a Semaphore whose credits are the units — the semaphore holds
 // the wait queue, the hand-over to the oldest waiter and the
 // over-release check — plus busy-time accounting and the Serve pattern.
-// AcquireCall runs a job once a unit is held (at the engine's current
+// Take and AcquireCall grant a job a unit (at the engine's current
 // time); the job must eventually call Release exactly once (typically
 // after scheduling the service latency).
 type Resource struct {
@@ -24,9 +24,12 @@ type Resource struct {
 	// acquire-serve-release pattern allocates nothing in steady state.
 	freeJobs *serveJob
 
-	// busyTime is the unit-busy time accounted up to lastChange.
-	busyTime   time.Duration
-	lastChange time.Duration
+	// busy is the sum of the times units went back to the pool minus
+	// the sum of the times they left it.  A unit handed from one job
+	// straight to the next stays busy, so the hand-over changes
+	// nothing.  Adding InUse()·now counts the units still out up to
+	// now, which makes Busy exact in integer nanoseconds.
+	busy time.Duration
 }
 
 // serveJob is the reusable record of one Serve call: the service
@@ -81,17 +84,30 @@ func (r *Resource) QueueLen() int { return r.units.waiting.len() }
 // package-level function and arg a pointer to reusable state it
 // allocates nothing once the wait queue has grown to its working size.
 func (r *Resource) AcquireCall(fn func(any), arg any) {
-	if r.units.credits > 0 {
-		r.accountBusy() // a unit is about to be granted
+	if r.Take(fn, arg) {
+		fn(arg)
 	}
-	r.units.AcquireCall(fn, arg)
+}
+
+// Take is Semaphore.Take on the units: it takes a free unit and reports
+// true without calling fn, or queues fn(arg) for the hand-over and
+// reports false.
+func (r *Resource) Take(fn func(any), arg any) bool {
+	if !r.units.Take(fn, arg) {
+		return false
+	}
+	r.busy -= r.engine.now
+	return true
 }
 
 // Release frees a unit, immediately handing it to the oldest waiting job
 // if any.
 func (r *Resource) Release() {
-	r.accountBusy()
+	handOver := r.units.waiting.len() > 0
 	r.units.Release()
+	if !handOver {
+		r.busy += r.engine.now // the unit went back to the pool
+	}
 }
 
 // Serve is the common acquire-serve-release pattern: wait for a unit,
@@ -109,8 +125,8 @@ func (r *Resource) Serve(latency time.Duration, done func()) {
 // bookkeeping record is recycled through a free list and neither the
 // wait nor the completion event captures a closure.  A caller that
 // already keeps a record per job can hand-roll the same cycle on it,
-// AcquireCall then Engine.ScheduleOn then Release, and skip the free
-// list; netsim's batches do.
+// Take then Engine.ScheduleOn then Release, and skip the free list;
+// netsim's batches do.
 func (r *Resource) ServeCall(latency time.Duration, done func(any), arg any) {
 	j := r.freeJobs
 	if j != nil {
@@ -145,19 +161,10 @@ func serveComplete(a any) {
 	}
 }
 
-// accountBusy adds the unit-busy time since the last grant or release.
-// It runs before every change of the units in use.
-func (r *Resource) accountBusy() {
-	now := r.engine.Now()
-	r.busyTime += time.Duration(r.InUse()) * (now - r.lastChange)
-	r.lastChange = now
-}
-
 // Busy returns the aggregate unit-busy time so far (unit-seconds of
-// service).
+// service).  It only reads, so a probe may call it mid-run.
 func (r *Resource) Busy() time.Duration {
-	r.accountBusy()
-	return r.busyTime
+	return r.busy + time.Duration(r.InUse())*r.engine.now
 }
 
 // Utilization returns the fraction of unit-time spent busy since the

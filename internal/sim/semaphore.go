@@ -93,13 +93,29 @@ func (s *Semaphore) Acquire(fn func()) {
 // reusable state it allocates nothing once the waiter queue has grown to
 // its working size.
 func (s *Semaphore) AcquireCall(fn func(any), arg any) {
-	if fn == nil {
-		panic(fmt.Sprintf("sim: %q: nil acquire function", s.Name()))
+	if s.Take(fn, arg) {
+		fn(arg)
 	}
+}
+
+// Take takes a free credit and reports true without calling fn, so the
+// caller continues inline.  With no credit free it queues fn(arg) to run
+// when a Release hands one over, and reports false.  A nil fn panics
+// when it would be queued.
+func (s *Semaphore) Take(fn func(any), arg any) bool {
 	if s.credits > 0 {
 		s.credits--
-		fn(arg)
-		return
+		return true
+	}
+	s.wait(fn, arg)
+	return false
+}
+
+// wait queues fn(arg) behind the semaphore's other waiters.  It is kept
+// out of Take so that Take stays small enough to inline.
+func (s *Semaphore) wait(fn func(any), arg any) {
+	if fn == nil {
+		panic(fmt.Sprintf("sim: %q: nil acquire function", s.Name()))
 	}
 	*s.waiting.push() = call{fn, arg}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -95,4 +96,89 @@ func TestSemaphoreConservationProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTakeContract pins Take on a semaphore's credits and a resource's
+// units: a free credit is taken at once, reported true, and fn is not
+// called; otherwise Take reports false and fn runs exactly once, at the
+// hand-over, oldest waiter first.  Releasing past the limit still
+// panics.
+func TestTakeContract(t *testing.T) {
+	s, err := NewSemaphore("s", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewResource(New(), "r", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []struct {
+		name    string
+		take    func(func(any), any) bool
+		release func()
+	}{
+		{"semaphore", s.Take, s.Release},
+		{"resource", r.Take, r.Release},
+	} {
+		var ran []int
+		record := func(a any) { ran = append(ran, a.(int)) }
+		for i := 0; i < 2; i++ {
+			if !u.take(record, i) {
+				t.Errorf("%s: Take %d with a credit free reported false", u.name, i)
+			}
+		}
+		for i := 2; i < 5; i++ {
+			if u.take(record, i) {
+				t.Errorf("%s: Take %d with no credit free reported true", u.name, i)
+			}
+		}
+		if len(ran) != 0 {
+			t.Fatalf("%s: Take called %v before any release", u.name, ran)
+		}
+		for i := 0; i < 5; i++ {
+			u.release()
+		}
+		if want := []int{2, 3, 4}; !reflect.DeepEqual(ran, want) {
+			t.Errorf("%s: hand-overs called %v, want %v", u.name, ran, want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: over-release did not panic", u.name)
+				}
+			}()
+			u.release()
+		}()
+	}
+}
+
+// TestTakeNilFuncPanicsWhenQueued pins the nil continuation: Take never
+// calls fn on a free credit, so a nil fn passes there, and panics when
+// it would be queued; AcquireCall panics on a nil fn either way.
+func TestTakeNilFuncPanicsWhenQueued(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	s, _ := NewSemaphore("s", 1)
+	r, _ := NewResource(New(), "r", 1)
+	if !s.Take(nil, nil) || !r.Take(nil, nil) {
+		t.Fatal("Take(nil) with a credit free reported false")
+	}
+	mustPanic("Semaphore.Take(nil) with no credit free", func() { s.Take(nil, nil) })
+	mustPanic("Resource.Take(nil) with no unit free", func() { r.Take(nil, nil) })
+	if s.Waiting() != 0 || r.QueueLen() != 0 {
+		t.Errorf("a nil fn was queued: %d and %d waiting", s.Waiting(), r.QueueLen())
+	}
+	s2, _ := NewSemaphore("s2", 1)
+	r2, _ := NewResource(New(), "r2", 1)
+	mustPanic("Semaphore.AcquireCall(nil) with a credit free", func() { s2.AcquireCall(nil, nil) })
+	mustPanic("Semaphore.AcquireCall(nil) with no credit free", func() { s2.AcquireCall(nil, nil) })
+	mustPanic("Resource.AcquireCall(nil) with a unit free", func() { r2.AcquireCall(nil, nil) })
+	mustPanic("Resource.AcquireCall(nil) with no unit free", func() { r2.AcquireCall(nil, nil) })
 }

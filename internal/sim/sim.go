@@ -20,7 +20,13 @@
 // FIFO entries, and scheduling does not allocate once the rings have
 // grown to the working-set size.  Semaphore's
 // waiter queue is the same ring, and Resource is a Semaphore of units
-// plus busy-time accounting and service scheduling.
+// plus busy-time accounting and service scheduling.  Take is the one
+// acquisition path: it takes a free credit and lets the caller go on
+// inline, or queues the caller's continuation for the hand-over, and
+// AcquireCall is Take followed by the call.  Busy time costs O(1): a
+// grant subtracts the clock, a return to the pool adds it, a hand-over
+// to a waiter changes nothing, and Busy adds the clock once per unit
+// still out, so reading it writes nothing.
 package sim
 
 import (

@@ -3,19 +3,26 @@
 // a doc comment, and every package must have a package-level comment.
 // CI runs it over qnet/... so the public API surface — including the
 // routing, fault and telemetry layers, which are implemented there —
-// cannot silently grow undocumented, and over internal/sim,
-// internal/router and internal/netsim, whose exported API the
-// simulator and the benchmark module program against (the same
-// contract revive's `exported` rule enforces, without the external
-// dependency).
+// cannot silently grow undocumented, and over every internal package
+// (the same contract revive's `exported` rule enforces, without the
+// external dependency).
+//
+// It also type-checks the non-test files of the module it runs in and
+// of every module nested under it, such as the benchmark, and reports
+// each exported identifier under internal/ that none of them refers to:
+// code only tests run is not shipped.  A method that satisfies an
+// interface, or belongs to a type a qnet package re-exports by alias,
+// is not a finding, and the exceptions list names the few kept on
+// purpose.  Export data comes from `go list -export`, so the check needs
+// only the go command and the build cache.
 //
 // Usage:
 //
 //	doccheck ./qnet ./qnet/channel ./qnet/route ./qnet/simulate ./qnet/stats
 //
 // Each argument is a directory containing one package; _test.go files
-// are skipped.  Exit status is 1 if any exported identifier is bare,
-// with one "file:line: name" diagnostic per finding.
+// are skipped.  Exit status is 1 if any exported identifier is bare or
+// uncalled, with one "file:line: ..." diagnostic per finding.
 package main
 
 import (
@@ -46,6 +53,24 @@ func main() {
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifier(s)\n", bad)
+	}
+	root, err := moduleRoot()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
+	}
+	findings, err := uncalled(root, exceptions)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
+	}
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "doccheck: %d uncalled exported internal identifier(s)\n", len(findings))
+	}
+	if bad+len(findings) > 0 {
 		os.Exit(1)
 	}
 }

@@ -12,10 +12,6 @@ import "fmt"
 // code block.
 const SteaneBlock = 7
 
-// ThresholdError is the maximum tolerable per-operation error on data
-// qubits under the threshold theorem, as used throughout the paper.
-const ThresholdError = 7.5e-5
-
 // Code describes a concatenated quantum error-correcting code.
 type Code struct {
 	// Name identifies the base code.

@@ -52,12 +52,6 @@ func TestRawPairsNegativeDepthClamps(t *testing.T) {
 	}
 }
 
-func TestThresholdConstant(t *testing.T) {
-	if ThresholdError != 7.5e-5 {
-		t.Errorf("ThresholdError = %g, want 7.5e-5", ThresholdError)
-	}
-}
-
 func TestString(t *testing.T) {
 	code, _ := Steane(2)
 	want := "Steane[[7,1,3]] level 2 (49 physical qubits/logical)"

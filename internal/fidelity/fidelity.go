@@ -16,12 +16,9 @@ import (
 	"repro/internal/phys"
 )
 
-// Threshold is the minimum data-qubit fidelity required by the threshold
-// theorem for fault-tolerant quantum computation as cited by the paper
-// (Svore et al. 2005): fidelity must stay above 1 - 7.5e-5.
-const Threshold = 1 - ThresholdError
-
-// ThresholdError is the maximum tolerable data-qubit error, 7.5e-5.
+// ThresholdError is the maximum tolerable data-qubit error under the
+// threshold theorem for fault-tolerant quantum computation as cited by
+// the paper (Svore et al. 2005): fidelity must stay above 1 - 7.5e-5.
 const ThresholdError = 7.5e-5
 
 // Ballistic returns the fidelity of a qubit after ballistic movement over

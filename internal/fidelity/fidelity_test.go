@@ -138,9 +138,6 @@ func TestThresholdConstant(t *testing.T) {
 	if ThresholdError != 7.5e-5 {
 		t.Errorf("ThresholdError = %g, want 7.5e-5", ThresholdError)
 	}
-	if !almost(Threshold, 1-7.5e-5, 1e-15) {
-		t.Errorf("Threshold = %g, want %g", Threshold, 1-7.5e-5)
-	}
 }
 
 func TestWernerState(t *testing.T) {

@@ -8,6 +8,7 @@
 package figures_test
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -203,7 +204,7 @@ func BenchmarkAblationLayout(b *testing.B) {
 		b.Run(layout.String(), func(b *testing.B) {
 			cfg := netsim.DefaultConfig(grid, layout, 16, 16, 8)
 			for i := 0; i < b.N; i++ {
-				res, err := netsim.Run(cfg, prog)
+				res, err := netsim.RunContext(context.Background(), cfg, prog)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -228,7 +229,7 @@ func BenchmarkAblationStorage(b *testing.B) {
 		b.Run(benchName("t", t), func(b *testing.B) {
 			cfg := netsim.DefaultConfig(grid, netsim.HomeBase, t, 256, 256)
 			for i := 0; i < b.N; i++ {
-				res, err := netsim.Run(cfg, prog)
+				res, err := netsim.RunContext(context.Background(), cfg, prog)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,7 +4,6 @@ import "fmt"
 
 // Placement maps logical qubits to home tiles on the grid.
 type Placement struct {
-	grid  Grid
 	homes []Coord
 }
 
@@ -19,7 +18,7 @@ func RowMajorPlacement(g Grid, qubits int) (*Placement, error) {
 	for i := range homes {
 		homes[i] = g.CoordOf(i)
 	}
-	return &Placement{grid: g, homes: homes}, nil
+	return &Placement{homes: homes}, nil
 }
 
 // SnakePlacement assigns logical qubits along a boustrophedon path
@@ -40,14 +39,8 @@ func SnakePlacement(g Grid, qubits int) (*Placement, error) {
 		}
 		homes[i] = Coord{X: x, Y: y}
 	}
-	return &Placement{grid: g, homes: homes}, nil
+	return &Placement{homes: homes}, nil
 }
-
-// Grid returns the underlying grid.
-func (p *Placement) Grid() Grid { return p.grid }
-
-// Qubits returns the number of placed logical qubits.
-func (p *Placement) Qubits() int { return len(p.homes) }
 
 // Home returns logical qubit q's home tile.
 func (p *Placement) Home(q int) Coord {

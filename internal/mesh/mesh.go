@@ -193,23 +193,6 @@ type Link struct {
 	Dir  Direction // East or South only (canonical orientation)
 }
 
-// LinkBetween returns the canonical link connecting two adjacent tiles.
-func LinkBetween(a, b Coord) (Link, error) {
-	if Manhattan(a, b) != 1 {
-		return Link{}, fmt.Errorf("mesh: tiles %v and %v are not adjacent", a, b)
-	}
-	switch {
-	case b.X == a.X+1:
-		return Link{From: a, Dir: East}, nil
-	case a.X == b.X+1:
-		return Link{From: b, Dir: East}, nil
-	case b.Y == a.Y+1:
-		return Link{From: a, Dir: South}, nil
-	default:
-		return Link{From: b, Dir: South}, nil
-	}
-}
-
 // LinkFrom returns the canonical link crossed by a hop leaving c in
 // direction d: East/South hops own their link, West/North hops use the
 // neighbor's East/South link.  It does not validate that the link lies

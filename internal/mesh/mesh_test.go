@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -196,24 +197,43 @@ func TestRouteProperty(t *testing.T) {
 	}
 }
 
+// linkBetween returns the canonical link connecting two adjacent tiles,
+// derived from the two endpoints: the reference LinkFrom is checked
+// against.
+func linkBetween(a, b Coord) (Link, error) {
+	if Manhattan(a, b) != 1 {
+		return Link{}, fmt.Errorf("mesh: tiles %v and %v are not adjacent", a, b)
+	}
+	switch {
+	case b.X == a.X+1:
+		return Link{From: a, Dir: East}, nil
+	case a.X == b.X+1:
+		return Link{From: b, Dir: East}, nil
+	case b.Y == a.Y+1:
+		return Link{From: a, Dir: South}, nil
+	default:
+		return Link{From: b, Dir: South}, nil
+	}
+}
+
 func TestLinkBetween(t *testing.T) {
-	l, err := LinkBetween(Coord{3, 3}, Coord{4, 3})
+	l, err := linkBetween(Coord{3, 3}, Coord{4, 3})
 	if err != nil || l.From != (Coord{3, 3}) || l.Dir != East {
 		t.Errorf("link = %+v err=%v, want {(3,3) East}", l, err)
 	}
 	// Canonicalization: reversed arguments give the same link.
-	l2, err := LinkBetween(Coord{4, 3}, Coord{3, 3})
+	l2, err := linkBetween(Coord{4, 3}, Coord{3, 3})
 	if err != nil || l2 != l {
 		t.Errorf("reversed link = %+v, want %+v", l2, l)
 	}
-	l3, err := LinkBetween(Coord{2, 5}, Coord{2, 4})
+	l3, err := linkBetween(Coord{2, 5}, Coord{2, 4})
 	if err != nil || l3.From != (Coord{2, 4}) || l3.Dir != South {
 		t.Errorf("vertical link = %+v err=%v", l3, err)
 	}
-	if _, err := LinkBetween(Coord{0, 0}, Coord{2, 0}); err == nil {
+	if _, err := linkBetween(Coord{0, 0}, Coord{2, 0}); err == nil {
 		t.Error("non-adjacent tiles should fail")
 	}
-	if _, err := LinkBetween(Coord{0, 0}, Coord{0, 0}); err == nil {
+	if _, err := linkBetween(Coord{0, 0}, Coord{0, 0}); err == nil {
 		t.Error("identical tiles should fail")
 	}
 }
@@ -272,7 +292,7 @@ func TestLinkIndexPanicsOffGrid(t *testing.T) {
 
 func TestLinkFromMatchesLinkBetween(t *testing.T) {
 	// For every on-grid hop, LinkFrom must produce the same canonical
-	// link LinkBetween derives from the two endpoints.
+	// link linkBetween derives from the two endpoints.
 	g := mustGrid(t, 4, 3)
 	for i := 0; i < g.Tiles(); i++ {
 		c := g.CoordOf(i)
@@ -281,7 +301,7 @@ func TestLinkFromMatchesLinkBetween(t *testing.T) {
 			if !g.Contains(n) {
 				continue
 			}
-			want, err := LinkBetween(c, n)
+			want, err := linkBetween(c, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func TestRunAllocationsStayPerChannel(t *testing.T) {
 	prog := workload.QFT(cfg.Grid.Tiles())
 	var runErr error
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(cfg, prog); err != nil {
+		if _, err := run(cfg, prog); err != nil {
 			runErr = err
 		}
 	})
@@ -55,7 +55,7 @@ func TestRunBytesStayBounded(t *testing.T) {
 	prog := workload.QFT(cfg.Grid.Tiles())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Run(cfg, prog)
+	_, err := run(cfg, prog)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

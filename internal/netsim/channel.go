@@ -337,7 +337,7 @@ func hopGenerated(a any) {
 	b.unit.Release()
 	b.q = s.teleportQ
 	if i := b.hop; i > 0 && b.dirs[i-1].Axis() != b.dirs[i].Axis() {
-		s.nodes[b.tile].TurnPenalty() // counts the node's turn; turnQ's delay holds its penalty
+		s.nodes[b.tile].turns++
 		s.turns++
 		b.q = s.turnQ
 	}
@@ -362,7 +362,6 @@ func hopTeleported(a any) {
 	s := ch.sim
 	b.unit.Release()
 	s.pairHops += uint64(s.batchPairs)
-	s.net.RecordTeleports(s.batchPairs)
 	// The batch now occupies storage at the next tile; it frees its slot
 	// at the tile it left (held since the prior hop), then steps there.
 	if b.held != nil {
@@ -441,7 +440,7 @@ func purify(a any) {
 	b := a.(*batch)
 	s := b.ch.sim
 	b.held.Release()
-	s.net.RecordPurifies(s.batchPairs - 1) // tree of 2^d leaves has 2^d - 1 purifications
+	s.purifyMsgs += uint64(s.batchPairs - 1) // tree of 2^d leaves has 2^d - 1 purifications
 	s.engine.ScheduleOn(s.queuesFor(len(b.dirs)).purify, purified, b)
 }
 
@@ -488,8 +487,8 @@ type pathQueues struct {
 	purify sim.Queue
 	// deliver is the data teleport: all physical qubits of the logical
 	// qubit teleport in parallel, each consuming one delivered pair, so
-	// it takes one teleport plus the classical correction round trip
-	// (the channel-level delivery metric).
+	// it takes one teleport plus the classical correction bits' trip
+	// along the path (the channel-level delivery metric).
 	deliver sim.Queue
 }
 
@@ -505,7 +504,7 @@ func (s *simulator) queuesFor(hops int) *pathQueues {
 		rounds := 1<<uint(depth-1) + depth - 1
 		cells := hops * s.cfg.HopCells
 		q.purify = s.engine.Queue(s.cfg.Params.PurifyRoundTime(cells) * time.Duration(rounds))
-		q.deliver = s.engine.Queue(s.cfg.Params.TeleportTime(cells) + s.net.Latency(hops))
+		q.deliver = s.engine.Queue(s.cfg.Params.TeleportTime(cells) + time.Duration(cells)*s.cfg.Params.Times.ClassicalBitPerCell)
 	}
 	return q
 }
@@ -524,8 +523,7 @@ func (s *simulator) result(prog workload.Program) Result {
 		Turns:          s.turns,
 		Events:         s.engine.Processed(),
 	}
-	msgs, _, _, _ := s.net.Stats()
-	res.ClassicalMessages = msgs
+	res.ClassicalMessages = s.pairHops + s.purifyMsgs
 	res.FailedBatches = s.failedBatches
 	res.DroppedBatches = s.droppedBatches
 	if s.faults != nil {
@@ -536,8 +534,8 @@ func (s *simulator) result(prog workload.Program) Result {
 		res.MaxChannelLatency = time.Duration(s.latencies.Max())
 	}
 	var tu float64
-	for _, n := range s.nodes {
-		tu += n.Utilization()
+	for i := range s.nodes {
+		tu += s.nodes[i].utilization()
 	}
 	res.TeleporterUtil = tu / float64(len(s.nodes))
 	var gu float64

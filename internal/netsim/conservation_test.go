@@ -223,14 +223,14 @@ func assertPairHops(t *testing.T, s *simulator, cfg Config, want replay) {
 // holds.
 func assertDrained(t *testing.T, s *simulator) {
 	t.Helper()
-	if n := s.engine.Pending(); n != 0 {
-		t.Errorf("engine has %d pending events", n)
+	if s.engine.Step() {
+		t.Error("engine still has a pending event")
 	}
 	if s.pending != 0 {
 		t.Errorf("%d channels or gates still in flight", s.pending)
 	}
-	for i, n := range s.nodes {
-		if occ := n.Occupancy(); occ != 0 {
+	for i := range s.nodes {
+		if occ := s.nodes[i].occupancy(); occ != 0 {
 			t.Errorf("router %v occupancy %d, want 0", s.cfg.Grid.CoordOf(i), occ)
 		}
 	}

@@ -43,13 +43,7 @@ type Detail struct {
 	GeneratorUtil []float64
 }
 
-// RunDetailed is Run plus per-component statistics.
-func RunDetailed(cfg Config, prog workload.Program) (Result, *Detail, error) {
-	return RunDetailedContext(context.Background(), cfg, prog)
-}
-
-// RunDetailedContext is RunDetailed with cancellation: the event loop
-// polls ctx and aborts with the context's error when it is cancelled.
+// RunDetailedContext is RunContext plus per-component statistics.
 func RunDetailedContext(ctx context.Context, cfg Config, prog workload.Program) (Result, *Detail, error) {
 	s, err := execute(ctx, cfg, prog)
 	if err != nil {
@@ -59,9 +53,9 @@ func RunDetailedContext(ctx context.Context, cfg Config, prog workload.Program) 
 	d := &Detail{Grid: cfg.Grid}
 	d.TeleporterUtil = make([]float64, len(s.nodes))
 	d.Turns = make([]uint64, len(s.nodes))
-	for i, n := range s.nodes {
-		d.TeleporterUtil[i] = n.Utilization()
-		d.Turns[i] = n.Turns()
+	for i := range s.nodes {
+		d.TeleporterUtil[i] = s.nodes[i].utilization()
+		d.Turns[i] = s.nodes[i].turns
 	}
 	d.PurifierUtil = make([]float64, len(s.purify))
 	for i, p := range s.purify {
@@ -77,8 +71,8 @@ func RunDetailedContext(ctx context.Context, cfg Config, prog workload.Program) 
 }
 
 // execute validates the inputs, builds the simulator and runs its event
-// loop to completion, returning the drained simulator for RunDetailed
-// to summarize.
+// loop to completion, returning the drained simulator for RunContext
+// and RunDetailedContext to summarize.
 func execute(ctx context.Context, cfg Config, prog workload.Program) (*simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -11,11 +11,11 @@ func TestRunDetailedMatchesRun(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
 	cfg := DefaultConfig(g, HomeBase, 16, 16, 8)
-	plain, err := Run(cfg, prog)
+	plain, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	detailed, detail, err := RunDetailed(cfg, prog)
+	detailed, detail, err := runDetailed(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestDetailAggregatesMatchResult(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
 	cfg := DefaultConfig(g, HomeBase, 16, 16, 8)
-	res, detail, err := RunDetailed(cfg, prog)
+	res, detail, err := runDetailed(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDetailAggregatesMatchResult(t *testing.T) {
 func TestHeatmapRendering(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
-	_, detail, err := RunDetailed(DefaultConfig(g, HomeBase, 16, 16, 8), prog)
+	_, detail, err := runDetailed(DefaultConfig(g, HomeBase, 16, 16, 8), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestHeatmapRendering(t *testing.T) {
 func TestHottestTile(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
-	_, detail, err := RunDetailed(DefaultConfig(g, HomeBase, 16, 16, 8), prog)
+	_, detail, err := runDetailed(DefaultConfig(g, HomeBase, 16, 16, 8), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestContendedRunsGolden(t *testing.T) {
 
 	var b strings.Builder
 	for _, r := range runs {
-		res, err := Run(r.cfg, workload.QFT(r.cfg.Grid.Tiles()))
+		res, err := run(r.cfg, workload.QFT(r.cfg.Grid.Tiles()))
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}

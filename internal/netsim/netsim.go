@@ -15,6 +15,14 @@
 // 7^CodeLevel physical qubits of the logical qubit are teleported with
 // the delivered high-fidelity pairs.
 //
+// Each tile's T' node is the router of the paper's Figure 6 (node): an
+// X and a Y teleporter set, and storage for the batches arriving over
+// each incoming link.  The classical control messages that travel
+// beside the pairs (Section 3.2) are counted, not simulated as traffic:
+// the data teleport waits for the correction bits to cross the path,
+// and the corrector charges every batch the worst Pauli correction, two
+// one-qubit gates, so no Pauli frame is tracked.
+//
 // Simulation granularity is one purifier batch: 2^PurifyDepth EPR pairs
 // move through the network as a unit, since exactly that many arrivals
 // produce one purified output pair (Figure 14).  With the paper's
@@ -28,11 +36,9 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/classical"
 	"repro/internal/ecc"
 	"repro/internal/mesh"
 	"repro/internal/phys"
-	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -238,7 +244,10 @@ type Result struct {
 	DeadLinks int `json:",omitempty"`
 	// Events is the number of simulation events processed.
 	Events uint64
-	// ClassicalMessages is the classical control message count.
+	// ClassicalMessages counts the classical control messages sent beside
+	// the pairs: one per pair teleported over a hop (PairHops), plus
+	// one per purification, 2^PurifyDepth − 1 for every batch purified
+	// at its endpoints (a batch that then fails included).
 	ClassicalMessages uint64
 	// FailedBatches counts purification batches lost to injected
 	// failures (and therefore re-sent).
@@ -263,11 +272,10 @@ type simulator struct {
 	// adaptive policies (which must re-consult live loads per channel).
 	routes  *routeCache
 	engine  *sim.Engine
-	nodes   []*router.Node  // per tile
+	nodes   []node          // per tile T' node
 	purify  []*sim.Resource // per tile P node
 	gnodes  []*sim.Resource // per link G node, indexed by mesh.Grid.LinkIndex
 	ports   []port          // per tile and direction, at 4·tile+dir (see port)
-	net     *classical.Network
 	sch     *sched.Scheduler
 	place   *mesh.Placement
 	pos     []mesh.Coord // current position of each logical qubit
@@ -297,6 +305,7 @@ type simulator struct {
 	channels       uint64
 	localOps       uint64
 	pairHops       uint64
+	purifyMsgs     uint64 // purifications at channel endpoints
 	turns          uint64
 	failedBatches  uint64
 	droppedBatches uint64
@@ -320,18 +329,15 @@ func (s *simulator) fail(err error) {
 	}
 }
 
-// Run executes the program on the configured machine and returns the
-// result.
-func Run(cfg Config, prog workload.Program) (Result, error) {
-	res, _, err := RunDetailed(cfg, prog)
-	return res, err
-}
-
-// RunContext is Run with cancellation: the event loop polls ctx and
-// aborts with the context's error when it is cancelled or times out.
+// RunContext executes the program on the configured machine and
+// returns the result.  The event loop polls ctx and aborts with the
+// context's error when it is cancelled or times out.
 func RunContext(ctx context.Context, cfg Config, prog workload.Program) (Result, error) {
-	res, _, err := RunDetailedContext(ctx, cfg, prog)
-	return res, err
+	s, err := execute(ctx, cfg, prog)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.result(prog), nil
 }
 
 // loads adapts the simulator's router nodes to the route.Loads
@@ -341,12 +347,12 @@ type loads struct{ s *simulator }
 
 // AxisLoad reports the directional teleporter-set pressure at c.
 func (l loads) AxisLoad(c mesh.Coord, axis int) float64 {
-	return l.s.nodes[l.s.cfg.Grid.Index(c)].AxisLoad(axis)
+	return l.s.nodes[l.s.cfg.Grid.Index(c)].axisLoad(axis)
 }
 
 // StorageLoad reports the incoming-storage occupancy at c.
 func (l loads) StorageLoad(c mesh.Coord, from mesh.Direction) float64 {
-	return l.s.nodes[l.s.cfg.Grid.Index(c)].StorageLoad(from)
+	return l.s.nodes[l.s.cfg.Grid.Index(c)].storageLoad(from)
 }
 
 // traceSource adapts the simulator's router nodes and link generators
@@ -358,8 +364,8 @@ type traceSource struct{ s *simulator }
 
 // SampleOccupancy fills per-tile router queue occupancy in batches.
 func (ts traceSource) SampleOccupancy(dst []float64) {
-	for i, n := range ts.s.nodes {
-		dst[i] = float64(n.Occupancy())
+	for i := range ts.s.nodes {
+		dst[i] = float64(ts.s.nodes[i].occupancy())
 	}
 }
 
@@ -400,15 +406,13 @@ func (s *simulator) build(prog workload.Program) error {
 	// ceil(batch/setSize) rounds of the hop-local teleport time.  A
 	// batch that turns at the node also pays the router's ballistic
 	// move between its X and Y sets.
-	setSize := cfg.Teleporters / 2
-	if setSize < 1 {
-		setSize = 1
-	}
+	setSize := max(1, cfg.Teleporters/2)
 	teleport := cfg.Params.TeleportTime(cfg.HopCells) * time.Duration(ceilDiv(s.batchPairs, setSize))
 	s.teleportQ = s.engine.Queue(teleport)
 	s.turnQ = s.engine.Queue(teleport + cfg.Params.BallisticTime(cfg.TurnCells))
-	// The corrector applies the accumulated Pauli frame, at most two
-	// single-qubit gates, to each pair of a batch in parallel.
+	// The corrector applies the accumulated Pauli correction to each
+	// pair of a batch in parallel, charged at its worst case of two
+	// single-qubit gates.
 	s.correctQ = s.engine.Queue(2 * cfg.Params.Times.OneQubitGate)
 	s.gateQ = s.engine.Queue(cfg.Params.Times.TwoQubitGate)
 	s.paths = make([]pathQueues, cfg.Grid.Width+cfg.Grid.Height-1)
@@ -425,41 +429,36 @@ func (s *simulator) build(prog workload.Program) error {
 
 	// Storage is t cells per incoming link; we traffic in batches of
 	// batchPairs pairs.
-	storageBatches := cfg.Teleporters / s.batchPairs
-	if storageBatches < 1 {
-		storageBatches = 1
-	}
-	rcfg := router.Config{
-		Teleporters:  cfg.Teleporters,
-		StorageUnits: storageBatches,
-		TurnCells:    cfg.TurnCells,
-		Params:       cfg.Params,
-	}
-	s.nodes = make([]*router.Node, cfg.Grid.Tiles())
+	storageBatches := max(1, cfg.Teleporters/s.batchPairs)
+	// Resource names resolve lazily (first Name() call): a 16x16 run
+	// builds 512 teleporter sets, 960 storage semaphores, 256 purifiers
+	// and 480 generators, and their names are only read in error
+	// messages and statistics reports.
+	s.nodes = make([]node, cfg.Grid.Tiles())
 	for i := range s.nodes {
 		c := cfg.Grid.CoordOf(i)
-		var incoming []mesh.Direction
+		n := &s.nodes[i]
+		for axis := range n.sets {
+			r, err := sim.NewLazyResource(s.engine, func() string { return fmt.Sprintf("T'%v/axis%d", c, axis) }, setSize)
+			if err != nil {
+				return err
+			}
+			n.sets[axis] = r
+		}
 		for _, d := range []mesh.Direction{mesh.East, mesh.West, mesh.North, mesh.South} {
 			// Traffic arriving "from direction d" entered over the link
 			// toward d; it exists if the neighbor in direction d does.
-			if cfg.Grid.Contains(c.Step(d)) {
-				incoming = append(incoming, d)
+			if !cfg.Grid.Contains(c.Step(d)) {
+				continue
 			}
+			st, err := sim.NewLazySemaphore(func() string { return fmt.Sprintf("storage%v/%v", c, d) }, storageBatches)
+			if err != nil {
+				return err
+			}
+			n.storage[d] = st
 		}
-		if len(incoming) == 0 {
-			incoming = []mesh.Direction{mesh.East} // 1x1 grid degenerate case
-		}
-		node, err := router.New(s.engine, c, incoming, rcfg)
-		if err != nil {
-			return err
-		}
-		s.nodes[i] = node
 	}
 
-	// P and G node names resolve lazily (first Name() call): a 16x16 run
-	// builds 256 purifier resources and 480 generator resources, and
-	// eagerly fmt.Sprintf-ing a name for each was pure build-path waste —
-	// names are only read in error messages and statistics reports.
 	s.purify = make([]*sim.Resource, cfg.Grid.Tiles())
 	for i := range s.purify {
 		c := cfg.Grid.CoordOf(i)
@@ -483,7 +482,7 @@ func (s *simulator) build(prog workload.Program) error {
 	}
 
 	s.ports = make([]port, 4*cfg.Grid.Tiles())
-	for i, n := range s.nodes {
+	for i := range s.nodes {
 		c := cfg.Grid.CoordOf(i)
 		for _, d := range []mesh.Direction{mesh.East, mesh.West, mesh.North, mesh.South} {
 			next := c.Step(d)
@@ -495,16 +494,11 @@ func (s *simulator) build(prog workload.Program) error {
 			s.ports[4*i+int(d)] = port{
 				link:    li,
 				gen:     s.gnodes[li],
-				tele:    n.TeleporterSet(d.Axis()),
-				storage: s.nodes[to].Storage(d.Opposite()),
+				tele:    s.nodes[i].sets[d.Axis()],
+				storage: s.nodes[to].storage[d.Opposite()],
 				to:      to,
 			}
 		}
-	}
-
-	s.net, err = classical.NewNetwork(cfg.Params, cfg.HopCells)
-	if err != nil {
-		return err
 	}
 
 	s.sch, err = sched.New(prog)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -18,6 +19,17 @@ func grid(t *testing.T, w, h int) mesh.Grid {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// run executes the program to completion.
+func run(cfg Config, prog workload.Program) (Result, error) {
+	return RunContext(context.Background(), cfg, prog)
+}
+
+// runDetailed executes the program to completion with per-component
+// statistics.
+func runDetailed(cfg Config, prog workload.Program) (Result, *Detail, error) {
+	return RunDetailedContext(context.Background(), cfg, prog)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -65,7 +77,7 @@ func TestLayoutString(t *testing.T) {
 func TestRunRejectsTooManyQubits(t *testing.T) {
 	g := grid(t, 2, 2)
 	cfg := DefaultConfig(g, HomeBase, 16, 16, 16)
-	_, err := Run(cfg, workload.QFT(5))
+	_, err := run(cfg, workload.QFT(5))
 	var ce *qnet.CapacityError
 	if !errors.As(err, &ce) || ce.Resource != "tiles" || ce.Need != 5 || ce.Have != 4 {
 		t.Errorf("5 qubits on a 2x2 grid: err = %v, want a tiles CapacityError (need 5, have 4)", err)
@@ -76,7 +88,7 @@ func TestRunSingleOp(t *testing.T) {
 	g := grid(t, 4, 1)
 	cfg := DefaultConfig(g, HomeBase, 1024, 1024, 1024)
 	prog := workload.Program{Name: "one", Qubits: 2, Ops: []workload.Op{{A: 0, B: 1}}}
-	res, err := Run(cfg, prog)
+	res, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestRunSingleOpChannelLatencyBreakdown(t *testing.T) {
 	g := grid(t, 2, 1)
 	cfg := DefaultConfig(g, HomeBase, 4096, 4096, 4096)
 	prog := workload.Program{Name: "one", Qubits: 2, Ops: []workload.Op{{A: 0, B: 1}}}
-	res, err := Run(cfg, prog)
+	res, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +139,11 @@ func TestMobileLayoutUsesLocalCommunication(t *testing.T) {
 	// total pair-hops must be far below Home Base's.
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
-	home, err := Run(DefaultConfig(g, HomeBase, 1024, 1024, 1024), prog)
+	home, err := run(DefaultConfig(g, HomeBase, 1024, 1024, 1024), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mobile, err := Run(DefaultConfig(g, MobileQubit, 1024, 1024, 1024), prog)
+	mobile, err := run(DefaultConfig(g, MobileQubit, 1024, 1024, 1024), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +169,7 @@ func TestMobileQubitsReturnHome(t *testing.T) {
 	// this by comparing against a run whose last ops end far from home.
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
-	res, err := Run(DefaultConfig(g, MobileQubit, 1024, 1024, 1024), prog)
+	res, err := run(DefaultConfig(g, MobileQubit, 1024, 1024, 1024), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +187,11 @@ func TestDeterminism(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
 	cfg := DefaultConfig(g, HomeBase, 8, 8, 4)
-	a, err := Run(cfg, prog)
+	a, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, prog)
+	b, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +203,11 @@ func TestDeterminism(t *testing.T) {
 func TestContentionSlowsExecution(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
-	rich, err := Run(DefaultConfig(g, HomeBase, 1024, 1024, 1024), prog)
+	rich, err := run(DefaultConfig(g, HomeBase, 1024, 1024, 1024), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poor, err := Run(DefaultConfig(g, HomeBase, 8, 8, 1), prog)
+	poor, err := run(DefaultConfig(g, HomeBase, 8, 8, 1), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +223,11 @@ func TestPurifierStarvationHurtsMobileMore(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
 	slowdown := func(layout Layout) float64 {
-		rich, err := Run(DefaultConfig(g, layout, 16, 16, 16), prog)
+		rich, err := run(DefaultConfig(g, layout, 16, 16, 16), prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		starved, err := Run(DefaultConfig(g, layout, 22, 22, 2), prog)
+		starved, err := run(DefaultConfig(g, layout, 22, 22, 2), prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +246,7 @@ func TestAllToAllOnMinimalResources(t *testing.T) {
 	g := grid(t, 3, 3)
 	prog := workload.QFT(9)
 	cfg := DefaultConfig(g, HomeBase, 1, 1, 1)
-	res, err := Run(cfg, prog)
+	res, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +259,7 @@ func TestModMultAndModExpRun(t *testing.T) {
 	g := grid(t, 4, 4)
 	for _, prog := range []workload.Program{workload.ModMult(8), workload.ModExp(4, 2)} {
 		for _, layout := range []Layout{HomeBase, MobileQubit} {
-			res, err := Run(DefaultConfig(g, layout, 16, 16, 8), prog)
+			res, err := run(DefaultConfig(g, layout, 16, 16, 8), prog)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", prog.Name, layout, err)
 			}
@@ -271,7 +283,7 @@ func TestLocalOpsSkipNetwork(t *testing.T) {
 		Qubits: 2,
 		Ops:    []workload.Op{{A: 0, B: 1}, {A: 1, B: 0}},
 	}
-	res, err := Run(DefaultConfig(g, MobileQubit, 64, 64, 64), prog)
+	res, err := run(DefaultConfig(g, MobileQubit, 64, 64, 64), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +341,7 @@ func TestPairHopsScaleWithDistance(t *testing.T) {
 	g := grid(t, 8, 1)
 	cfg := DefaultConfig(g, HomeBase, 1024, 1024, 1024)
 	prog := workload.Program{Name: "far", Qubits: 8, Ops: []workload.Op{{A: 0, B: 7}}}
-	res, err := Run(cfg, prog)
+	res, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +354,7 @@ func TestClassicalTrafficAccounted(t *testing.T) {
 	g := grid(t, 4, 1)
 	cfg := DefaultConfig(g, HomeBase, 1024, 1024, 1024)
 	prog := workload.Program{Name: "one", Qubits: 2, Ops: []workload.Op{{A: 0, B: 1}}}
-	res, err := Run(cfg, prog)
+	res, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +383,14 @@ func TestFailureInjectionCostsPairsAndTime(t *testing.T) {
 	g := grid(t, 4, 4)
 	prog := workload.QFT(16)
 	clean := DefaultConfig(g, HomeBase, 16, 16, 8)
-	resClean, err := Run(clean, prog)
+	resClean, err := run(clean, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulty := clean
 	faulty.PurifyFailureRate = 0.2
 	faulty.Seed = 1
-	resFaulty, err := Run(faulty, prog)
+	resFaulty, err := run(faulty, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +422,11 @@ func TestFailureInjectionSeedReproducible(t *testing.T) {
 	cfg := DefaultConfig(g, HomeBase, 16, 16, 8)
 	cfg.PurifyFailureRate = 0.1
 	cfg.Seed = 42
-	a, err := Run(cfg, prog)
+	a, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, prog)
+	b, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +434,7 @@ func TestFailureInjectionSeedReproducible(t *testing.T) {
 		t.Error("same seed should reproduce the same run")
 	}
 	cfg.Seed = 43
-	c, err := Run(cfg, prog)
+	c, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +466,7 @@ func TestStorageWindowBindsHomeBase(t *testing.T) {
 		{24, 24, 16, 4911715 * time.Microsecond},
 	}
 	for _, tc := range cases {
-		res, err := Run(DefaultConfig(g, HomeBase, tc.t, tc.g, tc.p), prog)
+		res, err := run(DefaultConfig(g, HomeBase, tc.t, tc.g, tc.p), prog)
 		if err != nil {
 			t.Fatal(err)
 		}

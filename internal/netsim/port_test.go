@@ -46,8 +46,8 @@ func TestPortsMatchMeshLookups(t *testing.T) {
 					want := port{
 						link:    li,
 						gen:     s.gnodes[li],
-						tele:    s.nodes[g.Index(c)].TeleporterSet(d.Axis()),
-						storage: s.nodes[g.Index(next)].Storage(d.Opposite()),
+						tele:    s.nodes[g.Index(c)].sets[d.Axis()],
+						storage: s.nodes[g.Index(next)].storage[d.Opposite()],
 						to:      g.Index(next),
 					}
 					if want.gen == nil || want.tele == nil || want.storage == nil {

@@ -22,7 +22,7 @@ func runTurns(t *testing.T, grid mesh.Grid, p route.Policy, prog workload.Progra
 	t.Helper()
 	cfg := DefaultConfig(grid, HomeBase, 16, 16, 8)
 	cfg.Route = p
-	res, detail, err := RunDetailed(cfg, prog)
+	res, detail, err := runDetailed(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestAdaptivePolicyStaysMinimalUnderContention(t *testing.T) {
 	}
 	prog := workload.QFT(16)
 	cfg := DefaultConfig(grid, HomeBase, 16, 16, 8)
-	base, err := Run(cfg, prog)
+	base, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Route = route.LeastCongested()
-	adaptive, err := Run(cfg, prog)
+	adaptive, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestTimeScalingIsExact(t *testing.T) {
 				name := fmt.Sprintf("%dx%d/%v/t%d-g%d-p%d", n, n, layout, r.t, r.g, r.p)
 				t.Run(name, func(t *testing.T) {
 					cfg := DefaultConfig(g, layout, r.t, r.g, r.p)
-					base, err := Run(cfg, prog)
+					base, err := run(cfg, prog)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -38,7 +38,7 @@ func TestTimeScalingIsExact(t *testing.T) {
 						tm.MoveCell *= k
 						tm.Measure *= k
 						tm.ClassicalBitPerCell *= k
-						res, err := Run(scaled, prog)
+						res, err := run(scaled, prog)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -83,7 +83,7 @@ func TestMoreResourcesNeverSlower(t *testing.T) {
 			for c := 1; c <= 40; c++ {
 				units := [3]int{16, 16, 16}
 				units[sw.count] = c
-				res, err := Run(DefaultConfig(g, sw.layout, units[0], units[1], units[2]), prog)
+				res, err := run(DefaultConfig(g, sw.layout, units[0], units[1], units[2]), prog)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -98,11 +98,12 @@ func TestBreakdownNearThreshold(t *testing.T) {
 	// threshold.  The achievable fidelity must be above threshold at
 	// 1e-6 and below it by 1e-4.
 	init := fidelity.Werner(0.99)
-	if f := MaxFidelity(DEJMPS{base.WithUniformError(1e-6)}, init); f < fidelity.Threshold {
-		t.Errorf("at p=1e-6 max fidelity %g should exceed threshold %g", f, fidelity.Threshold)
+	threshold := 1 - fidelity.ThresholdError
+	if f := MaxFidelity(DEJMPS{base.WithUniformError(1e-6)}, init); f < threshold {
+		t.Errorf("at p=1e-6 max fidelity %g should exceed threshold %g", f, threshold)
 	}
-	if f := MaxFidelity(DEJMPS{base.WithUniformError(1e-4)}, init); f >= fidelity.Threshold {
-		t.Errorf("at p=1e-4 max fidelity %g should be below threshold %g", f, fidelity.Threshold)
+	if f := MaxFidelity(DEJMPS{base.WithUniformError(1e-4)}, init); f >= threshold {
+		t.Errorf("at p=1e-4 max fidelity %g should be below threshold %g", f, threshold)
 	}
 }
 

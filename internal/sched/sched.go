@@ -109,24 +109,3 @@ func (s *Scheduler) Complete(id int) error {
 	}
 	return nil
 }
-
-// Depth returns the dependency-graph depth of the program: the length of
-// the longest chain of ops that must execute sequentially.  With
-// unlimited communication resources and unit-time ops, execution takes
-// exactly Depth steps.
-func Depth(prog workload.Program) int {
-	level := make([]int, prog.Qubits)
-	depth := 0
-	for _, op := range prog.Ops {
-		l := level[op.A]
-		if level[op.B] > l {
-			l = level[op.B]
-		}
-		l++
-		level[op.A], level[op.B] = l, l
-		if l > depth {
-			depth = l
-		}
-	}
-	return depth
-}

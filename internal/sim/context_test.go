@@ -33,8 +33,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if n := e.Processed(); n != 0 {
 		t.Errorf("executed %d events under a cancelled context", n)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (engine left intact)", e.Pending())
+	if e.pending != 1 {
+		t.Errorf("pending = %d, want 1 (engine left intact)", e.pending)
 	}
 }
 

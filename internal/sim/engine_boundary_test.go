@@ -40,8 +40,8 @@ func TestRunContextCancelLandsOnCheckBoundary(t *testing.T) {
 	if int(n) != ran {
 		t.Errorf("processed count %d != callback count %d", n, ran)
 	}
-	if e.Pending() != total-int(n) {
-		t.Errorf("pending = %d, want %d (engine left intact)", e.Pending(), total-int(n))
+	if e.pending != total-int(n) {
+		t.Errorf("pending = %d, want %d (engine left intact)", e.pending, total-int(n))
 	}
 }
 
@@ -219,7 +219,7 @@ func TestEngineFIFOCountBoundedByBacklog(t *testing.T) {
 						unmapped++
 					}
 				}
-				if e.Pending() == maxPending {
+				if e.pending == maxPending {
 					e.Step()
 				}
 			}
@@ -241,10 +241,10 @@ func TestEngineFIFOCountBoundedByBacklog(t *testing.T) {
 		if unmapped > events/fifoSlack {
 			t.Errorf("%d pinned: %d schedules swept or repeated a delay, want at most %d", pin, unmapped, events/fifoSlack)
 		}
-		if e.Processed()+uint64(e.Pending()) != events {
-			t.Errorf("%d pinned: processed %d + pending %d, want %d events", pin, e.Processed(), e.Pending(), events)
+		if e.Processed()+uint64(e.pending) != events {
+			t.Errorf("%d pinned: processed %d + pending %d, want %d events", pin, e.Processed(), e.pending, events)
 		}
 		t.Logf("%d pinned: %d FIFOs, %d mapped, %d pending, %d schedules swept or repeated a delay",
-			pin, len(e.fifos), len(e.byDelay), e.Pending(), unmapped)
+			pin, len(e.fifos), len(e.byDelay), e.pending, unmapped)
 	}
 }

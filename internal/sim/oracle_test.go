@@ -161,8 +161,8 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 					t.Fatalf("trial %d: clock %v, oracle %v", trial, e.Now(), o.now)
 				}
 			}
-			if e.Pending() != o.Pending() {
-				t.Fatalf("trial %d: pending %d, oracle %d", trial, e.Pending(), o.Pending())
+			if e.pending != o.Pending() {
+				t.Fatalf("trial %d: pending %d, oracle %d", trial, e.pending, o.Pending())
 			}
 			for _, h := range handles {
 				if f := h.q.fifo - 1; e.fifos[f].delay != h.delay || e.byDelay[h.delay] != f {
@@ -180,8 +180,8 @@ func TestEngineMatchesOracleOnRandomOps(t *testing.T) {
 				break
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: %d events pending after drain", trial, e.Pending())
+		if e.pending != 0 {
+			t.Fatalf("trial %d: %d events pending after drain", trial, e.pending)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: executed %d events, oracle %d", trial, len(got), len(want))

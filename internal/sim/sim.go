@@ -149,9 +149,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.stepped }
 
-// Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return e.pending }
-
 // SetProbe installs (or, with a nil probe, removes) the engine's
 // sampling probe.  The first sample fires at the first multiple of
 // interval strictly after the current clock, then every interval of

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -181,7 +182,7 @@ func TestPlanMatchesSimulator(t *testing.T) {
 		// Place qubit "hops" at the far end by using qubits = hops+1 and
 		// ops between 0 and hops.
 		prog.Qubits = hops + 1
-		res, err := netsim.Run(cfg, prog)
+		res, err := netsim.RunContext(context.Background(), cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}

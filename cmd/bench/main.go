@@ -229,8 +229,9 @@ type namedBench struct {
 
 // benchmarks enumerates the report's benchmark suite in fixed order:
 // the engine and waiter micro-benchmarks, the full-run layout x policy
-// matrix, the 12x12 HomeBase run, the tracer-overhead trio, the
-// 8-worker sweep and the 2-worker distributed sweep.
+// matrix, the 12x12 HomeBase run, the tracer-overhead trio, the two
+// cache-key rows, the 8-worker sweep and the 2-worker distributed
+// sweep, cold and warm.
 func benchmarks() []namedBench {
 	list := []namedBench{
 		{name: "EngineSchedule", fn: perfbench.EngineSchedule},
@@ -253,8 +254,13 @@ func benchmarks() []namedBench {
 			fn:   perfbench.TraceQFT(mode),
 		})
 	}
-	list = append(list, namedBench{name: "Sweep/workers=8", fn: perfbench.SweepWorkers(8)})
-	list = append(list, namedBench{name: "DistribSweep/workers=2", fn: perfbench.DistributedSweep(2)})
+	list = append(list,
+		namedBench{name: "CacheKey/QFT-16", fn: perfbench.CacheKey(4)},
+		namedBench{name: "CacheKey/QFT-256", fn: perfbench.CacheKey(16)},
+		namedBench{name: "Sweep/workers=8", fn: perfbench.SweepWorkers(8)},
+		namedBench{name: "DistribSweep/workers=2", fn: perfbench.DistributedSweep(2)},
+		namedBench{name: "DistribSweep/warm", fn: perfbench.DistributedWarmSweep(2)},
+	)
 	return list
 }
 

@@ -4,7 +4,8 @@
 // delay and through Queue handles, and all-distinct delays), the
 // resource and semaphore waiter cycles, a full 5x5 QFT simulation per
 // layout and routing policy, a 12x12 HomeBase QFT-144 at the paper's
-// allocation, and the concurrent sweep engine.
+// allocation, cache-key derivation, the concurrent sweep engine, and
+// the distributed sweep service cold and warm.
 //
 // The bodies are exported plain functions taking *testing.B so that two
 // harnesses can share them: the conventional `go test -bench .` wrappers
@@ -264,6 +265,26 @@ func LargeHomeBaseQFT(b *testing.B) {
 	timeRuns(b, m, prog)
 }
 
+// CacheKey returns a benchmark deriving the cache key of a QFT over
+// every tile of an n x n HomeBase mesh, one Machine.CacheKey per
+// iteration.  The program's fingerprint is most of the bytes hashed:
+// 1,947 of about 2.3 KB for the 4x4 QFT-16, and 522,267 for the 16x16
+// QFT-256, the paper-scale program of 32,640 ops.
+func CacheKey(n int) func(*testing.B) {
+	return func(b *testing.B) {
+		m, prog := qftMachine(b, n, simulate.HomeBase, 16, 16, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keySink = m.CacheKey(prog)
+		}
+	}
+}
+
+// keySink holds CacheKey's last key, so the compiler cannot drop the
+// call it measures.
+var keySink simulate.Key
+
 // qftMachine builds a machine with t/g/p resources for a QFT over
 // every tile of an n x n mesh, and returns it with the program.
 func qftMachine(b *testing.B, n int, layout simulate.Layout, t, g, p int, opts ...simulate.Option) (*simulate.Machine, qnet.Program) {
@@ -348,57 +369,103 @@ func SweepWorkers(workers int) func(*testing.B) {
 // coordinator-side merge throughput cmd/bench tracks.
 func DistributedSweep(workers int) func(*testing.B) {
 	return func(b *testing.B) {
-		grid, err := qnet.NewGrid(4, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec := distrib.SpaceSpec{
-			Grids:     []qnet.Grid{grid},
-			Layouts:   distrib.LayoutNames([]simulate.Layout{simulate.HomeBase, simulate.MobileQubit}),
-			Resources: []simulate.Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}},
-			Programs:  []qnet.Program{qnet.QFT(grid.Tiles())},
-			Depths:    []int{2, 3},
-			Routings:  distrib.RoutingNames(route.Policies()),
-		}
-		size, err := spec.Size()
-		if err != nil {
-			b.Fatal(err)
-		}
+		spec, size := distributedSpec(b)
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			store := simulate.NewCache(0)
-			lb := distrib.NewLoopback()
-			names := make([]string, workers)
-			for w := 0; w < workers; w++ {
-				names[w] = fmt.Sprintf("w%d", w)
-				lb.Add(names[w], distrib.NewWorker(distrib.WithWorkerStore(store)))
-			}
-			coord, err := distrib.NewCoordinator(lb, names, distrib.WithSharedStore(store, ""))
-			if err != nil {
-				b.Fatal(err)
-			}
-			points, _, err := coord.Sweep(ctx, spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(points) != size {
-				b.Fatalf("merged %d of %d points", len(points), size)
-			}
-			if i == 0 {
-				for _, pt := range points {
-					if pt.Err != nil {
-						b.Fatal(pt.Err)
-					}
-				}
+			distributedSweep(ctx, b, loopbackFleet(b, workers, simulate.NewCache(0)), spec, size)
+		}
+		b.StopTimer()
+		reportPointRate(b, size)
+	}
+}
+
+// DistributedWarmSweep returns a benchmark re-sweeping DistributedSweep's
+// space over `workers` loopback workers against the shared store one
+// untimed sweep filled.  The store holds every point, so no shard is
+// dispatched: one iteration is the coordinator's warm path alone, that
+// is expanding the space, deriving its 16 keys, planning the shards,
+// looking every point up and merging it.
+func DistributedWarmSweep(workers int) func(*testing.B) {
+	return func(b *testing.B) {
+		spec, size := distributedSpec(b)
+		ctx := context.Background()
+		coord := loopbackFleet(b, workers, simulate.NewCache(0))
+		distributedSweep(ctx, b, coord, spec, size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rep := distributedSweep(ctx, b, coord, spec, size); rep.ResumedShards != rep.Shards {
+				b.Fatalf("warm sweep dispatched %d of %d shards", rep.Shards-rep.ResumedShards, rep.Shards)
 			}
 		}
 		b.StopTimer()
-		secs := b.Elapsed().Seconds()
-		if secs > 0 {
-			b.ReportMetric(float64(size)*float64(b.N)/secs, "points/sec")
+		reportPointRate(b, size)
+	}
+}
+
+// distributedSpec returns the distributed benchmarks' space,
+// SweepWorkers' 16 points in wire form, and its size.
+func distributedSpec(b *testing.B) (distrib.SpaceSpec, int) {
+	grid, err := qnet.NewGrid(4, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := distrib.SpaceSpec{
+		Grids:     []qnet.Grid{grid},
+		Layouts:   distrib.LayoutNames([]simulate.Layout{simulate.HomeBase, simulate.MobileQubit}),
+		Resources: []simulate.Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}},
+		Programs:  []qnet.Program{qnet.QFT(grid.Tiles())},
+		Depths:    []int{2, 3},
+		Routings:  distrib.RoutingNames(route.Policies()),
+	}
+	size, err := spec.Size()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return spec, size
+}
+
+// loopbackFleet builds a coordinator over `workers` loopback workers
+// that share store, as the coordinator's shared store too.
+func loopbackFleet(b *testing.B, workers int, store simulate.Store) *distrib.Coordinator {
+	lb := distrib.NewLoopback()
+	names := make([]string, workers)
+	for w := range names {
+		names[w] = fmt.Sprintf("w%d", w)
+		lb.Add(names[w], distrib.NewWorker(distrib.WithWorkerStore(store)))
+	}
+	coord, err := distrib.NewCoordinator(lb, names, distrib.WithSharedStore(store, ""))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return coord
+}
+
+// distributedSweep runs one sweep of spec, checks that all size points
+// merged without error, and returns the sweep's report.
+func distributedSweep(ctx context.Context, b *testing.B, coord *distrib.Coordinator, spec distrib.SpaceSpec, size int) *distrib.Report {
+	points, rep, err := coord.Sweep(ctx, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(points) != size {
+		b.Fatalf("merged %d of %d points", len(points), size)
+	}
+	for _, pt := range points {
+		if pt.Err != nil {
+			b.Fatal(pt.Err)
 		}
+	}
+	return rep
+}
+
+// reportPointRate attaches the merged run-point throughput metric:
+// pointsPerOp points per iteration over the measured wall time.
+func reportPointRate(b *testing.B, pointsPerOp int) {
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(pointsPerOp)*float64(b.N)/secs, "points/sec")
 	}
 }
 

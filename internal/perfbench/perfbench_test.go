@@ -27,12 +27,18 @@ func BenchmarkQFT(b *testing.B) {
 
 func BenchmarkLargeHomeBaseQFT(b *testing.B) { LargeHomeBaseQFT(b) }
 
+func BenchmarkCacheKey(b *testing.B) {
+	b.Run("QFT-16", CacheKey(4))
+	b.Run("QFT-256", CacheKey(16))
+}
+
 func BenchmarkSweep(b *testing.B) {
 	b.Run("workers=8", SweepWorkers(8))
 }
 
 func BenchmarkDistribSweep(b *testing.B) {
 	b.Run("workers=2", DistributedSweep(2))
+	b.Run("warm", DistributedWarmSweep(2))
 }
 
 func BenchmarkTraceQFT(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"time"
 
@@ -316,33 +317,27 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SpaceSpec) ([]simulate.Swe
 	return r.result(pts)
 }
 
-// expand resolves the spec's run points and builds every point's
-// machine, validating it as single-process Sweep does, so an invalid
-// point fails the sweep before any dispatch.  With a store attached it
-// also returns every point's content key; the keys plan the shards,
-// find the shards the store already holds and drive the merge-time
-// sanity check.
+// expand resolves the spec's run points and validates every point's
+// machine through simulate.Space.Expand, as single-process Sweep does,
+// so an invalid point fails the sweep before any dispatch.  With a
+// store attached it also returns every point's content key; the keys
+// plan the shards, find the shards the store already holds and drive
+// the merge-time sanity check.
 func (c *Coordinator) expand(spec SpaceSpec) ([]simulate.Point, []simulate.Key, error) {
 	space, err := spec.Space()
 	if err != nil {
 		return nil, nil, err
 	}
-	pts, err := space.Points()
+	indices := make([]int, space.Size())
+	for i := range indices {
+		indices[i] = i
+	}
+	pts, _, keys, err := space.Expand(indices, c.store, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, nil, err
 	}
-	var keys []simulate.Key
-	if c.store != nil {
-		keys = make([]simulate.Key, len(pts))
-	}
-	for i, pt := range pts {
-		m, err := space.Machine(pt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if keys != nil {
-			keys[i] = m.CacheKey(pt.Program)
-		}
+	if c.store == nil {
+		keys = nil
 	}
 	return pts, keys, nil
 }

@@ -368,20 +368,23 @@ func TestWorkerSimulatesEachKeyOnce(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsInvalidPoint: a spec with an invalid point
-// fails a distributed sweep with the *qnet.ConfigError a local Sweep
-// returns, before any dispatch, whether or not a store is attached.
+// TestCoordinatorRejectsInvalidPoint: a spec invalid at two resource
+// allocations fails a distributed sweep before any dispatch, whether
+// or not a store is attached, with the *qnet.ConfigError a local Sweep
+// returns: the first failing point's, on every run.
 func TestCoordinatorRejectsInvalidPoint(t *testing.T) {
 	spec := testSpec(t)
-	spec.Depths = []int{0, 3}
+	spec.Layouts = []string{"HomeBase"}
+	good := spec.Resources[0]
+	spec.Resources = []simulate.Resources{good, {Teleporters: 0, Generators: 8, Purifiers: 4}, good, {Teleporters: 8, Generators: 0, Purifiers: 4}}
 	space, err := spec.Space()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want := simulate.Sweep(context.Background(), space)
+	_, want := simulate.Sweep(context.Background(), space, simulate.WithWorkers(1))
 	var ce *qnet.ConfigError
-	if !errors.As(want, &ce) {
-		t.Fatalf("local Sweep returned %v, want a *qnet.ConfigError", want)
+	if !errors.As(want, &ce) || ce.Field != "Teleporters" {
+		t.Fatalf("local Sweep returned %v, want the no-teleporter *qnet.ConfigError", want)
 	}
 	for _, tc := range []struct {
 		name string
@@ -398,9 +401,11 @@ func TestCoordinatorRejectsInvalidPoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			points, _, err := coord.Sweep(context.Background(), spec)
-			if !errors.As(err, &ce) || err.Error() != want.Error() {
-				t.Fatalf("Sweep returned %d points and %v, want %v", len(points), err, want)
+			for run := 0; run < 10; run++ {
+				points, _, err := coord.Sweep(context.Background(), spec)
+				if !errors.As(err, &ce) || err.Error() != want.Error() {
+					t.Fatalf("Sweep returned %d points and %v, want %v", len(points), err, want)
+				}
 			}
 			if done := w.Status().DonePoints; done != 0 {
 				t.Errorf("the worker ran %d points of an invalid spec", done)

@@ -2,10 +2,13 @@ package distrib
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/qnet"
+	"repro/qnet/fault"
 	"repro/qnet/simulate"
 )
 
@@ -138,6 +141,69 @@ func TestWarmSweepDispatchesNothing(t *testing.T) {
 	}
 	if rep.ResumedShards != rep.Shards-1 {
 		t.Fatalf("store missing point 5 served %d of %d shards", rep.ResumedShards, rep.Shards)
+	}
+}
+
+// TestWarmSweepKeysMatchCacheKey: the keys a coordinator derives for
+// its warm pass are Machine.CacheKey's, point by point, on a space
+// with two programs named "QFT", a program name longer than any key
+// buffer, a fault spec with a degraded region, and seeds that the
+// healthy points' keys drop unless failure injection is on.  The
+// store holds results only under CacheKey's keys, one per key, so the
+// sweep dispatches nothing and every point comes back with the result
+// stored under its own key.
+func TestWarmSweepKeysMatchCacheKey(t *testing.T) {
+	grid, err := qnet.NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := qnet.QFT(4)
+	long.Name = strings.Repeat("a program name longer than any key buffer; ", 30)
+	for _, rate := range []float64{0, 0.05} {
+		spec := SpaceSpec{
+			Grids:     []qnet.Grid{grid},
+			Layouts:   []string{"HomeBase", "MobileQubit"},
+			Resources: []simulate.Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}},
+			Programs:  []qnet.Program{qnet.QFT(16), qnet.QFT(8), long},
+			Routings:  []string{"xy", "zigzag"},
+			Faults: []fault.Spec{{}, {Drop: 0.01,
+				Regions: []fault.Region{{X: 0, Y: 0, W: 2, H: 2, Drop: 0.25}}}},
+			Seeds:       []int64{1, 2},
+			FailureRate: rate,
+		}
+		keys := specKeys(t, spec)
+		store := simulate.NewCache(0)
+		for i, k := range keys {
+			if _, ok := store.Get(k); !ok {
+				store.Put(k, simulate.Result{Ops: -1 - i})
+			}
+		}
+		lb := NewLoopback()
+		lb.Add("w0", NewWorker(WithWorkerStore(store)))
+		lb.Add("w1", NewWorker(WithWorkerStore(store)))
+		rt := &recordingTransport{Transport: lb}
+		coord, err := NewCoordinator(rt, []string{"w0", "w1"}, WithSharedStore(store, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, rep, err := coord.Sweep(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jobs := rt.jobs(); len(jobs) != 0 || rep.ResumedShards != rep.Shards {
+			t.Fatalf("failure rate %g: warm sweep dispatched %v (%d of %d shards from the store)",
+				rate, jobs, rep.ResumedShards, rep.Shards)
+		}
+		if len(points) != len(keys) {
+			t.Fatalf("failure rate %g: %d points, want %d", rate, len(points), len(keys))
+		}
+		for i, pt := range points {
+			want, _ := store.Get(keys[i])
+			if !pt.Cached || pt.Result != want {
+				t.Errorf("failure rate %g: point %d came back %+v (cached %v), want the result stored under its CacheKey",
+					rate, i, pt.Result, pt.Cached)
+			}
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import "testing"
 // maxKeyAllocs bounds the allocations of one cache key.  The 8x8
 // QFT-64 key hashes over 32 KB in about 4,000 fields, so one
 // allocation per field would exceed it by three orders of magnitude:
-// the bound holds only while keyFor appends fields into its fixed
-// buffer.  What remains is the hasher and its SHA-256 state.
+// the bound holds only while keyFor appends every field into one
+// buffer sized for the whole stream, which is its one allocation.
 const maxKeyAllocs = 4
 
 // TestCacheKeyAllocations pins the allocation-free field path of

@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -49,130 +48,93 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // never collide on one key.
 const keyVersion = "qnet-result-v3"
 
-// keyHasher streams keyFor's canonical byte stream into SHA-256
-// through a fixed one-block buffer: hashString, hashInt and hashFloat
-// append each field in place, and the digest is fed every full block,
-// so no field escapes to the heap.
-type keyHasher struct {
-	sha hash.Hash
-	n   int // bytes pending in buf
-	buf [sha256.BlockSize]byte
+// A key is the SHA-256 of one canonical byte stream: the run point's
+// configuration (appendConfig), then its program's fingerprint
+// (appendProgram).  Every integer is 8 bytes little-endian, and every
+// string and float is length-prefixed, so field boundaries cannot
+// alias ("ab"+"c" vs "a"+"bc").  The stream is built in one buffer and
+// hashed with one call, so SHA-256 reads whole blocks straight from
+// it.
+
+// appendInt appends a signed integer to the stream.
+func appendInt(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
-// hashBytes appends p to the stream.
-func hashBytes[T string | []byte](h *keyHasher, p T) {
-	for len(p) > 0 {
-		c := copy(h.buf[h.n:], p)
-		p = p[c:]
-		h.advance(c)
-	}
+// appendString appends a length-prefixed string to the stream.
+func appendString(b []byte, s string) []byte {
+	return append(appendInt(b, int64(len(s))), s...)
 }
 
-// advance accounts for c bytes appended to buf, feeding the digest
-// when the block is full.
-func (h *keyHasher) advance(c int) {
-	if h.n += c; h.n == len(h.buf) {
-		h.sha.Write(h.buf[:])
-		h.n = 0
-	}
+// appendFloat appends a float64 bit-exactly, as its length-prefixed
+// 'x' format: the length is written once the format is in place.
+func appendFloat(b []byte, v float64) []byte {
+	n := len(b)
+	b = strconv.AppendFloat(appendInt(b, 0), v, 'x', -1, 64)
+	binary.LittleEndian.PutUint64(b[n:], uint64(len(b)-n-8))
+	return b
 }
 
-// sum feeds the pending bytes and returns the digest.
-func (h *keyHasher) sum() Key {
-	h.sha.Write(h.buf[:h.n])
-	var k Key
-	copy(k[:], h.sha.Sum(h.buf[:0]))
-	return k
-}
+// configBytes is room for a configuration's part of the stream: about
+// 400 bytes with a short routing name and no fault regions, each
+// region adding 64.  A longer configuration only grows the buffer.
+const configBytes = 512
 
-// hashString writes a length-prefixed string into the hash, so field
-// boundaries cannot alias ("ab"+"c" vs "a"+"bc").
-func hashString(h *keyHasher, s string) {
-	hashInt(h, int64(len(s)))
-	hashBytes(h, s)
-}
-
-// hashInt writes a signed integer into the hash.  Most integers fit
-// in the block being filled and are written into it directly, which
-// halves the time of a long program's key.
-func hashInt(h *keyHasher, v int64) {
-	if h.n+8 <= len(h.buf) {
-		binary.LittleEndian.PutUint64(h.buf[h.n:], uint64(v))
-		h.advance(8)
-		return
-	}
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(v))
-	hashBytes(h, n[:])
-}
-
-// hashFloat writes a float64 into the hash bit-exactly, as its
-// length-prefixed 'x' format.
-func hashFloat(h *keyHasher, v float64) {
-	var b [32]byte // the longest 'x' format of a float64 is 24 bytes
-	s := strconv.AppendFloat(b[:0], v, 'x', -1, 64)
-	hashInt(h, int64(len(s)))
-	hashBytes(h, s)
-}
-
-// keyFor computes the content address of running prog on a machine with
-// the given fully-resolved configuration.  The hash covers, in a fixed
-// field order (never a Go map, so it is independent of map iteration
-// order): the key version, every device constant of the paper's
-// Tables 1-2, the grid dimensions, the layout, the routing policy (by
-// canonical name), the per-node resource counts, purifier depth, code
-// level, hop and turn geometry, the failure rate, the fault spec, the
-// effective seed, and a fingerprint of the program (name, qubit count
-// and every op).
+// appendConfig appends the configuration's part of a key's stream.  It
+// covers, in a fixed field order (never a Go map, so it is independent
+// of map iteration order): the key version, every device constant of
+// the paper's Tables 1-2, the grid dimensions, the layout, the routing
+// policy (by canonical name), the per-node resource counts, purifier
+// depth, code level, hop and turn geometry, the failure rate, the
+// fault spec and the effective seed.
 //
 // When the failure rate is zero and the fault spec is empty the
 // simulation never consults its RNG, so the seed cannot influence the
-// result; keyFor canonicalizes the seed to 0 in that case, letting
+// result; the seed is canonicalized to 0 in that case, letting
 // multi-seed sweeps of a deterministic configuration collapse to a
 // single simulation plus cache hits.
-func keyFor(cfg netsim.Config, prog qnet.Program) Key {
-	h := &keyHasher{sha: sha256.New()}
-	hashString(h, keyVersion)
+func appendConfig(b []byte, cfg netsim.Config) []byte {
+	b = appendString(b, keyVersion)
 
 	// Device constants, Table 1 then Table 2.
-	hashInt(h, int64(cfg.Params.Times.OneQubitGate))
-	hashInt(h, int64(cfg.Params.Times.TwoQubitGate))
-	hashInt(h, int64(cfg.Params.Times.MoveCell))
-	hashInt(h, int64(cfg.Params.Times.Measure))
-	hashInt(h, int64(cfg.Params.Times.ClassicalBitPerCell))
-	hashFloat(h, cfg.Params.Errors.OneQubitGate)
-	hashFloat(h, cfg.Params.Errors.TwoQubitGate)
-	hashFloat(h, cfg.Params.Errors.MoveCell)
-	hashFloat(h, cfg.Params.Errors.Measure)
+	b = appendInt(b, int64(cfg.Params.Times.OneQubitGate))
+	b = appendInt(b, int64(cfg.Params.Times.TwoQubitGate))
+	b = appendInt(b, int64(cfg.Params.Times.MoveCell))
+	b = appendInt(b, int64(cfg.Params.Times.Measure))
+	b = appendInt(b, int64(cfg.Params.Times.ClassicalBitPerCell))
+	b = appendFloat(b, cfg.Params.Errors.OneQubitGate)
+	b = appendFloat(b, cfg.Params.Errors.TwoQubitGate)
+	b = appendFloat(b, cfg.Params.Errors.MoveCell)
+	b = appendFloat(b, cfg.Params.Errors.Measure)
 
 	// Machine shape.  The routing policy is hashed by its canonical
 	// name (nil canonicalizes to "xy", which routes identically), so
 	// two machines differing only in policy never share a key.
-	hashInt(h, int64(cfg.Grid.Width))
-	hashInt(h, int64(cfg.Grid.Height))
-	hashInt(h, int64(cfg.Layout))
-	hashString(h, route.NameOf(cfg.Route))
-	hashInt(h, int64(cfg.Teleporters))
-	hashInt(h, int64(cfg.Generators))
-	hashInt(h, int64(cfg.Purifiers))
-	hashInt(h, int64(cfg.PurifyDepth))
-	hashInt(h, int64(cfg.CodeLevel))
-	hashInt(h, int64(cfg.HopCells))
-	hashInt(h, int64(cfg.TurnCells))
-	hashFloat(h, cfg.PurifyFailureRate)
+	b = appendInt(b, int64(cfg.Grid.Width))
+	b = appendInt(b, int64(cfg.Grid.Height))
+	b = appendInt(b, int64(cfg.Layout))
+	b = appendString(b, route.NameOf(cfg.Route))
+	b = appendInt(b, int64(cfg.Teleporters))
+	b = appendInt(b, int64(cfg.Generators))
+	b = appendInt(b, int64(cfg.Purifiers))
+	b = appendInt(b, int64(cfg.PurifyDepth))
+	b = appendInt(b, int64(cfg.CodeLevel))
+	b = appendInt(b, int64(cfg.HopCells))
+	b = appendInt(b, int64(cfg.TurnCells))
+	b = appendFloat(b, cfg.PurifyFailureRate)
 
 	// Fault spec, field by field in declaration order (regions length-
 	// prefixed): two machines differing in any fault knob never share a
 	// key.
-	hashFloat(h, cfg.Faults.DeadLinks)
-	hashFloat(h, cfg.Faults.Drop)
-	hashInt(h, int64(len(cfg.Faults.Regions)))
+	b = appendFloat(b, cfg.Faults.DeadLinks)
+	b = appendFloat(b, cfg.Faults.Drop)
+	b = appendInt(b, int64(len(cfg.Faults.Regions)))
 	for _, r := range cfg.Faults.Regions {
-		hashInt(h, int64(r.X))
-		hashInt(h, int64(r.Y))
-		hashInt(h, int64(r.W))
-		hashInt(h, int64(r.H))
-		hashFloat(h, r.Drop)
+		b = appendInt(b, int64(r.X))
+		b = appendInt(b, int64(r.Y))
+		b = appendInt(b, int64(r.W))
+		b = appendInt(b, int64(r.H))
+		b = appendFloat(b, r.Drop)
 	}
 
 	// The seed matters only when the RNG can be consulted: failure
@@ -182,7 +144,6 @@ func keyFor(cfg netsim.Config, prog qnet.Program) Key {
 	if cfg.PurifyFailureRate == 0 && cfg.Faults.Empty() {
 		seed = 0
 	}
-	hashInt(h, seed)
 
 	// Config.Trace is deliberately NOT hashed: a tracer observes
 	// the run through the engine's probe hook without scheduling events,
@@ -190,17 +151,53 @@ func keyFor(cfg netsim.Config, prog qnet.Program) Key {
 	// the tracer is an observer, not part of the model.  (A traced Run
 	// bypasses cache lookup so the tracer sees a real simulation, but
 	// stores its result under the same key an untraced run would.)
+	return appendInt(b, seed)
+}
 
-	// Program fingerprint.
-	hashString(h, prog.Name)
-	hashInt(h, int64(prog.Qubits))
-	hashInt(h, int64(len(prog.Ops)))
+// fingerprintBytes is the length of prog's fingerprint.
+func fingerprintBytes(prog qnet.Program) int {
+	return 3*8 + len(prog.Name) + 2*8*len(prog.Ops)
+}
+
+// appendProgram appends prog's fingerprint, the last part of a key's
+// stream: its name, qubit count, op count and every op's A and B.
+func appendProgram(b []byte, prog qnet.Program) []byte {
+	b = appendString(b, prog.Name)
+	b = appendInt(b, int64(prog.Qubits))
+	b = appendInt(b, int64(len(prog.Ops)))
 	for _, op := range prog.Ops {
-		hashInt(h, int64(op.A))
-		hashInt(h, int64(op.B))
+		b = appendInt(b, int64(op.A))
+		b = appendInt(b, int64(op.B))
 	}
+	return b
+}
 
-	return h.sum()
+// keyFor computes the content address of running prog on a machine with
+// the given fully-resolved configuration, in one allocation: the
+// buffer that holds the stream.
+func keyFor(cfg netsim.Config, prog qnet.Program) Key {
+	b := make([]byte, 0, configBytes+fingerprintBytes(prog))
+	return sha256.Sum256(appendProgram(appendConfig(b, cfg), prog))
+}
+
+// fingerprint is one program's fingerprint, serialized on first use
+// and then shared by every point of an expansion that runs the
+// program, so a sweep's keys differ only in their configurations'
+// bytes.
+type fingerprint struct {
+	once sync.Once
+	b    []byte
+}
+
+// key returns the same Key as keyFor(cfg, prog), where prog is the
+// program f fingerprints.  The stream is built in buf, which is
+// returned for the caller's next key.
+func (f *fingerprint) key(buf []byte, cfg netsim.Config, prog qnet.Program) (Key, []byte) {
+	f.once.Do(func() {
+		f.b = appendProgram(make([]byte, 0, fingerprintBytes(prog)), prog)
+	})
+	buf = append(appendConfig(buf[:0], cfg), f.b...)
+	return sha256.Sum256(buf), buf
 }
 
 // CacheKey returns the content address of running prog on this machine:

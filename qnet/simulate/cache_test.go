@@ -3,8 +3,10 @@ package simulate
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +189,113 @@ func TestKeySensitivity(t *testing.T) {
 	if build(WithResources(16, 16, 8), WithFaults(faulty), WithSeed(1)) ==
 		build(WithResources(16, 16, 8), WithFaults(faulty), WithSeed(2)) {
 		t.Error("seed ignored in the key of a faulty-mesh run")
+	}
+}
+
+// expandKeySpace is a 48-point space whose keys a shortcut in the
+// expansion could get wrong: two programs named "QFT" (every qnet.QFT
+// is), a third whose name is longer than any buffer a key is built
+// in, a fault spec with a degraded region next to a healthy mesh, and
+// two seeds, which the healthy points' keys keep only when failure
+// injection is on.
+func expandKeySpace(t testing.TB, failureRate float64) Space {
+	grid := testGrid(t, 4)
+	long := qnet.QFT(4)
+	long.Name = strings.Repeat("a program name longer than any key buffer; ", 30)
+	return Space{
+		Grids:     []qnet.Grid{grid},
+		Layouts:   []Layout{HomeBase, MobileQubit},
+		Resources: []Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}},
+		Programs:  []qnet.Program{qnet.QFT(16), qnet.QFT(8), long},
+		Routings:  []route.Policy{nil, route.ZigZag()},
+		Faults: []fault.Spec{{}, {Drop: 0.01,
+			Regions: []fault.Region{{X: 0, Y: 0, W: 2, H: 2, Drop: 0.25}}}},
+		Seeds:   []int64{1, 2},
+		Options: []Option{WithFailureRate(failureRate)},
+	}
+}
+
+// storeAtCacheKeys returns a cache that holds, under every point's
+// Machine.CacheKey, a Result no simulation makes (a negative op
+// count, one per key), and each point's key.
+func storeAtCacheKeys(t testing.TB, space Space) (*Cache, []Key) {
+	t.Helper()
+	pts, err := space.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(0)
+	keys := make([]Key, len(pts))
+	for i, pt := range pts {
+		m, err := space.Machine(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = m.CacheKey(pt.Program)
+		if _, ok := c.Get(keys[i]); !ok {
+			c.Put(keys[i], Result{Ops: -1 - i})
+		}
+	}
+	return c, keys
+}
+
+// TestExpandKeysMatchCacheKey: the keys Sweep and Stream derive, each
+// program's fingerprint serialized once and spread over workers, are
+// Machine.CacheKey's, point by point.  Every point is served from a
+// cache that holds results only under CacheKey's keys, and must come
+// back with the result stored under its own.
+func TestExpandKeysMatchCacheKey(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		rate     float64
+		distinct int
+	}{
+		// Without failure injection the healthy points' two seeds share
+		// a key: 2 layouts x 3 programs x 2 routings x (1 + 2 seeds).
+		{0, 36},
+		{0.05, 48},
+	} {
+		space := expandKeySpace(t, tc.rate)
+		c, keys := storeAtCacheKeys(t, space)
+		if n := c.Len(); n != tc.distinct {
+			t.Fatalf("failure rate %g: %d distinct keys over %d points, want %d", tc.rate, n, len(keys), tc.distinct)
+		}
+		check := func(how string, pt SweepPoint) {
+			t.Helper()
+			want, _ := c.Get(keys[pt.Point.Index])
+			if pt.Err != nil || !pt.Cached || pt.Result != want {
+				t.Errorf("failure rate %g, %s: point %d came back %+v (cached %v, err %v), want the result stored under its CacheKey",
+					tc.rate, how, pt.Point.Index, pt.Result, pt.Cached, pt.Err)
+			}
+		}
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			points, err := Sweep(ctx, space, WithCache(c), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(points) != len(keys) {
+				t.Fatalf("Sweep at %d workers returned %d points, want %d", workers, len(points), len(keys))
+			}
+			for _, pt := range points {
+				check(fmt.Sprintf("Sweep at %d workers", workers), pt)
+			}
+		}
+		var subset []int
+		for i := len(keys) - 1; i >= 0; i -= 3 {
+			subset = append(subset, i)
+		}
+		ch, err := Stream(ctx, space, subset, nil, WithCache(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for pt := range ch {
+			check("Stream", pt)
+			n++
+		}
+		if n != len(subset) {
+			t.Errorf("Stream delivered %d of %d points", n, len(subset))
+		}
 	}
 }
 

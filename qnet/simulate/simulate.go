@@ -28,8 +28,14 @@
 // run point and Cache stores Results under it (in-memory LRU plus an
 // optional on-disk JSON store), so a sweep installed with WithCache or
 // WithStore only simulates points it has never seen — see cache.go and
-// the Example_cachedSweep function.  The same options attach a store
-// to a Machine, making repeated Run and Session calls cache hits too.
+// the Example_cachedSweep function.  A key is the SHA-256 of the
+// point's configuration bytes followed by its program's fingerprint
+// (name, qubit count and every op).  Sweep, Stream and qnet/distrib's
+// coordinator resolve their points through one function, Space.Expand:
+// it builds and validates every point's Machine across goroutines and,
+// when a store is attached, derives every key with each program's
+// fingerprint serialized once.  The same options attach a store to a
+// Machine, making repeated Run and Session calls cache hits too.
 // Ensemble statistics over the seed dimension live in the sibling
 // package qnet/stats.
 //

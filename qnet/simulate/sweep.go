@@ -326,6 +326,86 @@ func (sp Space) machine(pt Point) (*Machine, error) {
 	return New(pt.Grid, pt.Layout, opts...)
 }
 
+// Expand resolves the points of the space that indices lists, by
+// Point.Index, as Sweep and Stream do before any of them runs: it
+// builds every point's validated Machine and returns the points, the
+// machines and their keys, each in the order of indices.  A non-nil
+// store replaces the one Space.Options attached, if any.  A point
+// whose machine then has a store gets the key Machine.CacheKey would
+// give it, and any other point gets the zero Key: a storeless
+// expansion hashes nothing.  Each program's fingerprint is serialized
+// once, however many points run it, and the points are spread over
+// min(workers, len(indices)) goroutines (at least one worker).  The
+// error is the first failing entry's, in the order of indices, as if
+// the entries were resolved one by one: an index out of range, an
+// invalid configuration, or a tracer in Space.Options.
+func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Machine, []Key, error) {
+	all, err := sp.points()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	n := len(indices)
+	pts := make([]Point, n)
+	machines := make([]*Machine, n)
+	keys := make([]Key, n)
+	fps := make([]fingerprint, len(sp.Programs))
+	workers = min(max(workers, 1), n)
+	// Worker w resolves the w-th contiguous run of entries and stops at
+	// its first failure, so the first worker with an error holds the
+	// first failing entry's.
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				idx := indices[i]
+				if idx < 0 || idx >= len(all) {
+					errs[w] = &qnet.ConfigError{Field: "indices", Value: idx,
+						Reason: fmt.Sprintf("point index out of range [0,%d)", len(all))}
+					return
+				}
+				m, err := sp.machine(all[idx])
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				if m.cfg.Trace != nil {
+					errs[w] = &qnet.ConfigError{Field: "Space.Options", Value: "WithTrace",
+						Reason: "a Tracer records one run at a time, so a sweep's points cannot share one; " +
+							"trace a point through Space.Machine(pt), then Machine.WithTrace"}
+					return
+				}
+				if store != nil {
+					m.store = store
+				}
+				if m.store != nil {
+					prog := sp.program(idx)
+					keys[i], buf = fps[prog].key(buf, m.cfg, sp.Programs[prog])
+				}
+				pts[i], machines[i] = all[idx], m
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return pts, machines, keys, nil
+}
+
+// program returns the position in Programs of point idx's program.  In
+// expansion order each program spans one block of every combination
+// of the depths, routings, faults and seeds expanded after it.
+func (sp Space) program(idx int) int {
+	block := max(len(sp.Depths), 1) * max(len(sp.Routings), 1) * max(len(sp.Faults), 1) * max(len(sp.Seeds), 1)
+	return idx / block % len(sp.Programs)
+}
+
 // SweepOption configures a sweep.  WithCache and WithStore satisfy both
 // SweepOption and Option, so the same store attachment works on a
 // Machine and on a Sweep.
@@ -460,37 +540,11 @@ func sweepOptions(opts []SweepOption) sweepConfig {
 }
 
 func stream(ctx context.Context, space Space, indices []int, watch func() (*trace.Tracer, func()), cfg sweepConfig) (<-chan SweepPoint, error) {
-	all, err := space.points()
+	// Every listed point's machine is validated, and its key hashed,
+	// before any simulation work is spent.
+	pts, machines, keys, err := space.Expand(indices, cfg.store, cfg.workers)
 	if err != nil {
 		return nil, err
-	}
-	// Validate every listed point's machine up front so configuration
-	// errors surface before any simulation work is spent.  A sweep-level
-	// store replaces whatever store Space.Options attached; a point with
-	// a store has its content key hashed here, once.
-	pts := make([]Point, len(indices))
-	machines := make([]*Machine, len(indices))
-	keys := make([]Key, len(indices))
-	for i, idx := range indices {
-		if idx < 0 || idx >= len(all) {
-			return nil, &qnet.ConfigError{Field: "indices", Value: idx,
-				Reason: fmt.Sprintf("point index out of range [0,%d)", len(all))}
-		}
-		pts[i] = all[idx]
-		m, err := space.machine(pts[i])
-		if err != nil {
-			return nil, err
-		}
-		if m.cfg.Trace != nil {
-			return nil, &qnet.ConfigError{Field: "Space.Options", Value: "WithTrace",
-				Reason: "a Tracer records one run at a time, so a sweep's points cannot share one; " +
-					"trace a point through Space.Machine(pt), then Machine.WithTrace"}
-		}
-		if cfg.store != nil {
-			m.store = cfg.store
-		}
-		machines[i] = m
-		keys[i] = m.keyOf(m.cfg, pts[i].Program)
 	}
 
 	// Feed the first point of every distinct key, in index order, before

@@ -3,6 +3,7 @@ package simulate
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -119,12 +120,55 @@ func TestSweepEmptyDimension(t *testing.T) {
 	}
 }
 
+// TestSweepInvalidPoint: a space invalid at two resource allocations
+// fails Sweep and Stream, with or without a store, before any point
+// runs, with the error of the first failing entry in order, whichever
+// worker reaches an invalid entry first.
 func TestSweepInvalidPoint(t *testing.T) {
 	space := test2x2x2Space(t)
-	space.Depths = []int{0}
-	_, err := Sweep(context.Background(), space)
-	if !errors.Is(err, qnet.ErrInvalidConfig) {
-		t.Fatalf("err = %v, want ErrInvalidConfig (bad depth caught up front)", err)
+	space.Layouts = []Layout{HomeBase}
+	good := space.Resources[0]
+	space.Resources = []Resources{good, {Teleporters: 0, Generators: 16, Purifiers: 8}, good, {Teleporters: 16, Generators: 0, Purifiers: 8}}
+	// Two seeds per allocation: points 2 and 3 have no teleporters,
+	// points 6 and 7 no generators.
+	pts, err := space.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointErr := func(idx int, field string) string {
+		t.Helper()
+		_, err := space.Machine(pts[idx])
+		var ce *qnet.ConfigError
+		if !errors.As(err, &ce) || ce.Field != field {
+			t.Fatalf("point %d: %v, want a %s *qnet.ConfigError", idx, err, field)
+		}
+		return err.Error()
+	}
+	noTeleporters, noGenerators := pointErr(2, "Teleporters"), pointErr(6, "Generators")
+	outOfRange := (&qnet.ConfigError{Field: "indices", Value: len(pts),
+		Reason: fmt.Sprintf("point index out of range [0,%d)", len(pts))}).Error()
+	ctx := context.Background()
+	for _, store := range []*Cache{nil, NewCache(0)} {
+		for _, workers := range []int{1, 2, len(pts)} {
+			for run := 0; run < 10; run++ {
+				opts := []SweepOption{WithCache(store), WithWorkers(workers)}
+				if _, err := Sweep(ctx, space, opts...); err == nil || err.Error() != noTeleporters {
+					t.Fatalf("Sweep at %d workers: %v, want %s", workers, err, noTeleporters)
+				}
+				for _, tc := range []struct {
+					indices []int
+					want    string
+				}{
+					{[]int{0, 6, 1, 2}, noGenerators},
+					{[]int{0, len(pts), 2, 6}, outOfRange},
+				} {
+					ch, err := Stream(ctx, space, tc.indices, nil, opts...)
+					if ch != nil || err == nil || err.Error() != tc.want {
+						t.Fatalf("Stream(%v) at %d workers: %v, want %s", tc.indices, workers, err, tc.want)
+					}
+				}
+			}
+		}
 	}
 }
 

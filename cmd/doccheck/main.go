@@ -9,12 +9,13 @@
 //
 // It also type-checks the non-test files of the module it runs in and
 // of every module nested under it, such as the benchmark, and reports
-// each exported identifier under internal/ that none of them refers to:
-// code only tests run is not shipped.  A method that satisfies an
-// interface, or belongs to a type a qnet package re-exports by alias,
-// is not a finding, and the exceptions list names the few kept on
-// purpose.  Export data comes from `go list -export`, so the check needs
-// only the go command and the build cache.
+// each exported identifier under internal/ that no declaration
+// reachable from the packages outside internal/ refers to: code only
+// tests run, or only other dead code calls, is not shipped.  A method
+// that satisfies an interface, or belongs to a type a qnet package
+// re-exports by alias, is not a finding, and the exceptions list names
+// the few kept on purpose.  Export data comes from `go list -export`,
+// so the check needs only the go command and the build cache.
 //
 // Usage:
 //

@@ -47,13 +47,18 @@ type listedPackage struct {
 
 // uncalled type-checks the non-test files of the module rooted at root
 // and of every module nested under it, and reports each exported
-// identifier under root's internal/ that none of those files refers to:
-// package-level functions, types, variables and constants, and the
-// exported methods of named types.  A method is not a finding when its
-// type satisfies an interface that has the method, since a call through
-// the interface names the interface's method instead; nor is a method of
-// a type that a package under qnet/ re-exports by alias, which makes it
-// public API.  Struct fields are not checked.
+// identifier under root's internal/ that no reachable declaration
+// refers to: package-level functions, types, variables and constants,
+// and the exported methods of named types.  Every declaration of a
+// package outside internal/ is reachable, and so is every declaration a
+// reachable one refers to, so code that only other dead code reaches is
+// dead too.  A method is not a finding when its type satisfies an
+// interface that has the method, since a call through the interface
+// names the interface's method instead; nor is a method of a type that
+// a package under qnet/ re-exports by alias, which makes it public API.
+// Such a method is reachable once its type is, and so is an init
+// function and whatever an exception declares.  Struct fields are not
+// checked.
 func uncalled(root string, except []string) ([]string, error) {
 	modules, err := moduleDirs(root)
 	if err != nil {
@@ -115,7 +120,16 @@ func uncalled(root string, except []string) ([]string, error) {
 		return fromExport.Import(path)
 	})}
 
-	used := map[string]bool{}
+	exceptFor := map[string]bool{}
+	for _, e := range except {
+		exceptFor[e] = true
+	}
+	// refs maps each declaration of an internal package to the internal
+	// objects it refers to.  roots collects what the walk starts from:
+	// the internal objects that the packages outside internal/, the
+	// excepted packages and names, and init functions refer to.
+	refs := map[types.Object][]types.Object{}
+	var roots []types.Object
 	// ifaces indexes every interface the programs can see by the names
 	// of its methods.
 	ifaces := map[string][]*types.Interface{}
@@ -136,18 +150,42 @@ func uncalled(root string, except []string) ([]string, error) {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		info := &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, err
 		}
 		checked[p.ImportPath] = pkg
-		for _, obj := range info.Uses {
-			if obj.Pkg() != nil && internal(obj.Pkg().Path()) {
-				if key := objectKey(obj); key != "" {
-					used[rel(obj.Pkg().Path())+"."+key] = true
+		// refsIn appends to out the internal objects n refers to.
+		refsIn := func(out []types.Object, n ast.Node) []types.Object {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := info.Uses[id]; obj != nil && obj.Pkg() != nil && internal(obj.Pkg().Path()) {
+						out = append(out, origin(obj))
+					}
 				}
+				return true
+			})
+			return out
+		}
+		r := rel(p.ImportPath)
+		for _, f := range files {
+			if !internal(p.ImportPath) || exceptFor[r] {
+				roots = refsIn(roots, f)
+				continue
 			}
+			declarations(f, info, func(obj types.Object, syntax ast.Node) {
+				refs[obj] = refsIn(nil, syntax)
+				fn, ok := obj.(*types.Func)
+				runs := ok && fn.Name() == "init" && fn.Type().(*types.Signature).Recv() == nil
+				if runs || exceptFor[r+"."+objectKey(obj)] {
+					roots = append(roots, refs[obj]...)
+				}
+			})
 		}
 		for _, tv := range info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
@@ -186,10 +224,44 @@ func uncalled(root string, except []string) ([]string, error) {
 		}
 	}
 
-	exceptFor := map[string]bool{}
-	for _, e := range except {
-		exceptFor[e] = true
+	// Walk from the roots.  A type reached brings the methods a call
+	// through an interface can reach, or all its methods when a qnet
+	// alias makes it public.
+	used := map[string]bool{}
+	reached := map[types.Object]bool{}
+	var queue []types.Object
+	reach := func(obj types.Object) {
+		if !reached[obj] {
+			reached[obj] = true
+			queue = append(queue, obj)
+		}
 	}
+	use := func(obj types.Object) {
+		if key := objectKey(obj); key != "" {
+			used[rel(obj.Pkg().Path())+"."+key] = true
+		}
+		reach(obj)
+	}
+	for _, obj := range roots {
+		use(obj)
+	}
+	for len(queue) > 0 {
+		obj := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, u := range refs[obj] {
+			use(u)
+		}
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); public[tn] || satisfies(named, m.Name(), ifaces) {
+						reach(m)
+					}
+				}
+			}
+		}
+	}
+
 	declared := map[string]bool{}
 	var findings []string
 	report := func(pos token.Pos, format string, args ...any) {
@@ -251,6 +323,43 @@ func uncalled(root string, except []string) ([]string, error) {
 	}
 	sort.Strings(findings)
 	return findings, nil
+}
+
+// declarations calls fn for every object a file declares at package
+// level, with the syntax of its declaration.  A const spec without a
+// type or values repeats the last spec that has them, so that spec is
+// its syntax.
+func declarations(f *ast.File, info *types.Info, fn func(obj types.Object, syntax ast.Node)) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			fn(info.Defs[d.Name], d)
+		case *ast.GenDecl:
+			var last ast.Node
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					fn(info.Defs[s.Name], s)
+				case *ast.ValueSpec:
+					if s.Type != nil || len(s.Values) > 0 {
+						last = s
+					}
+					for _, name := range s.Names {
+						fn(info.Defs[name], last)
+					}
+				}
+			}
+		}
+	}
+}
+
+// origin returns the generic function or method an instantiated one
+// stands for, and any other object as it is.
+func origin(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
 }
 
 // objectKey names a package-level object, or a method as "Type.Method",

@@ -19,6 +19,8 @@ func TestUncalled(t *testing.T) {
 		"exported const internal/lib.C has no caller outside tests",
 		"exported method internal/lib.T.Dead has no caller outside tests",
 		"exported func internal/lib.Uncalled has no caller outside tests",
+		"exported func internal/lib.Chained has no caller outside tests",
+		"exported func internal/lib.Internal has no caller outside tests",
 	}
 	cases := []struct {
 		name   string
@@ -26,8 +28,10 @@ func TestUncalled(t *testing.T) {
 		want   []string
 	}{
 		{
-			// A test, a same-package caller, a nested module, an
-			// interface and a qnet alias each keep a name off the list.
+			// A reachable caller in the same package, an init function,
+			// a nested module, a method that calls through an interface
+			// reach, a qnet alias and an exception each keep a name off
+			// the list; a test, or a caller nothing reaches, does not.
 			name:   "exceptions hold",
 			except: []string{"internal/lib.Kept", "internal/ref"},
 			want:   found,
@@ -39,6 +43,7 @@ func TestUncalled(t *testing.T) {
 				"exception internal/lib.Gone names nothing: drop it from the list",
 				"exception internal/lib.Used has a caller: drop it from the list",
 				"exported func internal/lib.Kept has no caller outside tests",
+				"exported func internal/lib.KeptDep has no caller outside tests",
 			}, found...),
 		},
 		{

@@ -41,7 +41,7 @@ func TestSweepRoutingDimension(t *testing.T) {
 		if pt.Err != nil {
 			t.Fatalf("%s: %v", pt.Point.RoutingName(), pt.Err)
 		}
-		m, err := space.machine(pt.Point)
+		m, err := space.Machine(pt.Point)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestSweepByDistanceDimension(t *testing.T) {
 		if pt.Err != nil {
 			t.Fatalf("%s: %v", pt.Point.RoutingName(), pt.Err)
 		}
-		m, err := space.machine(pt.Point)
+		m, err := space.Machine(pt.Point)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,8 +32,9 @@
 // point's configuration bytes followed by its program's fingerprint
 // (name, qubit count and every op).  Sweep, Stream and qnet/distrib's
 // coordinator resolve their points through one function, Space.Expand:
-// it builds and validates every point's Machine across goroutines and,
-// when a store is attached, derives every key with each program's
+// it decodes the listed points only, applies Space.Options once, builds
+// every point's Machine across goroutines, all sharing one flight
+// group, and with a store derives every key with each program's
 // fingerprint serialized once.  The same options attach a store to a
 // Machine, making repeated Run and Session calls cache hits too.
 // Ensemble statistics over the seed dimension live in the sibling
@@ -206,14 +207,28 @@ type Machine struct {
 // the paper's defaults.  It returns a *qnet.ConfigError describing the
 // first invalid setting.
 func New(grid qnet.Grid, layout Layout, opts ...Option) (*Machine, error) {
-	spec := machineSpec{cfg: netsim.DefaultConfig(grid, layout, 16, 16, 16)}
+	s := newSpec(opts)
+	s.cfg.Grid, s.cfg.Layout = grid, layout
+	return s.build(newFlightGroup())
+}
+
+// newSpec applies opts, in order, over the paper's defaults.  No option
+// sets the grid or the layout: New and a Space's points set those.
+func newSpec(opts []Option) machineSpec {
+	s := machineSpec{cfg: netsim.DefaultConfig(qnet.Grid{}, HomeBase, 16, 16, 16)}
 	for _, opt := range opts {
-		opt.applyMachine(&spec)
+		opt.applyMachine(&s)
 	}
-	if err := spec.cfg.Validate(); err != nil {
+	return s
+}
+
+// build validates the spec's configuration and returns its Machine,
+// whose runs claim their keys in flights.
+func (s machineSpec) build(flights *flightGroup) (*Machine, error) {
+	if err := s.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{cfg: spec.cfg, store: spec.store, flights: newFlightGroup()}, nil
+	return &Machine{cfg: s.cfg, store: s.store, flights: flights}, nil
 }
 
 // Grid returns the machine's mesh.
@@ -273,7 +288,7 @@ func (m *Machine) Store() Store { return m.store }
 // runs back, so a warm re-run of the same configuration and program is
 // a lookup instead of a simulation (Cache().Stats() reports the hit).
 func (m *Machine) Run(ctx context.Context, prog qnet.Program) (Result, error) {
-	res, _, err := m.run(ctx, m.cfg, prog, m.flights, m.keyOf(m.cfg, prog), nil)
+	res, _, err := m.run(ctx, m.cfg, prog, m.keyOf(m.cfg, prog), nil)
 	return res, err
 }
 
@@ -291,8 +306,8 @@ func (m *Machine) keyOf(cfg netsim.Config, prog qnet.Program) Key {
 // Session.Run and every Sweep point come through here.  cfg is the
 // machine's configuration with any per-run seed applied, and key is
 // keyOf(cfg, prog), hashed once by the caller.  Without a store it
-// simulates.  With one, it claims key in flights (so concurrent runs of
-// one key simulate once), answers from the store when it can, and
+// simulates.  With one, it claims key in m.flights (so concurrent runs
+// of one key simulate once), answers from the store when it can, and
 // otherwise simulates and stores the Result; cached reports a store
 // hit.  A traced run never answers from the store — the tracer
 // observes the simulation itself, and a stored Result has no time
@@ -301,15 +316,15 @@ func (m *Machine) keyOf(cfg netsim.Config, prog qnet.Program) Key {
 // watch is Stream's per-point hook (nil elsewhere): it is called only
 // once the run is about to simulate, its tracer observes the
 // simulation, and its done is called when the simulation ends.
-func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program, flights *flightGroup, key Key, watch func() (*trace.Tracer, func())) (res Result, cached bool, err error) {
+func (m *Machine) run(ctx context.Context, cfg netsim.Config, prog qnet.Program, key Key, watch func() (*trace.Tracer, func())) (res Result, cached bool, err error) {
 	if err := netsim.CheckProgram(cfg.Grid, prog); err != nil {
 		return Result{}, false, err
 	}
 	if m.store != nil && cfg.Trace == nil {
-		if err := flights.claim(ctx, key); err != nil {
+		if err := m.flights.claim(ctx, key); err != nil {
 			return Result{}, false, err
 		}
-		defer flights.release(key)
+		defer m.flights.release(key)
 		if res, ok := m.store.Get(key); ok {
 			return res, true, nil
 		}
@@ -365,7 +380,7 @@ func (s *Session) Run(ctx context.Context, prog qnet.Program) (Result, error) {
 	m := s.machine
 	cfg := m.cfg
 	cfg.Seed = deriveSeed(cfg.Seed, s.runs)
-	res, _, err := m.run(ctx, cfg, prog, m.flights, m.keyOf(cfg, prog), nil)
+	res, _, err := m.run(ctx, cfg, prog, m.keyOf(cfg, prog), nil)
 	if err != nil {
 		return Result{}, err
 	}

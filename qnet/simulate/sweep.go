@@ -120,20 +120,8 @@ type Space struct {
 
 // Size returns the number of points the space expands to.
 func (sp Space) Size() int {
-	n := len(sp.Grids) * len(sp.Layouts) * len(sp.Resources) * len(sp.Programs)
-	if len(sp.Depths) > 0 {
-		n *= len(sp.Depths)
-	}
-	if len(sp.Routings) > 0 {
-		n *= len(sp.Routings)
-	}
-	if len(sp.Faults) > 0 {
-		n *= len(sp.Faults)
-	}
-	if len(sp.Seeds) > 0 {
-		n *= len(sp.Seeds)
-	}
-	return n
+	return len(sp.Grids) * len(sp.Layouts) * len(sp.Resources) * len(sp.Programs) *
+		max(len(sp.Depths), 1) * max(len(sp.Routings), 1) * max(len(sp.Faults), 1) * max(len(sp.Seeds), 1)
 }
 
 // Point is one expanded configuration of a Space.  Index is the point's
@@ -243,15 +231,26 @@ func SummarizeStore(points []SweepPoint, st Store) Summary {
 // pure function of the space's dimensions, so two processes expanding
 // equal spaces agree on every index — the property qnet/distrib relies
 // on to ship shards as bare index lists.
-func (sp Space) Points() ([]Point, error) { return sp.points() }
+func (sp Space) Points() ([]Point, error) {
+	if err := sp.check(); err != nil {
+		return nil, err
+	}
+	pts := make([]Point, sp.Size())
+	for i := range pts {
+		pts[i], _ = sp.point(i)
+	}
+	return pts, nil
+}
 
 // Machine builds the validated Machine for one expanded point of the
 // space, exactly as Sweep does for its workers: the space's Options
-// first, then the point's resources, depth, routing and seed.
-func (sp Space) Machine(pt Point) (*Machine, error) { return sp.machine(pt) }
+// first, then the point's fields.  It has a flight group of its own.
+func (sp Space) Machine(pt Point) (*Machine, error) {
+	return newSpec(sp.Options).at(pt).build(newFlightGroup())
+}
 
-// points expands the space in deterministic order.
-func (sp Space) points() ([]Point, error) {
+// check reports the first empty required dimension.
+func (sp Space) check() error {
 	for _, dim := range []struct {
 		name string
 		n    int
@@ -262,88 +261,80 @@ func (sp Space) points() ([]Point, error) {
 		{"Programs", len(sp.Programs)},
 	} {
 		if dim.n == 0 {
-			return nil, &qnet.ConfigError{Field: "Space." + dim.name, Value: 0, Reason: "dimension must not be empty"}
+			return &qnet.ConfigError{Field: "Space." + dim.name, Value: 0, Reason: "dimension must not be empty"}
 		}
 	}
-	depths := sp.Depths
-	if len(depths) == 0 {
-		depths = []int{3}
-	}
-	routings := sp.Routings
-	if len(routings) == 0 {
-		routings = []route.Policy{nil}
-	}
-	faults := sp.Faults
-	if len(faults) == 0 {
-		faults = []fault.Spec{{}}
-	}
-	seeds := sp.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{0}
-	}
-	pts := make([]Point, 0, sp.Size())
-	for _, grid := range sp.Grids {
-		for _, layout := range sp.Layouts {
-			for _, res := range sp.Resources {
-				for _, prog := range sp.Programs {
-					for _, depth := range depths {
-						for _, routing := range routings {
-							for _, fs := range faults {
-								for _, seed := range seeds {
-									pts = append(pts, Point{
-										Index:     len(pts),
-										Grid:      grid,
-										Layout:    layout,
-										Resources: res,
-										Program:   prog,
-										Depth:     depth,
-										Routing:   routing,
-										Faults:    fs,
-										Seed:      seed,
-									})
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return pts, nil
+	return nil
 }
 
-// machine builds the validated Machine for one point.
-func (sp Space) machine(pt Point) (*Machine, error) {
-	opts := make([]Option, 0, len(sp.Options)+5)
-	opts = append(opts, sp.Options...)
-	opts = append(opts,
-		WithResources(pt.Resources.Teleporters, pt.Resources.Generators, pt.Resources.Purifiers),
-		WithPurifyDepth(pt.Depth),
-		WithRouting(pt.Routing),
-		WithFaults(pt.Faults),
-		WithSeed(pt.Seed),
-	)
-	return New(pt.Grid, pt.Layout, opts...)
+// point decodes index i, a mixed-radix number over the dimensions in
+// the order of Point.Index, last dimension fastest, into its point and
+// the position of its program in Programs.  An empty optional dimension
+// takes no digit and leaves the point at its default.
+func (sp Space) point(i int) (pt Point, prog int) {
+	pt = Point{Index: i, Depth: 3}
+	take(&i, sp.Seeds, &pt.Seed)
+	take(&i, sp.Faults, &pt.Faults)
+	take(&i, sp.Routings, &pt.Routing)
+	take(&i, sp.Depths, &pt.Depth)
+	prog = i % len(sp.Programs)
+	take(&i, sp.Programs, &pt.Program)
+	take(&i, sp.Resources, &pt.Resources)
+	take(&i, sp.Layouts, &pt.Layout)
+	take(&i, sp.Grids, &pt.Grid)
+	return pt, prog
+}
+
+// take sets *v to the value of dimension vals at the lowest digit of
+// *i, and strips that digit.  An empty dimension takes no digit and
+// leaves *v as it is.
+func take[T any](i *int, vals []T, v *T) {
+	if n := len(vals); n > 0 {
+		*v = vals[*i%n]
+		*i /= n
+	}
+}
+
+// at returns a copy of the spec with the point's grid, layout,
+// resources, depth, routing, faults and seed set over the options'.
+func (s machineSpec) at(pt Point) machineSpec {
+	s.cfg.Grid, s.cfg.Layout = pt.Grid, pt.Layout
+	s.cfg.Teleporters, s.cfg.Generators, s.cfg.Purifiers = pt.Resources.Teleporters, pt.Resources.Generators, pt.Resources.Purifiers
+	s.cfg.PurifyDepth, s.cfg.Route, s.cfg.Faults, s.cfg.Seed = pt.Depth, pt.Routing, pt.Faults, pt.Seed
+	return s
 }
 
 // Expand resolves the points of the space that indices lists, by
 // Point.Index, as Sweep and Stream do before any of them runs: it
-// builds every point's validated Machine and returns the points, the
+// decodes only those points, builds every point's validated Machine
+// from Space.Options applied once, and returns the points, the
 // machines and their keys, each in the order of indices.  A non-nil
 // store replaces the one Space.Options attached, if any.  A point
 // whose machine then has a store gets the key Machine.CacheKey would
 // give it, and any other point gets the zero Key: a storeless
 // expansion hashes nothing.  Each program's fingerprint is serialized
 // once, however many points run it, and the points are spread over
-// min(workers, len(indices)) goroutines (at least one worker).  The
-// error is the first failing entry's, in the order of indices, as if
-// the entries were resolved one by one: an index out of range, an
+// min(workers, len(indices)) goroutines (at least one worker).
+//
+// The machines share one flight group, so when in-flight points share
+// a key (say the seeds of a deterministic configuration, whose keys
+// canonicalize the seed away) only the first simulates and the rest
+// take its stored result: one miss per distinct key and one hit per
+// duplicate, whatever the worker count or order.
+//
+// The error is the first failing entry's, in the order of indices, as
+// if the entries were resolved one by one: an index out of range, an
 // invalid configuration, or a tracer in Space.Options.
 func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Machine, []Key, error) {
-	all, err := sp.points()
-	if err != nil {
+	if err := sp.check(); err != nil {
 		return nil, nil, nil, err
 	}
+	base := newSpec(sp.Options)
+	if store != nil {
+		base.store = store
+	}
+	flights := newFlightGroup()
+	size := sp.Size()
 	n := len(indices)
 	pts := make([]Point, n)
 	machines := make([]*Machine, n)
@@ -362,12 +353,13 @@ func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Mac
 			var buf []byte
 			for i := w * n / workers; i < (w+1)*n/workers; i++ {
 				idx := indices[i]
-				if idx < 0 || idx >= len(all) {
+				if idx < 0 || idx >= size {
 					errs[w] = &qnet.ConfigError{Field: "indices", Value: idx,
-						Reason: fmt.Sprintf("point index out of range [0,%d)", len(all))}
+						Reason: fmt.Sprintf("point index out of range [0,%d)", size)}
 					return
 				}
-				m, err := sp.machine(all[idx])
+				pt, prog := sp.point(idx)
+				m, err := base.at(pt).build(flights)
 				if err != nil {
 					errs[w] = err
 					return
@@ -378,14 +370,10 @@ func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Mac
 							"trace a point through Space.Machine(pt), then Machine.WithTrace"}
 					return
 				}
-				if store != nil {
-					m.store = store
-				}
 				if m.store != nil {
-					prog := sp.program(idx)
 					keys[i], buf = fps[prog].key(buf, m.cfg, sp.Programs[prog])
 				}
-				pts[i], machines[i] = all[idx], m
+				pts[i], machines[i] = pt, m
 			}
 		}()
 	}
@@ -396,14 +384,6 @@ func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Mac
 		}
 	}
 	return pts, machines, keys, nil
-}
-
-// program returns the position in Programs of point idx's program.  In
-// expansion order each program spans one block of every combination
-// of the depths, routings, faults and seeds expanded after it.
-func (sp Space) program(idx int) int {
-	block := max(len(sp.Depths), 1) * max(len(sp.Routings), 1) * max(len(sp.Faults), 1) * max(len(sp.Seeds), 1)
-	return idx / block % len(sp.Programs)
 }
 
 // SweepOption configures a sweep.  WithCache and WithStore satisfy both
@@ -548,10 +528,10 @@ func stream(ctx context.Context, space Space, indices []int, watch func() (*trac
 	}
 
 	// Feed the first point of every distinct key, in index order, before
-	// any duplicate.  Space.points expands seeds last, so in index order
+	// any duplicate.  Seeds are the fastest dimension, so in index order
 	// the seeds of a deterministic configuration (one key) arrive
-	// together, and every worker but one would wait in flights.claim for
-	// the key's single run.  Duplicates, in index order, come last:
+	// together, and every worker but one would wait in the expansion's
+	// flight group for the key's single run.  Duplicates, in index order, come last:
 	// by then their keys are stored or in flight.  Without a store every
 	// point is distinct and the order is the index order.
 	order := make([]int, 0, len(pts))
@@ -576,14 +556,6 @@ func stream(ctx context.Context, space Space, indices []int, watch func() (*trac
 	jobs := make(chan int)
 	results := make(chan SweepPoint, workers)
 
-	// One flight group spans the sweep, so when several in-flight points
-	// share a content key (e.g. a multi-seed ensemble of a deterministic
-	// configuration, whose keys canonicalize the seed away) only the
-	// first simulates and the rest take its stored result.  Hit counts
-	// are then a pure function of the space — one miss per unique key,
-	// one hit per duplicate point — whatever the worker count or order.
-	flights := newFlightGroup()
-
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -599,7 +571,7 @@ func stream(ctx context.Context, space Space, indices []int, watch func() (*trac
 					return
 				}
 				m := machines[i]
-				res, cached, err := m.run(ctx, m.cfg, pts[i].Program, flights, keys[i], watch)
+				res, cached, err := m.run(ctx, m.cfg, pts[i].Program, keys[i], watch)
 				if ctx.Err() != nil {
 					return
 				}

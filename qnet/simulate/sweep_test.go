@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/qnet"
+	"repro/qnet/fault"
+	"repro/qnet/route"
 	"repro/qnet/trace"
 )
 
@@ -167,6 +169,170 @@ func TestSweepInvalidPoint(t *testing.T) {
 						t.Fatalf("Stream(%v) at %d workers: %v, want %s", tc.indices, workers, err, tc.want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// nestedLoopPoints expands a space with one loop per dimension, grids
+// outermost and seeds innermost, each empty optional dimension at its
+// default, and returns every point with the position in Programs of its
+// program: the reference Space.point must decode to.
+func nestedLoopPoints(sp Space) ([]Point, []int) {
+	depths := sp.Depths
+	if len(depths) == 0 {
+		depths = []int{3}
+	}
+	routings := sp.Routings
+	if len(routings) == 0 {
+		routings = []route.Policy{nil}
+	}
+	faults := sp.Faults
+	if len(faults) == 0 {
+		faults = []fault.Spec{{}}
+	}
+	seeds := sp.Seeds
+	if len(seeds) == 0 {
+		seeds = []int64{0}
+	}
+	var pts []Point
+	var progs []int
+	for _, grid := range sp.Grids {
+		for _, layout := range sp.Layouts {
+			for _, res := range sp.Resources {
+				for pi, prog := range sp.Programs {
+					for _, depth := range depths {
+						for _, routing := range routings {
+							for _, fs := range faults {
+								for _, seed := range seeds {
+									pts = append(pts, Point{
+										Index:     len(pts),
+										Grid:      grid,
+										Layout:    layout,
+										Resources: res,
+										Program:   prog,
+										Depth:     depth,
+										Routing:   routing,
+										Faults:    fs,
+										Seed:      seed,
+									})
+									progs = append(progs, pi)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return pts, progs
+}
+
+// optionMachine builds pt's machine through New: the space's options,
+// then one option per field of the point.
+func optionMachine(sp Space, pt Point) (*Machine, error) {
+	opts := append(append([]Option(nil), sp.Options...),
+		WithResources(pt.Resources.Teleporters, pt.Resources.Generators, pt.Resources.Purifiers),
+		WithPurifyDepth(pt.Depth),
+		WithRouting(pt.Routing),
+		WithFaults(pt.Faults),
+		WithSeed(pt.Seed))
+	return New(pt.Grid, pt.Layout, opts...)
+}
+
+// TestExpandMatchesNestedLoops: Space.Points, Space.point and every
+// entry of Space.Expand agree with one loop per dimension, field by
+// field, program position included, on spaces where each optional
+// dimension is empty, single or multiple.  Two programs share a name,
+// so only the position tells their keys apart.  Every expanded machine
+// has the configuration New gives the point through one option per
+// field, and all of them share one flight group.
+func TestExpandMatchesNestedLoops(t *testing.T) {
+	named := qnet.QFT(8)
+	named.Name = qnet.QFT(9).Name
+	three, err := qnet.NewGrid(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := qnet.NewGrid(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type dims struct {
+		depths   []int
+		routings []route.Policy
+		faults   []fault.Spec
+		seeds    []int64
+	}
+	choices := []dims{
+		{}, // every optional dimension empty
+		{[]int{2}, []route.Policy{route.YXOrder()}, []fault.Spec{{Drop: 0.02}}, []int64{4}},
+		{[]int{2, 1, 3}, []route.Policy{route.XYOrder(), nil}, []fault.Spec{{}, {Drop: 0.01}}, []int64{9, 5, 7}},
+	}
+	// The four base-3 digits of mask pick the case of each optional
+	// dimension, so the 81 spaces cover every combination.
+	for mask := 0; mask < 81; mask++ {
+		pick := func(dim int) dims {
+			digits := mask
+			for range dim {
+				digits /= 3
+			}
+			return choices[digits%3]
+		}
+		space := Space{
+			Grids:     []qnet.Grid{three, wide},
+			Layouts:   []Layout{MobileQubit, HomeBase},
+			Resources: []Resources{{Teleporters: 16, Generators: 16, Purifiers: 8}, {Teleporters: 4, Generators: 2, Purifiers: 1}},
+			Programs:  []qnet.Program{qnet.QFT(9), named},
+			Depths:    pick(0).depths,
+			Routings:  pick(1).routings,
+			Faults:    pick(2).faults,
+			Seeds:     pick(3).seeds,
+			Options:   []Option{WithFailureRate(0.01), WithCache(NewCache(0))},
+		}
+		name := fmt.Sprintf("depths %v, routings %d, faults %v, seeds %v",
+			space.Depths, len(space.Routings), space.Faults, space.Seeds)
+		want, progs := nestedLoopPoints(space)
+		if space.Size() != len(want) {
+			t.Fatalf("%s: Size %d, want %d", name, space.Size(), len(want))
+		}
+		pts, err := space.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pts, want) {
+			t.Fatalf("%s: Points differ from the nested loops", name)
+		}
+		for i := range want {
+			if pt, prog := space.point(i); !reflect.DeepEqual(pt, want[i]) || prog != progs[i] {
+				t.Fatalf("%s: point(%d) = %+v, program %d; want %+v, program %d", name, i, pt, prog, want[i], progs[i])
+			}
+		}
+		indices := make([]int, len(want))
+		for i := range indices {
+			indices[i] = len(want) - 1 - i
+		}
+		got, machines, keys, err := space.Expand(indices, nil, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, idx := range indices {
+			if !reflect.DeepEqual(got[j], want[idx]) {
+				t.Fatalf("%s: Expand entry %d = %+v, want point %d %+v", name, j, got[j], idx, want[idx])
+			}
+			ref, err := optionMachine(space, want[idx])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := machines[j]
+			if !reflect.DeepEqual(m.cfg, ref.cfg) || m.store != ref.store {
+				t.Fatalf("%s: point %d's machine differs from New's:\n got %+v\nwant %+v", name, idx, m.cfg, ref.cfg)
+			}
+			if keys[j] != keyFor(m.cfg, space.Programs[progs[idx]]) {
+				t.Fatalf("%s: point %d's key is not its program's (position %d)", name, idx, progs[idx])
+			}
+			if m.flights != machines[0].flights || m.flights == ref.flights {
+				t.Fatalf("%s: entry %d does not share the expansion's flight group alone", name, j)
 			}
 		}
 	}

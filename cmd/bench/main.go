@@ -26,8 +26,9 @@
 //
 // The -check form is the CI smoke mode: it exercises every benchmark
 // body and the whole JSON emission path in seconds, failing loudly if
-// either rots (a report without the tracer trio or the 12x12 HomeBase
-// row, or with no events/sec on one of them, is invalid), without
+// either rots (a report without the tracer trio, the 12x12 HomeBase
+// row or the Figure 16 sweep row, or with no events/sec on one of them
+// or no points/sec on the sweep, is invalid), without
 // recording numbers from an unloaded shared runner as if they were a
 // trustworthy baseline.
 package main
@@ -230,8 +231,8 @@ type namedBench struct {
 // benchmarks enumerates the report's benchmark suite in fixed order:
 // the engine and waiter micro-benchmarks, the full-run layout x policy
 // matrix, the 12x12 HomeBase run, the tracer-overhead trio, the two
-// cache-key rows, the 8-worker sweep and the 2-worker distributed
-// sweep, cold and warm.
+// cache-key rows, the 8-worker sweep, the Figure 16 sweep and the
+// 2-worker distributed sweep, cold and warm.
 func benchmarks() []namedBench {
 	list := []namedBench{
 		{name: "EngineSchedule", fn: perfbench.EngineSchedule},
@@ -258,6 +259,7 @@ func benchmarks() []namedBench {
 		namedBench{name: "CacheKey/QFT-16", fn: perfbench.CacheKey(4)},
 		namedBench{name: "CacheKey/QFT-256", fn: perfbench.CacheKey(16)},
 		namedBench{name: "Sweep/workers=8", fn: perfbench.SweepWorkers(8)},
+		namedBench{name: fig16Sweep, fn: perfbench.Fig16Sweep},
 		namedBench{name: "DistribSweep/workers=2", fn: perfbench.DistributedSweep(2)},
 		namedBench{name: "DistribSweep/warm", fn: perfbench.DistributedWarmSweep(2)},
 	)
@@ -267,6 +269,11 @@ func benchmarks() []namedBench {
 // largeQFT is the report name of the 12x12 HomeBase QFT-144 run, the
 // layout that dominates a paper-scale Figure 16 sweep.
 const largeQFT = "LargeQFT/grid=12x12/layout=HomeBase/t=21,g=21,p=5"
+
+// fig16Sweep is the report name of the default Figure 16 sweep, the
+// row whose allocations and points/sec show what the collector costs a
+// sweep that keeps every CPU simulating.
+const fig16Sweep = "Sweep/fig16"
 
 // traceName is the report name of one TraceQFT mode.
 func traceName(mode string) string {
@@ -392,7 +399,7 @@ func decode(data []byte) (report, error) {
 	// throughput, or the report cannot answer "what does telemetry
 	// cost" — the question those entries exist for.
 	for _, mode := range perfbench.TraceModes {
-		if err := requireEventRate(rep, traceName(mode)); err != nil {
+		if err := requireRate(rep, traceName(mode), eventRate); err != nil {
 			return report{}, err
 		}
 	}
@@ -401,27 +408,43 @@ func decode(data []byte) (report, error) {
 
 // checkFresh validates a report this run produced: on top of decode's
 // checks, it must carry the 12x12 HomeBase row with positive
-// throughput, or the report cannot track the cost per event at the
-// scale that dominates Figure 16.  Reports recorded before that row
-// existed still decode, so they remain usable as -compare bases.
+// events/sec, or the report cannot track the cost per event at the
+// scale that dominates Figure 16, and the Figure 16 sweep row with
+// positive points/sec, or it cannot track what a whole sweep costs.
+// Reports recorded before those rows existed still decode, so they
+// remain usable as -compare bases.
 func checkFresh(data []byte) (report, error) {
 	rep, err := decode(data)
 	if err != nil {
 		return report{}, err
 	}
-	if err := requireEventRate(rep, largeQFT); err != nil {
+	if err := requireRate(rep, largeQFT, eventRate); err != nil {
+		return report{}, err
+	}
+	if err := requireRate(rep, fig16Sweep, pointRate); err != nil {
 		return report{}, err
 	}
 	return rep, nil
 }
 
-// requireEventRate reports an error unless the named benchmark is in
-// the report with a positive events/sec.
-func requireEventRate(rep report, name string) error {
+// A rate is one throughput column of an entry and its unit.
+type rate struct {
+	unit  string
+	value func(entry) float64
+}
+
+var (
+	eventRate = rate{"events/sec", func(e entry) float64 { return e.EventsPerSec }}
+	pointRate = rate{"points/sec", func(e entry) float64 { return e.PointsPerSec }}
+)
+
+// requireRate reports an error unless the named benchmark is in the
+// report with a positive rate r.
+func requireRate(rep report, name string, r rate) error {
 	for _, e := range rep.Benchmarks {
 		if e.Name == name {
-			if e.EventsPerSec <= 0 {
-				return fmt.Errorf("%s: events/sec = %g", name, e.EventsPerSec)
+			if v := r.value(e); v <= 0 {
+				return fmt.Errorf("%s: %s = %g", name, r.unit, v)
 			}
 			return nil
 		}

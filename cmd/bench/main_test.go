@@ -54,13 +54,16 @@ func TestDecodeChecksSamplesAndSummaries(t *testing.T) {
 }
 
 // TestCheckFreshRequiresLargeQFT: a report this command writes must
-// carry the 12x12 HomeBase row with positive events/sec, while a base
-// recorded before that row existed still decodes for -compare.
+// carry the 12x12 HomeBase row with positive events/sec and the
+// Figure 16 sweep row with positive points/sec, while a base recorded
+// before those rows existed still decodes for -compare.
 func TestCheckFreshRequiresLargeQFT(t *testing.T) {
-	withRow := func(eventsPerSec float64) report {
+	withRows := func(eventsPerSec, pointsPerSec float64, names ...string) report {
 		rep := testReport(100, 120)
-		s := []sample{{Iterations: 1, NsPerOp: 2e9, EventsPerSec: eventsPerSec}, {Iterations: 1, NsPerOp: 2e9, EventsPerSec: eventsPerSec}}
-		rep.Benchmarks = append(rep.Benchmarks, summarize(largeQFT, s))
+		s := sample{Iterations: 1, NsPerOp: 2e9, EventsPerSec: eventsPerSec, PointsPerSec: pointsPerSec}
+		for _, name := range names {
+			rep.Benchmarks = append(rep.Benchmarks, summarize(name, []sample{s, s}))
+		}
 		return rep
 	}
 	for _, tc := range []struct {
@@ -68,9 +71,11 @@ func TestCheckFreshRequiresLargeQFT(t *testing.T) {
 		rep  report
 		want string // checkFresh error substring, "" for a valid report
 	}{
-		{"with the row", withRow(9e6), ""},
-		{"no events/sec", withRow(0), "events/sec = 0"},
+		{"with the rows", withRows(9e6, 5, largeQFT, fig16Sweep), ""},
+		{"no events/sec", withRows(0, 5, largeQFT, fig16Sweep), "events/sec = 0"},
+		{"no points/sec", withRows(9e6, 0, largeQFT, fig16Sweep), "points/sec = 0"},
 		{"missing row", testReport(100, 120), "missing benchmark"},
+		{"missing sweep row", withRows(9e6, 5, largeQFT), "missing benchmark \"Sweep/fig16\""},
 	} {
 		data, err := json.Marshal(tc.rep)
 		if err != nil {

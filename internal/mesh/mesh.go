@@ -6,8 +6,8 @@
 //
 // Path construction lives behind the routing layer (package
 // qnet/route): a route.Policy turns a src/dst pair into a hop
-// sequence, and Grid.Follow walks that sequence into the tiles it
-// visits.  Grid.Route remains as the dimension-ordered (X then Y)
+// sequence, and Grid.Walk follows that sequence to the tile it ends
+// on.  Grid.Route remains as the dimension-ordered (X then Y)
 // reference path — the paper's hardwired routing — which the default
 // policy delegates to.
 package mesh
@@ -35,8 +35,9 @@ func abs(x int) int {
 	return x
 }
 
-// Direction is an axis-aligned unit movement on the mesh.
-type Direction int
+// Direction is an axis-aligned unit movement on the mesh.  It is one
+// byte, so a path costs a byte per hop.
+type Direction uint8
 
 // The four mesh directions.  X-direction traffic (East/West) and
 // Y-direction traffic (North/South) use distinct teleporter sets in a T'
@@ -164,25 +165,23 @@ func (g Grid) Route(src, dst Coord) ([]Direction, error) {
 	return path, nil
 }
 
-// Follow walks a hop sequence from src and returns the tiles visited,
-// starting at src (len = len(dirs)+1).  It validates that every tile on
-// the way lies on the grid, so a routing policy that walks off the mesh
-// is caught here rather than corrupting the simulation.
-func (g Grid) Follow(src Coord, dirs []Direction) ([]Coord, error) {
+// Walk follows a hop sequence from src and returns the tile it ends on.
+// It validates that every tile on the way lies on the grid, so a
+// routing policy that walks off the mesh is caught here rather than
+// corrupting the simulation, and it stores no tile, so checking a path
+// allocates nothing.
+func (g Grid) Walk(src Coord, dirs []Direction) (Coord, error) {
 	if !g.Contains(src) {
-		return nil, fmt.Errorf("mesh: path source %v outside %dx%d grid", src, g.Width, g.Height)
+		return Coord{}, fmt.Errorf("mesh: path source %v outside %dx%d grid", src, g.Width, g.Height)
 	}
-	tiles := make([]Coord, 0, len(dirs)+1)
-	tiles = append(tiles, src)
 	cur := src
 	for i, d := range dirs {
 		cur = cur.Step(d)
 		if !g.Contains(cur) {
-			return nil, fmt.Errorf("mesh: path leaves the %dx%d grid at hop %d (%v)", g.Width, g.Height, i, cur)
+			return Coord{}, fmt.Errorf("mesh: path leaves the %dx%d grid at hop %d (%v)", g.Width, g.Height, i, cur)
 		}
-		tiles = append(tiles, cur)
 	}
-	return tiles, nil
+	return cur, nil
 }
 
 // Link identifies an undirected mesh link by its lexicographically

@@ -143,10 +143,7 @@ func TestRouteTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiles, err := g.Follow(Coord{0, 0}, dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tiles := follow(Coord{0, 0}, dirs)
 	want := []Coord{{0, 0}, {1, 0}, {2, 0}, {2, 1}}
 	if len(tiles) != len(want) {
 		t.Fatalf("path %v, want %v", tiles, want)
@@ -154,6 +151,41 @@ func TestRouteTiles(t *testing.T) {
 	for i := range want {
 		if tiles[i] != want[i] {
 			t.Fatalf("path %v, want %v", tiles, want)
+		}
+	}
+}
+
+// follow returns the tiles a hop sequence from src visits, src first.
+func follow(src Coord, dirs []Direction) []Coord {
+	tiles := []Coord{src}
+	for _, d := range dirs {
+		tiles = append(tiles, tiles[len(tiles)-1].Step(d))
+	}
+	return tiles
+}
+
+// TestWalk pins Grid.Walk: it returns the tile a path ends on, src for
+// an empty path, and an error for a source off the grid or a path that
+// leaves it, even when the path would come back.
+func TestWalk(t *testing.T) {
+	g := mustGrid(t, 4, 3)
+	for _, tc := range []struct {
+		src  Coord
+		dirs []Direction
+		want Coord
+		ok   bool
+	}{
+		{Coord{0, 0}, nil, Coord{0, 0}, true},
+		{Coord{0, 0}, []Direction{East, East, South, South}, Coord{2, 2}, true},
+		{Coord{3, 2}, []Direction{North, West, North, West}, Coord{1, 0}, true},
+		{Coord{0, 0}, []Direction{West, East}, Coord{}, false},
+		{Coord{3, 0}, []Direction{East}, Coord{}, false},
+		{Coord{0, 2}, []Direction{South}, Coord{}, false},
+		{Coord{4, 0}, nil, Coord{}, false},
+	} {
+		got, err := g.Walk(tc.src, tc.dirs)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("Walk(%v, %v) = %v, %v; want %v, ok %v", tc.src, tc.dirs, got, err, tc.want, tc.ok)
 		}
 	}
 }
@@ -169,10 +201,11 @@ func TestRouteProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tiles, err := g.Follow(src, dirs)
-		if err != nil {
+		end, err := g.Walk(src, dirs)
+		if err != nil || end != dst {
 			return false
 		}
+		tiles := follow(src, dirs)
 		if len(tiles) != Manhattan(src, dst)+1 {
 			return false
 		}

@@ -23,8 +23,8 @@ import (
 // layer.
 const dropBudgetPerBatch = 1000
 
-// channel sets up a quantum channel from src to dst and teleports a
-// logical qubit across it, calling done when the data has arrived.
+// channelCall sets up a quantum channel from src to dst and teleports a
+// logical qubit across it, calling done(arg) when the data has arrived.
 //
 // Pipeline per batch of 2^PurifyDepth pairs (one purified output):
 //
@@ -35,25 +35,24 @@ const dropBudgetPerBatch = 1000
 //
 // When all numBatches outputs are ready, the logical qubit's physical
 // qubits teleport over (in parallel, one delivered pair each).
-func (s *simulator) channel(src, dst mesh.Coord, done func()) {
+func (s *simulator) channelCall(src, dst mesh.Coord, done func(any), arg any) {
 	if s.err != nil {
 		return // aborted run: issue nothing more, let the engine drain
 	}
 	if src == dst {
 		s.localOps++
-		done()
+		done(arg)
 		return
 	}
 	s.channels++
-	start := s.engine.Now()
 
 	// The routing policy decides the hop path at setup time; adaptive
 	// policies see the routers' live loads through the loads adapter.
 	// Deterministic policies answer repeated (src, dst) pairs from the
-	// per-run route cache, skipping the policy call, the Follow
-	// validation walk and the path allocation.  (The cache is scoped to
-	// one run, hence to one materialized fault pattern, so caching
-	// fault-aware routes is sound.)
+	// per-run route cache, skipping the policy call, the validation
+	// walk and the path allocation.  (The cache is scoped to one run,
+	// hence to one materialized fault pattern, so caching fault-aware
+	// routes is sound.)
 	srcIdx, dstIdx := s.cfg.Grid.Index(src), s.cfg.Grid.Index(dst)
 	var dirs []mesh.Direction
 	if s.routes != nil {
@@ -68,30 +67,23 @@ func (s *simulator) channel(src, dst mesh.Coord, done func()) {
 			s.fail(err)
 			return
 		}
-		tiles, err := s.cfg.Grid.Follow(src, dirs)
+		end, err := s.cfg.Grid.Walk(src, dirs)
 		if err != nil {
 			panic(err) // a policy that walks off the mesh is a policy bug
 		}
-		if tiles[len(tiles)-1] != dst {
+		if end != dst {
 			panic(fmt.Sprintf("netsim: policy %q routed %v to %v, want %v",
-				s.policy.Name(), src, tiles[len(tiles)-1], dst))
+				s.policy.Name(), src, end, dst))
 		}
 		if s.routes != nil {
 			s.routes.put(srcIdx, dstIdx, dirs)
 		}
 	}
 
-	ch := &channelRun{
-		sim:     s,
-		src:     src,
-		dst:     dst,
-		srcTile: srcIdx,
-		dirs:    dirs,
-		done: func() {
-			s.latencies.Add(float64(s.engine.Now() - start))
-			done()
-		},
-	}
+	ch := s.newChannel()
+	ch.src, ch.dst, ch.srcTile, ch.dirs = src, dst, srcIdx, dirs
+	ch.start = s.engine.Now()
+	ch.done, ch.arg = done, arg
 	if s.faults != nil {
 		ch.budget = dropBudgetPerBatch * uint64(s.numBatches)
 	}
@@ -126,7 +118,12 @@ func (s *simulator) routeChannel(src, dst mesh.Coord) ([]mesh.Direction, error) 
 	return dirs, nil
 }
 
-// channelRun tracks one channel's in-flight batches.
+// channelRun is the reusable record of one channel: its endpoints and
+// path, its in-flight batches' outputs and resend budget, and the
+// continuation its delivery runs.  Records cycle through the
+// simulator's free list like batch records: one is taken when the
+// channel is set up and returned when its data has arrived, once every
+// batch record that pointed to it is back on its own list.
 type channelRun struct {
 	sim      *simulator
 	src, dst mesh.Coord
@@ -136,22 +133,50 @@ type channelRun struct {
 	// may fly a fresher path (see resend).
 	dirs    []mesh.Direction
 	outputs int
-	done    func()
+	// start is the setup time, from which the channel's latency runs,
+	// and done(arg) the continuation its delivery runs.
+	start time.Duration
+	done  func(any)
+	arg   any
 	// attempts counts batch transmissions (initial sends plus drop and
 	// purification resends); budget caps them on a faulty mesh (0 = no
 	// cap, the healthy-mesh behavior).
 	attempts uint64
 	budget   uint64
-	finished bool
+	next     *channelRun // free-list link
+}
+
+// newChannel takes a channel record off the free list, minting one only
+// when the list is empty.
+func (s *simulator) newChannel() *channelRun {
+	ch := s.freeChannels
+	if ch == nil {
+		s.channelRecords++
+		ch = &channelRun{sim: s}
+	} else {
+		s.freeChannels = ch.next
+		ch.next = nil
+	}
+	return ch
+}
+
+// freeChannel returns a delivered channel's record to the free list,
+// cleared, so it keeps no path or continuation alive.
+func (s *simulator) freeChannel(ch *channelRun) {
+	*ch = channelRun{sim: s, next: s.freeChannels}
+	s.freeChannels = ch
 }
 
 // batch is the reusable record of one batch in flight.  It is the
 // argument of every stage of the hop/arrive pipeline — package-level
 // func(any) continuations run through sim's call forms — so moving a
-// batch captures no closure.  A record is taken from the simulator's
-// free list when the batch is first sent, kept across its resends and
-// returned once the batch outputs its purified pair (or is abandoned by
-// an aborted run).
+// batch captures no closure.  A batch waits in one queue at a time
+// (storage, generator, teleporter, then each endpoint purifier), so it
+// queues on the one waiter node it embeds, and waiting allocates
+// nothing either.  A record is taken from the simulator's free list
+// when the batch is first sent, kept across its resends and returned
+// once the batch outputs its purified pair (or is abandoned by an
+// aborted run).
 //
 // The path a batch flies (dirs, from the channel source) is immutable
 // once built, so a path is never mutated while any batch references it.
@@ -179,12 +204,14 @@ type batch struct {
 	lo, hi int
 	// unit is the generator or teleporter unit the batch holds while
 	// that stage serves it, and q the teleport stage's queue, with or
-	// without the turn penalty.  A stage takes its unit with Take,
+	// without the turn penalty.  A stage takes its unit with TakeOn,
 	// schedules its completion on its queue and releases the unit when
 	// that runs, so serving a batch needs no bookkeeping record besides
 	// the batch's own.
 	unit *sim.Resource
 	q    sim.Queue
+	// wait is the node the batch queues on at every stage.
+	wait sim.Waiter
 	next *batch // free-list link
 }
 
@@ -203,7 +230,7 @@ func (s *simulator) newBatch(ch *channelRun) *batch {
 }
 
 // freeBatch returns a finished batch's record to the free list, dropping
-// its references so a finished channel can be collected.
+// its references so it keeps no channel or path alive.
 func (s *simulator) freeBatch(b *batch) {
 	*b = batch{next: s.freeBatches}
 	s.freeBatches = b
@@ -286,8 +313,7 @@ func (ch *channelRun) reroute() []mesh.Direction {
 	if err != nil {
 		return nil
 	}
-	tiles, err := s.cfg.Grid.Follow(ch.src, dirs)
-	if err != nil || tiles[len(tiles)-1] != ch.dst {
+	if end, err := s.cfg.Grid.Walk(ch.src, dirs); err != nil || end != ch.dst {
 		return nil
 	}
 	return dirs
@@ -301,10 +327,10 @@ func (b *batch) fly(dirs []mesh.Direction) {
 
 // startHop advances the batch from its tile toward the next tile of its
 // path: it first needs a storage credit at the receiving T' node.  Each
-// stage runs its continuation inline when its Take finds a unit free.
+// stage runs its continuation inline when its TakeOn finds a unit free.
 func (b *batch) startHop() {
 	b.port = &b.ch.sim.ports[4*b.tile+int(b.dirs[b.hop])]
-	if b.port.storage.Take(hopStored, b) {
+	if b.port.storage.TakeOn(&b.wait, hopStored, b) {
 		hopStored(b)
 	}
 }
@@ -314,7 +340,7 @@ func (b *batch) startHop() {
 func hopStored(a any) {
 	b := a.(*batch)
 	b.unit = b.port.gen
-	if b.unit.Take(generate, b) {
+	if b.unit.TakeOn(&b.wait, generate, b) {
 		generate(b)
 	}
 }
@@ -342,7 +368,7 @@ func hopGenerated(a any) {
 		b.q = s.turnQ
 	}
 	b.unit = b.port.tele
-	if b.unit.Take(teleport, b) {
+	if b.unit.TakeOn(&b.wait, teleport, b) {
 		teleport(b)
 	}
 }
@@ -421,7 +447,7 @@ func (b *batch) arrive() {
 // purifier.
 func arriveCorrected(a any) {
 	b := a.(*batch)
-	if b.ch.sim.purify[b.lo].Take(purifyLoHeld, b) {
+	if b.ch.sim.purify[b.lo].TakeOn(&b.wait, purifyLoHeld, b) {
 		purifyLoHeld(b)
 	}
 }
@@ -429,7 +455,7 @@ func arriveCorrected(a any) {
 // purifyLoHeld queues the batch for its second endpoint purifier.
 func purifyLoHeld(a any) {
 	b := a.(*batch)
-	if b.ch.sim.purify[b.hi].Take(purify, b) {
+	if b.ch.sim.purify[b.hi].TakeOn(&b.wait, purify, b) {
 		purify(b)
 	}
 }
@@ -463,18 +489,30 @@ func purified(a any) {
 }
 
 // output counts a purified pair; when all batches have produced theirs,
-// the data teleport fires.
+// the data teleport fires.  Every batch record outputs once, resends
+// included, so the last output is the numBatches-th.
 func (ch *channelRun) output() {
 	s := ch.sim
 	ch.outputs++
-	if ch.outputs < s.numBatches || ch.finished {
+	if ch.outputs < s.numBatches {
 		return
 	}
-	ch.finished = true
 	// The data teleport over the setup-time path: its length sets the
 	// delivery latency (minimal-policy resends fly paths of the same
 	// length).
-	s.engine.ScheduleOn(s.queuesFor(len(ch.dirs)).deliver, runFunc, ch.done)
+	s.engine.ScheduleOn(s.queuesFor(len(ch.dirs)).deliver, delivered, ch)
+}
+
+// delivered runs once the logical qubit has crossed the channel: it
+// records the channel's latency, returns the record to the free list
+// and runs the channel's continuation.
+func delivered(a any) {
+	ch := a.(*channelRun)
+	s := ch.sim
+	s.latencies.Add(float64(s.engine.Now() - ch.start))
+	done, arg := ch.done, ch.arg
+	s.freeChannel(ch)
+	done(arg)
 }
 
 // pathQueues are the engine queues of the two stages whose delay

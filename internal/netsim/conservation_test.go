@@ -16,9 +16,9 @@ import (
 // that completes must leave the simulator fully drained — no pending
 // event, no channel or gate in flight, every router's teleporter sets
 // and storage credits returned, every purifier and generator idle with
-// an empty queue, and every batch record back on the free list.  A
-// leaked credit or a lost batch shows up here even when the Result
-// still looks plausible.  The cases cover every routing family on both
+// an empty queue, and every op, channel and batch record back on its
+// free list.  A leaked credit or a lost record shows up here even when
+// the Result still looks plausible.  The cases cover every routing family on both
 // layouts, the resource-starved corner of Figure 16, and the fault and
 // failure-injection resend paths.
 //
@@ -244,11 +244,26 @@ func assertDrained(t *testing.T, s *simulator) {
 			t.Errorf("generator %v%v: %d in use, %d queued", l.From, l.Dir, r.InUse(), r.QueueLen())
 		}
 	}
-	free := 0
-	for b := s.freeBatches; b != nil; b = b.next {
-		free++
+	ops, channels, batches := 0, 0, 0
+	for o := s.freeOps; o != nil; o = o.next {
+		ops++
 	}
-	if s.batchRecords == 0 || free != s.batchRecords {
-		t.Errorf("%d of %d batch records returned to the free list", free, s.batchRecords)
+	for ch := s.freeChannels; ch != nil; ch = ch.next {
+		channels++
+	}
+	for b := s.freeBatches; b != nil; b = b.next {
+		batches++
+	}
+	for _, r := range []struct {
+		what         string
+		free, minted int
+	}{
+		{"op", ops, s.opRecords},
+		{"channel", channels, s.channelRecords},
+		{"batch", batches, s.batchRecords},
+	} {
+		if r.minted == 0 || r.free != r.minted {
+			t.Errorf("%d of %d %s records returned to the free list", r.free, r.minted, r.what)
+		}
 	}
 }

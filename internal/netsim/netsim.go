@@ -297,10 +297,17 @@ type simulator struct {
 	// path.
 	genQ, teleportQ, turnQ, correctQ, gateQ sim.Queue
 	paths                                   []pathQueues
-	// freeBatches recycles batch records; batchRecords counts the
-	// records ever minted, so a drained run can show every one returned.
-	freeBatches  *batch
-	batchRecords int
+	// freeOps, freeChannels and freeBatches recycle the op, channel and
+	// batch records, so a run allocates records for its peak number in
+	// flight, not one per op, channel or batch; the *Records counters
+	// count the records ever minted, so a drained run can show every
+	// one returned.
+	freeOps        *opRun
+	opRecords      int
+	freeChannels   *channelRun
+	channelRecords int
+	freeBatches    *batch
+	batchRecords   int
 
 	channels       uint64
 	localOps       uint64
@@ -555,64 +562,122 @@ func (s *simulator) tryIssue() {
 	}
 }
 
+// opRun is the reusable record of one logical operation in flight, or
+// of a MobileQubit qubit's trip home after its last op.  It is the
+// argument of every stage of the op flows — package-level func(any)
+// continuations that channels and the engine run — so running an op
+// captures no closure.  A record is taken from the simulator's free
+// list when the op (or trip) starts and returned when it completes.
+type opRun struct {
+	s *simulator
+	// id and op are the op's index and operands; a trip home carries
+	// its qubit as op.A.
+	id int
+	op workload.Op
+	// dst is the tile op.A travels to under MobileQubit, and stays on.
+	dst  mesh.Coord
+	next *opRun // free-list link
+}
+
+// newOp takes an op record off the free list, minting one only when the
+// list is empty.
+func (s *simulator) newOp(id int, op workload.Op) *opRun {
+	o := s.freeOps
+	if o == nil {
+		s.opRecords++
+		o = &opRun{s: s}
+	} else {
+		s.freeOps = o.next
+	}
+	o.id, o.op, o.next = id, op, nil
+	return o
+}
+
+// freeOp returns a finished op's record to the free list.
+func (s *simulator) freeOp(o *opRun) {
+	*o = opRun{s: s, next: s.freeOps}
+	s.freeOps = o
+}
+
 // startOp runs one logical operation according to the layout policy.
+// Each flow is a chain of stages over the op's record:
+//
+//	HomeBase:    channel B's home -> A's home, homeArrived (gate),
+//	             homeGated (channel back), opDone
+//	MobileQubit: channel A's tile -> B's tile, mobileArrived (gate),
+//	             opDone, then returnedHome for a qubit sent home
 func (s *simulator) startOp(id int, op workload.Op) {
 	s.pending++
+	o := s.newOp(id, op)
 	switch s.cfg.Layout {
 	case HomeBase:
 		// B teleports to A's home, they interact, B teleports back.
-		home := s.place.Home(op.A)
-		back := s.place.Home(op.B)
-		s.channel(back, home, func() {
-			s.gate(func() {
-				s.channel(home, back, func() {
-					s.finishOp(id, op)
-				})
-			})
-		})
+		s.channelCall(s.place.Home(op.B), s.place.Home(op.A), homeArrived, o)
 	case MobileQubit:
 		// A travels from wherever it is to B's current tile and stays.
-		src := s.pos[op.A]
-		dst := s.pos[op.B]
-		s.channel(src, dst, func() {
-			s.pos[op.A] = dst
-			s.gate(func() {
-				s.finishOp(id, op)
-			})
-		})
+		o.dst = s.pos[op.B]
+		s.channelCall(s.pos[op.A], o.dst, mobileArrived, o)
 	}
+}
+
+// homeArrived runs once B has reached A's home: the two interact.
+func homeArrived(a any) {
+	o := a.(*opRun)
+	o.s.engine.ScheduleOn(o.s.gateQ, homeGated, o)
+}
+
+// homeGated runs after the gate: B teleports back to its home.
+func homeGated(a any) {
+	o := a.(*opRun)
+	s := o.s
+	s.channelCall(s.place.Home(o.op.A), s.place.Home(o.op.B), opDone, o)
+}
+
+// mobileArrived runs once A has reached B's tile, where it stays: the
+// two interact.
+func mobileArrived(a any) {
+	o := a.(*opRun)
+	s := o.s
+	s.pos[o.op.A] = o.dst
+	s.engine.ScheduleOn(s.gateQ, opDone, o)
+}
+
+// opDone runs when the op's last stage has ended.
+func opDone(a any) {
+	o := a.(*opRun)
+	o.s.finishOp(o)
 }
 
 // finishOp completes the op in the scheduler, fires any return-home
 // moves for qubits whose last op this was, and issues newly-ready work.
-func (s *simulator) finishOp(id int, op workload.Op) {
+func (s *simulator) finishOp(o *opRun) {
+	id, op := o.id, o.op
+	s.freeOp(o)
 	s.pending--
 	if err := s.sch.Complete(id); err != nil {
 		panic(err) // scheduler invariant violation: a simulator bug
 	}
 	if s.cfg.Layout == MobileQubit {
-		for _, q := range []int{op.A, op.B} {
-			if s.lastOp[q] == id && s.pos[q] != s.place.Home(q) {
-				q := q
+		for _, q := range [2]int{op.A, op.B} {
+			if home := s.place.Home(q); s.lastOp[q] == id && s.pos[q] != home {
 				s.pending++
-				s.channel(s.pos[q], s.place.Home(q), func() {
-					s.pos[q] = s.place.Home(q)
-					s.pending--
-				})
+				trip := s.newOp(id, workload.Op{A: q})
+				trip.dst = home
+				s.channelCall(s.pos[q], home, returnedHome, trip)
 			}
 		}
 	}
 	s.tryIssue()
 }
 
-// gate runs the local two-logical-qubit gate latency.
-func (s *simulator) gate(done func()) {
-	s.engine.ScheduleOn(s.gateQ, runFunc, done)
+// returnedHome runs once a qubit's trip home has arrived.
+func returnedHome(a any) {
+	o := a.(*opRun)
+	s := o.s
+	s.pos[o.op.A] = o.dst
+	s.pending--
+	s.freeOp(o)
 }
-
-// runFunc runs a func() continuation scheduled in the call form; a
-// func value is pointer-shaped, so boxing it allocates nothing.
-func runFunc(a any) { a.(func())() }
 
 // Allocation is one point of the paper's Figure 16 resource sweep:
 // teleporters and generators are scaled to Ratio times the purifier

@@ -32,6 +32,12 @@ func runDetailed(cfg Config, prog workload.Program) (Result, *Detail, error) {
 	return RunDetailedContext(context.Background(), cfg, prog)
 }
 
+// channel is channelCall with a plain func() continuation, for tests
+// that open a channel by hand.
+func (s *simulator) channel(src, dst mesh.Coord, done func()) {
+	s.channelCall(src, dst, func(any) { done() }, nil)
+}
+
 func TestConfigValidate(t *testing.T) {
 	g := grid(t, 4, 4)
 	good := DefaultConfig(g, HomeBase, 16, 16, 16)

@@ -106,7 +106,7 @@ func TestAxisLoadAccountsServiceAndQueue(t *testing.T) {
 	}
 	// Occupy both X teleporters, then queue a third job.
 	for i := 0; i < 3; i++ {
-		n.sets[0].AcquireCall(hold, nil)
+		n.sets[0].TakeOn(nil, hold, nil)
 	}
 	if got := n.axisLoad(0); got != 1.5 {
 		t.Errorf("axisLoad(0) = %v, want 1.5 (2 busy + 1 queued over capacity 2)", got)
@@ -165,7 +165,7 @@ func TestLoadsExceedOneUnderBacklog(t *testing.T) {
 	for _, c := range cases {
 		n := loadNode(t)
 		for i := 0; i < c.acquires; i++ {
-			n.sets[0].AcquireCall(hold, nil)
+			n.sets[0].TakeOn(nil, hold, nil)
 			n.storage[mesh.East].Acquire(func() {})
 		}
 		if got := n.axisLoad(0); got != c.want {
@@ -189,9 +189,9 @@ func TestOccupancyAggregatesLoadCounters(t *testing.T) {
 	// 3 jobs on the X set (2 busy + 1 queued), 1 on the Y set, and 5
 	// storage acquires on East (2 credits + 3 waiters): 9 batches total.
 	for i := 0; i < 3; i++ {
-		n.sets[0].AcquireCall(hold, nil)
+		n.sets[0].TakeOn(nil, hold, nil)
 	}
-	n.sets[1].AcquireCall(hold, nil)
+	n.sets[1].TakeOn(nil, hold, nil)
 	for i := 0; i < 5; i++ {
 		n.storage[mesh.East].Acquire(func() {})
 	}

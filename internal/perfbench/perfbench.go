@@ -4,8 +4,9 @@
 // delay and through Queue handles, and all-distinct delays), the
 // resource and semaphore waiter cycles, a full 5x5 QFT simulation per
 // layout and routing policy, a 12x12 HomeBase QFT-144 at the paper's
-// allocation, cache-key derivation, the concurrent sweep engine, and
-// the distributed sweep service cold and warm.
+// allocation, cache-key derivation, the concurrent sweep engine on a
+// small space and on Figure 16's, and the distributed sweep service
+// cold and warm.
 //
 // The bodies are exported plain functions taking *testing.B so that two
 // harnesses can share them: the conventional `go test -bench .` wrappers
@@ -18,6 +19,7 @@ package perfbench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,17 +180,19 @@ func churnLoop(e *sim.Engine, pending int, schedule func(x uint64)) func() {
 // job, whose continuation queues the next.  It uses the call form,
 // ServeCall, which keeps a bookkeeping record per job on the
 // resource's free list.  The netsim datapath does not run on it: its
-// stages take their unit with Take, hold it on the batch record and
+// stages take their unit with TakeOn, hold it on the batch record and
 // release it when their queue's event runs.
 func ResourceServe(b *testing.B) { benchStep(b, resourceServeLoop) }
 
 // SemaphoreCycle measures one credit hand-over of a one-credit
 // semaphore with a waiter queued: each iteration releases the credit to
 // the waiter, whose continuation queues for it again.  It waits through
-// Take, as every netsim stage does: storage credits are semaphores, and
-// generator, teleporter and purifier units are the credits of a
-// Resource's semaphore.  A stage whose Take finds a credit free goes on
-// inline; this cycle measures the other case, the queued hand-over.
+// Take, on nodes the semaphore recycles; every netsim stage waits the
+// same way but through TakeOn on its batch's own node, which skips the
+// spare list: storage credits are semaphores, and generator, teleporter
+// and purifier units are the credits of a Resource's semaphore.  A
+// stage whose TakeOn finds a credit free goes on inline; this cycle
+// measures the other case, the queued hand-over.
 func SemaphoreCycle(b *testing.B) { benchStep(b, semaphoreCycleLoop) }
 
 // benchStep times one call per iteration of the step build returns.
@@ -358,6 +362,56 @@ func SweepWorkers(workers int) func(*testing.B) {
 		b.StopTimer()
 		reportEventRate(b, events)
 	}
+}
+
+// Fig16Sweep sweeps the default `figures -fig 16` space with one seed:
+// an 8x8 QFT-64 under both layouts at the t=g=p=1024 baseline and at
+// t=g=1p/2p/4p/8p of a 48-unit area, 10 points that each simulate, on
+// GOMAXPROCS workers into a fresh cache every iteration.  Every CPU
+// simulates, so the collector's share of the run comes out of the
+// workers' time: what a run allocates shows here as lost throughput.
+func Fig16Sweep(b *testing.B) {
+	grid, err := qnet.NewGrid(8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	allocs, err := simulate.Allocations(48, []int{1, 2, 4, 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := []simulate.Resources{{Teleporters: 1024, Generators: 1024, Purifiers: 1024}}
+	for _, a := range allocs {
+		res = append(res, simulate.AllocationResources(a))
+	}
+	space := simulate.Space{
+		Grids:     []qnet.Grid{grid},
+		Layouts:   []simulate.Layout{simulate.HomeBase, simulate.MobileQubit},
+		Resources: res,
+		Programs:  []qnet.Program{qnet.QFT(grid.Tiles())},
+		Seeds:     simulate.SeedRange(1),
+	}
+	ctx := context.Background()
+	workers := simulate.WithWorkers(runtime.GOMAXPROCS(0))
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		points, err := simulate.Sweep(ctx, space, workers, simulate.WithCache(simulate.NewCache(0)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			for _, pt := range points {
+				if pt.Err != nil {
+					b.Fatal(pt.Err)
+				}
+				events += pt.Result.Events
+			}
+		}
+	}
+	b.StopTimer()
+	reportEventRate(b, events)
+	reportPointRate(b, space.Size())
 }
 
 // DistributedSweep returns a benchmark driving the full distributed

@@ -34,6 +34,7 @@ func BenchmarkCacheKey(b *testing.B) {
 
 func BenchmarkSweep(b *testing.B) {
 	b.Run("workers=8", SweepWorkers(8))
+	b.Run("fig16", Fig16Sweep)
 }
 
 func BenchmarkDistribSweep(b *testing.B) {

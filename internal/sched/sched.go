@@ -18,8 +18,11 @@ type Scheduler struct {
 	prog workload.Program
 	// deps[k] counts uncompleted predecessor ops of op k (0, 1 or 2).
 	deps []int
-	// succ[k] lists ops directly unblocked by op k's completion.
-	succ [][]int
+	// succ[k] holds the ops directly unblocked by op k's completion, in
+	// the order they were found, -1 marking an empty slot.  Each of
+	// op k's two qubits has at most one next op, so two slots hold them
+	// all, and the table is one allocation however long the program.
+	succ [][2]int
 
 	ready     []int // ready, unissued op indices in program order
 	state     []opState
@@ -43,17 +46,24 @@ func New(prog workload.Program) (*Scheduler, error) {
 	s := &Scheduler{
 		prog:  prog,
 		deps:  make([]int, len(prog.Ops)),
-		succ:  make([][]int, len(prog.Ops)),
+		succ:  make([][2]int, len(prog.Ops)),
 		state: make([]opState, len(prog.Ops)),
+	}
+	for k := range s.succ {
+		s.succ[k] = [2]int{-1, -1}
 	}
 	last := make([]int, prog.Qubits)
 	for i := range last {
 		last[i] = -1
 	}
 	for k, op := range prog.Ops {
-		for _, q := range []int{op.A, op.B} {
+		for _, q := range [2]int{op.A, op.B} {
 			if p := last[q]; p >= 0 {
-				s.succ[p] = append(s.succ[p], k)
+				slot := 0
+				if s.succ[p][0] >= 0 {
+					slot = 1
+				}
+				s.succ[p][slot] = k
 				s.deps[k]++
 			}
 			last[q] = k
@@ -101,6 +111,9 @@ func (s *Scheduler) Complete(id int) error {
 	s.state[id] = stateDone
 	s.completed++
 	for _, next := range s.succ[id] {
+		if next < 0 {
+			break
+		}
 		s.deps[next]--
 		if s.deps[next] == 0 {
 			s.state[next] = stateReady

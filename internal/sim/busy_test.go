@@ -12,23 +12,26 @@ import (
 type busyJob struct {
 	tr *busyTrial
 	id int
-	// serve is a Serve job's latency; Take and AcquireCall jobs have 0
-	// and are released by the trial.
+	// serve is a Serve job's latency; TakeOn jobs have 0 and are
+	// released by the trial.
 	serve             time.Duration
 	granted, released bool
 	start, end        time.Duration
+	// wait is the job's own node, for TakeOn jobs that queue on it.
+	wait Waiter
 }
 
-// busyEvent is one callback a trial observed: a grant of a Take or
-// AcquireCall job that waited, or the completion of a Serve job.
+// busyEvent is one callback a trial observed: a grant of a TakeOn job
+// that waited, or the completion of a Serve job.
 type busyEvent struct {
 	id   int
 	done bool
 	at   time.Duration
 }
 
-// busyTrial drives one resource through random Take, AcquireCall, Serve
-// and Release calls and engine steps, next to a brute-force oracle: a
+// busyTrial drives one resource through random TakeOn (on recycled and
+// on owned nodes), Serve and Release calls and engine steps, next to a
+// brute-force oracle: a
 // mirror of the units and the FIFO wait queue that keeps every unit
 // hold and sums the busy time over them directly.
 type busyTrial struct {
@@ -78,7 +81,7 @@ func (p busyProbe) Sample(now time.Duration, _ uint64) {
 	p.tr.compare("probe")
 }
 
-// busyGranted is the continuation of Take and AcquireCall jobs.
+// busyGranted is the continuation of TakeOn jobs.
 func busyGranted(a any) {
 	j := a.(*busyJob)
 	j.tr.called = append(j.tr.called, j)
@@ -136,7 +139,7 @@ func (tr *busyTrial) busy() time.Duration {
 	return sum
 }
 
-// held returns the Take and AcquireCall jobs holding a unit.
+// held returns the TakeOn jobs holding a unit.
 func (tr *busyTrial) held() []*busyJob {
 	var out []*busyJob
 	for _, j := range tr.jobs {
@@ -152,15 +155,20 @@ func (tr *busyTrial) act() {
 	switch tr.rng.Intn(6) {
 	case 0:
 		j := tr.newJob(0)
-		if got, want := tr.r.Take(busyGranted, j), tr.request(j); got != want {
-			tr.t.Fatalf("job %d: Take reported %v, the oracle %v", j.id, got, want)
+		if got, want := tr.r.TakeOn(nil, busyGranted, j), tr.request(j); got != want {
+			tr.t.Fatalf("job %d: TakeOn reported %v, the oracle %v", j.id, got, want)
 		}
 	case 1:
+		// On the job's own node, continuing inline when granted.
 		j := tr.newJob(0)
-		if tr.request(j) {
-			tr.want = append(tr.want, j)
+		got, want := tr.r.TakeOn(&j.wait, busyGranted, j), tr.request(j)
+		if got != want {
+			tr.t.Fatalf("job %d: TakeOn on its own node reported %v, the oracle %v", j.id, got, want)
 		}
-		tr.r.AcquireCall(busyGranted, j)
+		if got {
+			tr.want = append(tr.want, j)
+			busyGranted(j)
+		}
 	case 2:
 		if tr.handOff {
 			return
@@ -265,7 +273,7 @@ type busyState struct {
 }
 
 func (tr *busyTrial) state() busyState {
-	return busyState{tr.e.Now(), tr.e.Processed(), tr.r.busy, tr.r.units.credits, tr.r.units.waiting.len(), tr.trace}
+	return busyState{tr.e.Now(), tr.e.Processed(), tr.r.busy, tr.r.units.credits, tr.r.units.waiting, tr.trace}
 }
 
 func ids(jobs []*busyJob) []int {
@@ -278,8 +286,8 @@ func ids(jobs []*busyJob) []int {
 
 // TestBusyMatchesUnitHolds checks Busy and Utilization against a direct
 // sum over unit holds, after every step and at probe boundaries, on
-// random sequences of Take, AcquireCall, Serve and Release on resources
-// of 1–4 units.  The same sequence run without reading must end in the
+// random sequences of TakeOn (on recycled and on owned nodes), Serve
+// and Release on resources of 1–4 units.  The same sequence run without reading must end in the
 // same state, so a reading has no side effect.
 func TestBusyMatchesUnitHolds(t *testing.T) {
 	const acts = 3000

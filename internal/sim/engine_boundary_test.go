@@ -83,8 +83,9 @@ func TestScheduleCallPanicsOnNilFunc(t *testing.T) {
 // once the rings cover the backlog, a schedule/step cycle performs zero
 // heap allocations.  (AllocsPerRun runs its function once before it
 // measures; that run grows the rings.)  The call-form waiters keep it:
-// a ServeCall cycle, an AcquireCall cycle and a Take cycle, each with a
-// waiter queued, allocate nothing once warm.
+// a ServeCall cycle, an AcquireCall cycle, a Take cycle and a TakeOn
+// cycle on the waiter's own node, each with a waiter queued, allocate
+// nothing once warm.
 func TestSchedulingAllocationFreeOnceWarm(t *testing.T) {
 	e := New()
 	fn := func() {}
@@ -145,7 +146,7 @@ func TestSchedulingAllocationFreeOnceWarm(t *testing.T) {
 		t.Errorf("AcquireCall cycle allocated %.1f objects per run with %d waiting, want 0 with 1", allocs, sem.Waiting())
 	}
 
-	// The same cycle through Take, the path netsim's stages wait on.
+	// The same cycle through Take, on nodes the semaphore recycles.
 	sem, err = NewSemaphore("take", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +162,38 @@ func TestSchedulingAllocationFreeOnceWarm(t *testing.T) {
 	if allocs != 0 || sem.Waiting() != 1 {
 		t.Errorf("Take cycle allocated %.1f objects per run with %d waiting, want 0 with 1", allocs, sem.Waiting())
 	}
+
+	// The same cycle through TakeOn on the waiter's own node, the path
+	// netsim's stages wait on.
+	own := &ownWaiter{}
+	own.sem, err = NewSemaphore("own", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !own.sem.TakeOn(&own.wait, takeOnAgain, own) || own.sem.TakeOn(&own.wait, takeOnAgain, own) {
+		t.Fatal("TakeOn did not take the free credit and queue behind it")
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := 0; i < 256; i++ {
+			own.sem.Release()
+		}
+	})
+	if allocs != 0 || own.sem.Waiting() != 1 {
+		t.Errorf("TakeOn cycle allocated %.1f objects per run with %d waiting, want 0 with 1", allocs, own.sem.Waiting())
+	}
+}
+
+// ownWaiter is a record that waits for its semaphore on its own node.
+type ownWaiter struct {
+	sem  *Semaphore
+	wait Waiter
+}
+
+// takeOnAgain queues its record for another credit on the record's
+// node, which the hand-over has just freed.
+func takeOnAgain(a any) {
+	w := a.(*ownWaiter)
+	w.sem.TakeOn(&w.wait, takeOnAgain, w)
 }
 
 // serveAgain queues another one-microsecond job on its resource.

@@ -13,9 +13,9 @@ import (
 // It is a Semaphore whose credits are the units — the semaphore holds
 // the wait queue, the hand-over to the oldest waiter and the
 // over-release check — plus busy-time accounting and the Serve pattern.
-// Take and AcquireCall grant a job a unit (at the engine's current
-// time); the job must eventually call Release exactly once (typically
-// after scheduling the service latency).
+// TakeOn grants a job a unit (at the engine's current time); the job
+// must eventually call Release exactly once (typically after scheduling
+// the service latency).
 type Resource struct {
 	units  Semaphore
 	engine *Engine
@@ -34,15 +34,16 @@ type Resource struct {
 
 // serveJob is the reusable record of one Serve call: the service
 // latency to hold the unit for and the completion continuation.  Records
-// cycle through the owning resource's free list; a queued Serve waits as
-// the call (serveStart, job), and the scheduled completion event carries
-// the record as its argument, so a Serve performs no per-call
-// allocation.
+// cycle through the owning resource's free list; a queued Serve waits on
+// the record's own node as the call (serveStart, job), and the scheduled
+// completion event carries the record as its argument, so a Serve
+// performs no per-call allocation.
 type serveJob struct {
 	r       *Resource
 	latency time.Duration
 	done    func(any)
 	arg     any
+	wait    Waiter
 	next    *serveJob // free-list link
 }
 
@@ -77,23 +78,14 @@ func (r *Resource) Capacity() int { return r.units.limit }
 func (r *Resource) InUse() int { return r.units.limit - r.units.credits }
 
 // QueueLen returns the number of jobs waiting for a unit.
-func (r *Resource) QueueLen() int { return r.units.waiting.len() }
+func (r *Resource) QueueLen() int { return r.units.waiting }
 
-// AcquireCall runs fn(arg) once a unit is held: synchronously if a unit
-// is free now, otherwise when a Release hands one over.  With fn a
-// package-level function and arg a pointer to reusable state it
-// allocates nothing once the wait queue has grown to its working size.
-func (r *Resource) AcquireCall(fn func(any), arg any) {
-	if r.Take(fn, arg) {
-		fn(arg)
-	}
-}
-
-// Take is Semaphore.Take on the units: it takes a free unit and reports
-// true without calling fn, or queues fn(arg) for the hand-over and
-// reports false.
-func (r *Resource) Take(fn func(any), arg any) bool {
-	if !r.units.Take(fn, arg) {
+// TakeOn is Semaphore.TakeOn on the units: it takes a free unit and
+// reports true without calling fn, or queues fn(arg) on the caller's
+// node w (a recycled one when w is nil) for the hand-over and reports
+// false.
+func (r *Resource) TakeOn(w *Waiter, fn func(any), arg any) bool {
+	if !r.units.TakeOn(w, fn, arg) {
 		return false
 	}
 	r.busy -= r.engine.now
@@ -103,7 +95,7 @@ func (r *Resource) Take(fn func(any), arg any) bool {
 // Release frees a unit, immediately handing it to the oldest waiting job
 // if any.
 func (r *Resource) Release() {
-	handOver := r.units.waiting.len() > 0
+	handOver := r.units.head != nil
 	r.units.Release()
 	if !handOver {
 		r.busy += r.engine.now // the unit went back to the pool
@@ -122,11 +114,11 @@ func (r *Resource) Serve(latency time.Duration, done func()) {
 
 // ServeCall is Serve in the call form, running done(arg) (done may be
 // nil) after the service.  It allocates nothing in steady state: its
-// bookkeeping record is recycled through a free list and neither the
-// wait nor the completion event captures a closure.  A caller that
-// already keeps a record per job can hand-roll the same cycle on it,
-// Take then Engine.ScheduleOn then Release, and skip the free list;
-// netsim's batches do.
+// bookkeeping record is recycled through a free list, it waits on the
+// record's own node, and neither the wait nor the completion event
+// captures a closure.  A caller that already keeps a record per job can
+// hand-roll the same cycle on it, TakeOn then Engine.ScheduleOn then
+// Release, and skip the free list; netsim's batches do.
 func (r *Resource) ServeCall(latency time.Duration, done func(any), arg any) {
 	j := r.freeJobs
 	if j != nil {
@@ -136,7 +128,9 @@ func (r *Resource) ServeCall(latency time.Duration, done func(any), arg any) {
 		j = &serveJob{r: r}
 	}
 	j.latency, j.done, j.arg = latency, done, arg
-	r.AcquireCall(serveStart, j)
+	if r.TakeOn(&j.wait, serveStart, j) {
+		serveStart(j)
+	}
 }
 
 // serveStart runs once a Serve holds its unit: it schedules the job's

@@ -1,11 +1,12 @@
 package sim
 
-// ring is the package's one FIFO: a growable ring buffer whose capacity
+// ring is the engine's event FIFO: a growable ring buffer whose capacity
 // is a power of two.  push appends at the tail, front reads the oldest
 // element and pop removes it, all O(1).  No element moves except when
 // the buffer doubles, so a ring that has grown to its working size
-// allocates nothing.  The engine keeps one ring of events per distinct
-// delay, and every Semaphore keeps its waiters in one.
+// allocates nothing.  Rings hold events only: the engine keeps one ring
+// per distinct delay, while a Semaphore links its waiters through their
+// own nodes.
 type ring[T any] struct {
 	buf  []T
 	head int // index of the oldest element

@@ -18,15 +18,18 @@
 // Queue handle is pinned to its delay.  Each FIFO entry holds its
 // continuation, one (func(any), any) call, inline, since nothing sifts
 // FIFO entries, and scheduling does not allocate once the rings have
-// grown to the working-set size.  Semaphore's
-// waiter queue is the same ring, and Resource is a Semaphore of units
-// plus busy-time accounting and service scheduling.  Take is the one
+// grown to the working-set size.  A Semaphore's waiters queue on Waiter
+// nodes linked through themselves, not in a ring: a model record that
+// waits in one queue at a time embeds its own node, and the closure
+// forms queue on nodes the semaphore recycles, so no waiter queue has a
+// buffer to regrow in every run.  Resource is a Semaphore of units plus
+// busy-time accounting and service scheduling.  TakeOn is the one
 // acquisition path: it takes a free credit and lets the caller go on
-// inline, or queues the caller's continuation for the hand-over, and
-// AcquireCall is Take followed by the call.  Busy time costs O(1): a
-// grant subtracts the clock, a return to the pool adds it, a hand-over
-// to a waiter changes nothing, and Busy adds the clock once per unit
-// still out, so reading it writes nothing.
+// inline, or queues the caller's continuation for the hand-over; Take
+// is TakeOn on a recycled node, and AcquireCall is Take followed by the
+// call.  Busy time costs O(1): a grant subtracts the clock, a return to
+// the pool adds it, a hand-over to a waiter changes nothing, and Busy
+// adds the clock once per unit still out, so reading it writes nothing.
 package sim
 
 import (

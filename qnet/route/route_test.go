@@ -44,12 +44,12 @@ func TestPoliciesAreMinimal(t *testing.T) {
 				t.Errorf("%s %v->%v: %d hops, want %d (minimal)",
 					p.Name(), ep.src, ep.dst, len(dirs), mesh.Manhattan(ep.src, ep.dst))
 			}
-			tiles, err := g.Follow(ep.src, dirs)
+			end, err := g.Walk(ep.src, dirs)
 			if err != nil {
 				t.Fatalf("%s %v->%v: path leaves grid: %v", p.Name(), ep.src, ep.dst, err)
 			}
-			if tiles[len(tiles)-1] != ep.dst {
-				t.Errorf("%s %v->%v: path ends at %v", p.Name(), ep.src, ep.dst, tiles[len(tiles)-1])
+			if end != ep.dst {
+				t.Errorf("%s %v->%v: path ends at %v", p.Name(), ep.src, ep.dst, end)
 			}
 		}
 	}

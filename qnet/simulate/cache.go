@@ -49,12 +49,12 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 const keyVersion = "qnet-result-v3"
 
 // A key is the SHA-256 of one canonical byte stream: the run point's
-// configuration (appendConfig), then its program's fingerprint
-// (appendProgram).  Every integer is 8 bytes little-endian, and every
-// string and float is length-prefixed, so field boundaries cannot
-// alias ("ab"+"c" vs "a"+"bc").  The stream is built in one buffer and
-// hashed with one call, so SHA-256 reads whole blocks straight from
-// it.
+// device (appendDevice) and the rest of its configuration
+// (appendConfig), then its program's fingerprint (appendProgram).
+// Every integer is 8 bytes little-endian, and every string and float is
+// length-prefixed, so field boundaries cannot alias ("ab"+"c" vs
+// "a"+"bc").  The stream is built in one buffer and hashed with one
+// call, so SHA-256 reads whole blocks straight from it.
 
 // appendInt appends a signed integer to the stream.
 func appendInt(b []byte, v int64) []byte {
@@ -75,18 +75,38 @@ func appendFloat(b []byte, v float64) []byte {
 	return b
 }
 
-// configBytes is room for a configuration's part of the stream: about
-// 400 bytes with a short routing name and no fault regions, each
-// region adding 64.  A longer configuration only grows the buffer.
+// configBytes is room for a configuration's part of the stream, device
+// included: about 400 bytes with a short routing name and no fault
+// regions, each region adding 64.  A longer configuration only grows
+// the buffer.
 const configBytes = 512
 
-// appendConfig appends the configuration's part of a key's stream.  It
-// covers, in a fixed field order (never a Go map, so it is independent
-// of map iteration order): the key version, every device constant of
-// the paper's Tables 1-2, the grid dimensions, the layout, the routing
-// policy (by canonical name), the per-node resource counts, purifier
-// depth, code level, hop and turn geometry, the failure rate, the
-// fault spec and the effective seed.
+// appendDevice appends the leading part of a configuration's stream:
+// the key version and every device constant of the paper's Tables 1-2.
+// No point of a Space sets these, so Space.Expand formats them once and
+// copies them in front of each point's appendConfig.
+func appendDevice(b []byte, p qnet.Params) []byte {
+	b = appendString(b, keyVersion)
+
+	// Device constants, Table 1 then Table 2.
+	b = appendInt(b, int64(p.Times.OneQubitGate))
+	b = appendInt(b, int64(p.Times.TwoQubitGate))
+	b = appendInt(b, int64(p.Times.MoveCell))
+	b = appendInt(b, int64(p.Times.Measure))
+	b = appendInt(b, int64(p.Times.ClassicalBitPerCell))
+	b = appendFloat(b, p.Errors.OneQubitGate)
+	b = appendFloat(b, p.Errors.TwoQubitGate)
+	b = appendFloat(b, p.Errors.MoveCell)
+	return appendFloat(b, p.Errors.Measure)
+}
+
+// appendConfig appends the rest of the configuration's part of a key's
+// stream, after appendDevice's.  It covers, in a fixed field order
+// (never a Go map, so it is independent of map iteration order): the
+// grid dimensions, the layout, the routing policy (by canonical name),
+// the per-node resource counts, purifier depth, code level, hop and
+// turn geometry, the failure rate, the fault spec and the effective
+// seed.
 //
 // When the failure rate is zero and the fault spec is empty the
 // simulation never consults its RNG, so the seed cannot influence the
@@ -94,19 +114,6 @@ const configBytes = 512
 // multi-seed sweeps of a deterministic configuration collapse to a
 // single simulation plus cache hits.
 func appendConfig(b []byte, cfg netsim.Config) []byte {
-	b = appendString(b, keyVersion)
-
-	// Device constants, Table 1 then Table 2.
-	b = appendInt(b, int64(cfg.Params.Times.OneQubitGate))
-	b = appendInt(b, int64(cfg.Params.Times.TwoQubitGate))
-	b = appendInt(b, int64(cfg.Params.Times.MoveCell))
-	b = appendInt(b, int64(cfg.Params.Times.Measure))
-	b = appendInt(b, int64(cfg.Params.Times.ClassicalBitPerCell))
-	b = appendFloat(b, cfg.Params.Errors.OneQubitGate)
-	b = appendFloat(b, cfg.Params.Errors.TwoQubitGate)
-	b = appendFloat(b, cfg.Params.Errors.MoveCell)
-	b = appendFloat(b, cfg.Params.Errors.Measure)
-
 	// Machine shape.  The routing policy is hashed by its canonical
 	// name (nil canonicalizes to "xy", which routes identically), so
 	// two machines differing only in policy never share a key.
@@ -177,7 +184,7 @@ func appendProgram(b []byte, prog qnet.Program) []byte {
 // buffer that holds the stream.
 func keyFor(cfg netsim.Config, prog qnet.Program) Key {
 	b := make([]byte, 0, configBytes+fingerprintBytes(prog))
-	return sha256.Sum256(appendProgram(appendConfig(b, cfg), prog))
+	return sha256.Sum256(appendProgram(appendConfig(appendDevice(b, cfg.Params), cfg), prog))
 }
 
 // fingerprint is one program's fingerprint, serialized on first use
@@ -190,13 +197,17 @@ type fingerprint struct {
 }
 
 // key returns the same Key as keyFor(cfg, prog), where prog is the
-// program f fingerprints.  The stream is built in buf, which is
-// returned for the caller's next key.
-func (f *fingerprint) key(buf []byte, cfg netsim.Config, prog qnet.Program) (Key, []byte) {
+// program f fingerprints and device is appendDevice's part for
+// cfg.Params.  The stream is built in buf, sized once to hold it whole,
+// and buf is returned for the caller's next key.
+func (f *fingerprint) key(buf, device []byte, cfg netsim.Config, prog qnet.Program) (Key, []byte) {
 	f.once.Do(func() {
 		f.b = appendProgram(make([]byte, 0, fingerprintBytes(prog)), prog)
 	})
-	buf = append(appendConfig(buf[:0], cfg), f.b...)
+	if need := configBytes + len(f.b); cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = append(appendConfig(append(buf[:0], device...), cfg), f.b...)
 	return sha256.Sum256(buf), buf
 }
 

@@ -225,10 +225,20 @@ func newSpec(opts []Option) machineSpec {
 // build validates the spec's configuration and returns its Machine,
 // whose runs claim their keys in flights.
 func (s machineSpec) build(flights *flightGroup) (*Machine, error) {
-	if err := s.cfg.Validate(); err != nil {
+	m, err := s.machine(flights)
+	if err != nil {
 		return nil, err
 	}
-	return &Machine{cfg: s.cfg, store: s.store, flights: flights}, nil
+	return &m, nil
+}
+
+// machine is build returning the Machine by value, so that a caller
+// building many can keep them in one slice.
+func (s machineSpec) machine(flights *flightGroup) (Machine, error) {
+	if err := s.cfg.Validate(); err != nil {
+		return Machine{}, err
+	}
+	return Machine{cfg: s.cfg, store: s.store, flights: flights}, nil
 }
 
 // Grid returns the machine's mesh.

@@ -312,9 +312,10 @@ func (s machineSpec) at(pt Point) machineSpec {
 // store replaces the one Space.Options attached, if any.  A point
 // whose machine then has a store gets the key Machine.CacheKey would
 // give it, and any other point gets the zero Key: a storeless
-// expansion hashes nothing.  Each program's fingerprint is serialized
-// once, however many points run it, and the points are spread over
-// min(workers, len(indices)) goroutines (at least one worker).
+// expansion hashes nothing.  The keys' device part is serialized once,
+// and each program's fingerprint once, however many points run it.
+// The machines are allocated as one slice, and the points are spread
+// over min(workers, len(indices)) goroutines (at least one worker).
 //
 // The machines share one flight group, so when in-flight points share
 // a key (say the seeds of a deterministic configuration, whose keys
@@ -337,9 +338,16 @@ func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Mac
 	size := sp.Size()
 	n := len(indices)
 	pts := make([]Point, n)
+	ms := make([]Machine, n)
 	machines := make([]*Machine, n)
 	keys := make([]Key, n)
 	fps := make([]fingerprint, len(sp.Programs))
+	// No point sets the device, so its part of every key is formatted
+	// once.
+	var device []byte
+	if base.store != nil {
+		device = appendDevice(nil, base.cfg.Params)
+	}
 	workers = min(max(workers, 1), n)
 	// Worker w resolves the w-th contiguous run of entries and stops at
 	// its first failure, so the first worker with an error holds the
@@ -359,8 +367,9 @@ func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Mac
 					return
 				}
 				pt, prog := sp.point(idx)
-				m, err := base.at(pt).build(flights)
-				if err != nil {
+				m := &ms[i]
+				var err error
+				if *m, err = base.at(pt).machine(flights); err != nil {
 					errs[w] = err
 					return
 				}
@@ -371,7 +380,7 @@ func (sp Space) Expand(indices []int, store Store, workers int) ([]Point, []*Mac
 					return
 				}
 				if m.store != nil {
-					keys[i], buf = fps[prog].key(buf, m.cfg, sp.Programs[prog])
+					keys[i], buf = fps[prog].key(buf, device, m.cfg, sp.Programs[prog])
 				}
 				pts[i], machines[i] = pt, m
 			}

@@ -234,7 +234,6 @@ func run(w io.Writer, o options) error {
 		matched = true
 		cfg := figures.DefaultCongestionConfig(o.grid)
 		cfg.FailureRate = o.failure
-		cfg.Cache = cache
 		data, err := figures.Congestion(cfg)
 		if err != nil {
 			return err

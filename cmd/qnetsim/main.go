@@ -63,7 +63,7 @@ func realMain() int {
 		seed     = flag.Int64("seed", 0, "fault-pattern and failure-injection RNG seed")
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this wall-clock time (0 = none)")
 		traceOut = flag.String("trace", "", "write a time-series congestion trace (versioned JSON) to this file")
-		traceIv  = flag.Duration("trace-interval", 0, "simulated-time sampling interval for -trace (0 = the trace package default)")
+		traceIv  = flag.Duration("trace-interval", 0, "starting simulated-time sampling interval for -trace, doubled whenever the trace's samples fill so the whole run fits (0 = the trace package default)")
 		heatmap  = flag.Bool("heatmap", false, "print per-tile utilization heatmaps")
 		cache    = flag.String("cache-dir", "", "directory for the on-disk result cache (warm runs are served from it)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file (go tool pprof)")

@@ -59,7 +59,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "directory for the worker's on-disk result store (empty: in-memory)")
 		parallel   = flag.Int("parallel", 0, "points simulated concurrently per job (0 = GOMAXPROCS)")
 		serveStore = flag.Bool("serve-store", false, "also expose the worker's local store over the /v1/store API")
-		telemetry  = flag.Duration("telemetry", 0, "attach a per-run telemetry tracer sampled at this simulated-time interval, feeding /v1/status with live event-rate and occupancy (0 = progress counters only)")
+		telemetry  = flag.Duration("telemetry", 0, "attach a per-run telemetry tracer that starts sampling at this simulated-time interval, doubled whenever its samples fill, feeding /v1/status with live event-rate and occupancy (0 = progress counters only)")
 		drainLimit = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight shards before exiting anyway")
 	)
 	flag.Parse()

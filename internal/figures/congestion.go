@@ -28,9 +28,11 @@ type CongestionConfig struct {
 	Layout simulate.Layout
 	// Routing is the routing policy (nil = the xy default).
 	Routing route.Policy
-	// Columns is the heatmap's time-bucket count; the sampling interval
-	// is derived as execution time over Columns, so the whole run fits
-	// the trace ring.  The default is 64.
+	// Columns bounds the heatmap's time-bucket count: the trace keeps
+	// at most Columns samples of the whole run, doubling its interval
+	// from the trace default each time it fills, so a run longer than
+	// Columns of those intervals gets at least Columns/2.  The default
+	// is 64.
 	Columns int
 	// MaxLinks bounds the heatmap to the hottest links by mean
 	// utilization (0 = every link), keeping large meshes readable.
@@ -40,9 +42,6 @@ type CongestionConfig struct {
 	FailureRate float64
 	// Seed drives the failure-injection RNG.
 	Seed int64
-	// Cache, when non-nil, serves the calibration pass (the traced pass
-	// always simulates).
-	Cache *simulate.Cache
 }
 
 // DefaultCongestionConfig returns the quick congestion figure
@@ -83,11 +82,10 @@ func Congestion(cfg CongestionConfig) (*CongestionData, error) {
 	return CongestionContext(context.Background(), cfg)
 }
 
-// CongestionContext is Congestion with cancellation.  It runs two
-// passes: a calibration run (cacheable) learns the execution time, from
-// which the sampling interval is derived so the trace's ring holds the
-// whole run at the requested column count; the second, traced run
-// records the series.
+// CongestionContext is Congestion with cancellation.  It simulates once,
+// traced: the trace's series halves whenever it fills, so it covers
+// the whole run in at most Columns samples without knowing the
+// execution time up front.
 func CongestionContext(ctx context.Context, cfg CongestionConfig) (*CongestionData, error) {
 	if cfg.GridSize < 2 {
 		return nil, fmt.Errorf("figures: grid size %d too small", cfg.GridSize)
@@ -102,39 +100,20 @@ func CongestionContext(ctx context.Context, cfg CongestionConfig) (*CongestionDa
 	if err != nil {
 		return nil, err
 	}
-	opts := []simulate.Option{
+	tr := trace.New(trace.Config{Capacity: cfg.Columns})
+	m, err := simulate.New(grid, cfg.Layout,
 		simulate.WithResources(cfg.Teleporters, cfg.Generators, cfg.Purifiers),
 		simulate.WithRouting(cfg.Routing),
 		simulate.WithFailureRate(cfg.FailureRate),
 		simulate.WithSeed(cfg.Seed),
-	}
-	if cfg.Cache != nil {
-		opts = append(opts, simulate.WithCache(cfg.Cache))
-	}
-	m, err := simulate.New(grid, cfg.Layout, opts...)
+		simulate.WithTrace(tr))
 	if err != nil {
 		return nil, err
 	}
-	prog := workload.QFT(grid.Tiles())
-
-	// Pass 1: calibrate.  A cached result answers this instantly on
-	// warm reruns; only the execution time is needed.
-	res, err := m.Run(ctx, prog)
+	res, err := m.Run(ctx, workload.QFT(grid.Tiles()))
 	if err != nil {
 		return nil, err
 	}
-	interval := res.Exec / time.Duration(cfg.Columns)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-
-	// Pass 2: trace.  The ring is sized past the column count so the
-	// integer-division slack of the interval cannot wrap it.
-	tr := trace.New(trace.Config{Interval: interval, Capacity: cfg.Columns + 8})
-	if _, err := m.WithTrace(tr).Run(ctx, prog); err != nil {
-		return nil, err
-	}
-
 	return &CongestionData{
 		Config: cfg,
 		Qubits: grid.Tiles(),
@@ -196,9 +175,8 @@ func (d *CongestionData) hotLinks() []int {
 
 // Heatmap renders per-link utilization over simulated time as an ASCII
 // grid: one row per link (hottest first), one column per sample, each
-// cell a digit 0-9 of the clamped utilization ('.' for zero).  Values
-// follow the route.Loads contract and can exceed 1.0 under backlog, so
-// every cell is clamped through trace.Clamp01 before scaling — a
+// cell shaded by report.Shade against full utilization.  Values follow
+// the route.Loads contract and can exceed 1.0 under backlog; a
 // saturated link reads '9', it does not blow the scale for the rest of
 // the map.
 func (d *CongestionData) Heatmap() string {
@@ -210,12 +188,7 @@ func (d *CongestionData) Heatmap() string {
 		l := d.Links[li]
 		fmt.Fprintf(&b, "%-14s ", fmt.Sprintf("%v/%v", l.From, l.Dir))
 		for _, row := range d.Trace.LinkUtil {
-			v := trace.Clamp01(row[li])
-			if v <= 0 {
-				b.WriteByte('.')
-			} else {
-				b.WriteByte(byte('0' + int(v*9)))
-			}
+			b.WriteByte(report.Shade(row[li], 1))
 		}
 		b.WriteByte('\n')
 	}

@@ -17,9 +17,9 @@ import (
 // so one allocation per channel alone would come near it: the bound
 // holds only while op, channel and batch records are recycled, no stage
 // captures a closure and a waiting batch queues on its own node.  What
-// remains is the build (195 resources and semaphores and their lazy
-// names), the engine's rings, and the route cache, which holds one
-// path from the policy for each of the 600 ordered pairs of homes.
+// remains is the build (195 resources and semaphores), the engine's
+// rings, and the route cache, which holds one path from the policy for
+// each of the 600 ordered pairs of homes.
 const maxRunAllocs = 2000
 
 // TestRunAllocationsStayPerChannel pins the closure-free datapath on the

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/mesh"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -102,7 +103,8 @@ func execute(ctx context.Context, cfg Config, prog workload.Program) (*simulator
 }
 
 // Heatmap renders one per-tile metric as an ASCII grid: each tile shows
-// a digit 0-9 scaling with utilization (".": zero).
+// a digit 0-9 scaling with utilization against the map's maximum
+// (".": zero).
 func (d *Detail) Heatmap(metric string) (string, error) {
 	var values []float64
 	switch metric {
@@ -123,16 +125,7 @@ func (d *Detail) Heatmap(metric string) (string, error) {
 	fmt.Fprintf(&b, "%s utilization (max %.1f%%)\n", metric, 100*max)
 	for y := 0; y < d.Grid.Height; y++ {
 		for x := 0; x < d.Grid.Width; x++ {
-			v := values[d.Grid.Index(mesh.Coord{X: x, Y: y})]
-			switch {
-			case v <= 0:
-				b.WriteByte('.')
-			case max <= 0:
-				b.WriteByte('.')
-			default:
-				level := int(v / max * 9)
-				b.WriteByte(byte('0' + level))
-			}
+			b.WriteByte(report.Shade(values[d.Grid.Index(mesh.Coord{X: x, Y: y})], max))
 			b.WriteByte(' ')
 		}
 		b.WriteByte('\n')

@@ -387,6 +387,14 @@ func (ts traceSource) SampleLinkBusy(dst []time.Duration) {
 // LinkCapacity returns the per-link generator unit count.
 func (ts traceSource) LinkCapacity() int { return ts.s.cfg.Generators }
 
+// The names of the four resource kinds a build makes.
+const (
+	teleporterName = "T' set"
+	storageName    = "storage"
+	purifierName   = "purifier"
+	generatorName  = "generator"
+)
+
 func (s *simulator) build(prog workload.Program) error {
 	cfg := s.cfg
 	var err error
@@ -437,16 +445,15 @@ func (s *simulator) build(prog workload.Program) error {
 	// Storage is t cells per incoming link; we traffic in batches of
 	// batchPairs pairs.
 	storageBatches := max(1, cfg.Teleporters/s.batchPairs)
-	// Resource names resolve lazily (first Name() call): a 16x16 run
-	// builds 512 teleporter sets, 960 storage semaphores, 256 purifiers
-	// and 480 generators, and their names are only read in error
-	// messages and statistics reports.
+	// Each resource is named by its kind alone: a 16x16 run builds 512
+	// teleporter sets, 960 storage semaphores, 256 purifiers and 480
+	// generators, and a name is only read in a panic message.
 	s.nodes = make([]node, cfg.Grid.Tiles())
 	for i := range s.nodes {
 		c := cfg.Grid.CoordOf(i)
 		n := &s.nodes[i]
 		for axis := range n.sets {
-			r, err := sim.NewLazyResource(s.engine, func() string { return fmt.Sprintf("T'%v/axis%d", c, axis) }, setSize)
+			r, err := sim.NewResource(s.engine, teleporterName, setSize)
 			if err != nil {
 				return err
 			}
@@ -458,7 +465,7 @@ func (s *simulator) build(prog workload.Program) error {
 			if !cfg.Grid.Contains(c.Step(d)) {
 				continue
 			}
-			st, err := sim.NewLazySemaphore(func() string { return fmt.Sprintf("storage%v/%v", c, d) }, storageBatches)
+			st, err := sim.NewSemaphore(storageName, storageBatches)
 			if err != nil {
 				return err
 			}
@@ -468,8 +475,7 @@ func (s *simulator) build(prog workload.Program) error {
 
 	s.purify = make([]*sim.Resource, cfg.Grid.Tiles())
 	for i := range s.purify {
-		c := cfg.Grid.CoordOf(i)
-		r, err := sim.NewLazyResource(s.engine, func() string { return fmt.Sprintf("P%v", c) }, cfg.Purifiers)
+		r, err := sim.NewResource(s.engine, purifierName, cfg.Purifiers)
 		if err != nil {
 			return err
 		}
@@ -480,8 +486,8 @@ func (s *simulator) build(prog workload.Program) error {
 	// Links() enumeration order), replacing the former map[mesh.Link]
 	// lookup on the per-hop hot path.
 	s.gnodes = make([]*sim.Resource, cfg.Grid.NumLinks())
-	for i, l := range cfg.Grid.Links() {
-		r, err := sim.NewLazyResource(s.engine, func() string { return fmt.Sprintf("G%v%v", l.From, l.Dir) }, cfg.Generators)
+	for i := range s.gnodes {
+		r, err := sim.NewResource(s.engine, generatorName, cfg.Generators)
 		if err != nil {
 			return err
 		}

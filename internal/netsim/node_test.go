@@ -146,7 +146,7 @@ func TestStorageLoadAccountsCreditsAndWaiters(t *testing.T) {
 // capacity ratios, not bounded fractions, and grow past 1 with every
 // queued job.  Consumers that need [0, 1], such as the congestion
 // heatmap's color scale, clamp at their own normalization layer
-// (trace.Clamp01); the raw signal keeps ranking congested nodes even
+// (report.Shade); the raw signal keeps ranking congested nodes even
 // when every candidate is saturated.
 func TestLoadsExceedOneUnderBacklog(t *testing.T) {
 	// The X set has capacity 2 and East storage limit 2, so `acquires`

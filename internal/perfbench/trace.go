@@ -14,10 +14,11 @@ import (
 
 // TraceModes are the tracer-overhead benchmark's modes, in the order
 // cmd/bench records them: "off" is the zero-cost baseline (no tracer
-// attached — one nil check per engine step), "on" samples every
-// simulated microsecond (the package default, thousands of samples per
-// run), "sampled" samples every simulated millisecond (a handful of
-// samples per run, the figure generators' regime).
+// attached — one nil check per engine step), "on" starts sampling every
+// simulated microsecond (the package default: the series fills and
+// doubles its interval until the whole run fits), "sampled" samples
+// every simulated millisecond (a few hundred samples per run, no
+// doubling).
 var TraceModes = []string{"off", "on", "sampled"}
 
 // traceModeInterval maps a TraceModes entry to its sampling interval
@@ -46,7 +47,7 @@ func TraceQFT(mode string) func(*testing.B) {
 		m, prog := qftMachine(b, benchGrid, simulate.MobileQubit, 16, 16, 8)
 		if traced {
 			// One tracer reused across iterations: each run rebinds it,
-			// which resets the rings, exactly as a long-lived worker does.
+			// which resets its series.
 			m = m.WithTrace(trace.New(trace.Config{Interval: interval}))
 		}
 		timeRuns(b, m, prog)

@@ -1,6 +1,7 @@
-// Package report renders experiment results as CSV, aligned text tables
-// and ASCII log-log plots, so every figure and table of the paper can be
-// regenerated on a terminal without plotting dependencies.
+// Package report renders experiment results as CSV, aligned text tables,
+// ASCII log-log plots and heatmap cells, so every figure and table of
+// the paper can be regenerated on a terminal without plotting
+// dependencies.
 package report
 
 import (
@@ -111,6 +112,22 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	_, err := w.Write([]byte(b.String()))
 	return err
+}
+
+// Shade renders one ASCII heatmap cell: '.' for a value at or below
+// zero, otherwise a digit 0-9 scaling the value against full, with a
+// value above full clamped to '9'.  Loads that follow the route.Loads
+// contract exceed 1.0 under backlog, so a map of them shades against 1
+// and a saturated cell reads '9' without blowing the scale for the rest.
+func Shade(v, full float64) byte {
+	if v <= 0 {
+		return '.'
+	}
+	f := v / full
+	if f > 1 {
+		f = 1
+	}
+	return byte('0' + int(f*9))
 }
 
 // Series is one named curve of (x, y) points for plotting.

@@ -147,3 +147,33 @@ func TestPlotConstantSeries(t *testing.T) {
 		t.Error("constant series should still plot")
 	}
 }
+
+// TestShade pins the heatmap cell rule: '.' at or below zero, a digit
+// scaling against full above it, and anything past full clamped to '9'
+// — the backlog regime route.Loads reports reads as saturated rather
+// than an out-of-range byte.
+func TestShade(t *testing.T) {
+	cases := []struct {
+		v, full float64
+		want    byte
+	}{
+		{-1, 1, '.'},
+		{-0.001, 1, '.'},
+		{0, 1, '.'},
+		{0.05, 1, '0'},
+		{0.5, 1, '4'},
+		{1, 1, '9'},
+		{1.001, 1, '9'}, // just over capacity: one queued batch
+		{1.75, 1, '9'},  // the backlog regime route.Loads reports
+		{3.25, 1, '9'},  // deep backlog
+		{math.Inf(1), 1, '9'},
+		{0.3, 0.6, '4'}, // against a map's maximum
+		{0.6, 0.6, '9'},
+		{0.2, 0, '9'},
+	}
+	for _, c := range cases {
+		if got := Shade(c.v, c.full); got != c.want {
+			t.Errorf("Shade(%v, %v) = %q, want %q", c.v, c.full, got, c.want)
+		}
+	}
+}

@@ -65,20 +65,24 @@ func newBusyTrial(t *testing.T, seed int64, capacity int, read, handOff bool) *b
 	tr := &busyTrial{t: t, rng: rand.New(rand.NewSource(seed)), e: e, r: r, read: read, handOff: handOff, free: capacity}
 	interval := time.Duration(1 + tr.rng.Intn(2000)) // drawn either way, so both runs act alike
 	if read {
-		e.SetProbe(busyProbe{tr}, interval)
+		e.SetProbe(busyProbe{tr, interval}, interval)
 	}
 	return tr
 }
 
 // busyProbe compares the resource with the oracle at every interval
 // boundary.
-type busyProbe struct{ tr *busyTrial }
+type busyProbe struct {
+	tr       *busyTrial
+	interval time.Duration
+}
 
-func (p busyProbe) Sample(now time.Duration, _ uint64) {
+func (p busyProbe) Sample(now time.Duration, _ uint64) time.Duration {
 	if now != p.tr.e.Now() {
 		p.tr.t.Fatalf("probe at %v with the clock at %v", now, p.tr.e.Now())
 	}
 	p.tr.compare("probe")
+	return now + p.interval
 }
 
 // busyGranted is the continuation of TakeOn jobs.

@@ -6,33 +6,50 @@ import (
 	"time"
 )
 
-// recProbe records every Sample call for inspection.
+// recProbe records every Sample call for inspection and asks for the
+// boundary next returns.
 type recProbe struct {
 	times  []time.Duration
 	events []uint64
+	next   func(now time.Duration) time.Duration
 }
 
-func (p *recProbe) Sample(now time.Duration, processed uint64) {
+func (p *recProbe) Sample(now time.Duration, processed uint64) time.Duration {
 	p.times = append(p.times, now)
 	p.events = append(p.events, processed)
+	return p.next(now)
 }
 
-// TestSetProbeRejectsBadInterval pins the interval contract: a probe
-// needs a positive period, and a nil probe removes the hook.
+// every returns a recProbe that samples at each multiple of interval.
+func every(interval time.Duration) *recProbe {
+	return &recProbe{next: func(now time.Duration) time.Duration { return now + interval }}
+}
+
+// mustPanic reports whether fn panicked.
+func mustPanic(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestSetProbeRejectsBadInterval pins the first-boundary contract: a
+// probe's first boundary must be later than the clock, and a nil probe
+// removes the hook.
 func TestSetProbeRejectsBadInterval(t *testing.T) {
-	for _, iv := range []time.Duration{0, -time.Microsecond} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetProbe(probe, %v) did not panic", iv)
-				}
-			}()
-			New().SetProbe(&recProbe{}, iv)
-		}()
+	for _, first := range []time.Duration{0, -time.Microsecond} {
+		if !mustPanic(func() { New().SetProbe(every(time.Microsecond), first) }) {
+			t.Errorf("SetProbe(probe, %v) at time 0 did not panic", first)
+		}
 	}
-	// Removal never needs an interval.
 	e := New()
-	e.SetProbe(&recProbe{}, time.Microsecond)
+	e.Schedule(5*time.Microsecond, func() {})
+	e.Step()
+	if !mustPanic(func() { e.SetProbe(every(time.Microsecond), 5*time.Microsecond) }) {
+		t.Error("SetProbe at the clock's own time did not panic")
+	}
+	// Removal never needs a boundary.
+	e = New()
+	e.SetProbe(every(time.Microsecond), time.Microsecond)
 	e.SetProbe(nil, 0)
 	e.Schedule(5*time.Microsecond, func() {})
 	for e.Step() {
@@ -45,7 +62,7 @@ func TestSetProbeRejectsBadInterval(t *testing.T) {
 // catch-up across quiet gaps spanning several boundaries.
 func TestProbeSamplesExactBoundaries(t *testing.T) {
 	e := New()
-	p := &recProbe{}
+	p := every(10 * time.Microsecond)
 	e.SetProbe(p, 10*time.Microsecond)
 	for _, at := range []time.Duration{3, 12, 25, 47} {
 		e.Schedule(at*time.Microsecond, func() {})
@@ -74,17 +91,68 @@ func TestProbeSamplesExactBoundaries(t *testing.T) {
 	}
 }
 
-// TestProbeAttachMidRun pins the first-boundary rule: the first sample
-// fires at the first interval multiple strictly after the clock at
-// SetProbe time, so attaching at an off-boundary instant never samples
-// the past.
+// TestProbeFollowsReturnedBoundaries pins the boundary hand-off: each
+// sample fires exactly at the boundary the previous one returned, here
+// growing gaps of 10, 20, 40 and 80µs, before the event that crosses
+// it, with one call per boundary across a quiet gap, and the clock
+// reads each boundary during its sample.
+func TestProbeFollowsReturnedBoundaries(t *testing.T) {
+	e := New()
+	var clocks []time.Duration
+	p := &recProbe{next: func(now time.Duration) time.Duration {
+		clocks = append(clocks, e.Now())
+		return 2*now + 10*time.Microsecond
+	}}
+	e.SetProbe(p, 10*time.Microsecond)
+	for _, at := range []time.Duration{3, 12, 30, 31, 160} {
+		e.Schedule(at*time.Microsecond, func() {})
+	}
+	for e.Step() {
+	}
+
+	want := []time.Duration{10, 30, 70, 150}
+	for i := range want {
+		want[i] *= time.Microsecond
+	}
+	if !reflect.DeepEqual(p.times, want) {
+		t.Errorf("sample times = %v, want %v", p.times, want)
+	}
+	if !reflect.DeepEqual(clocks, want) {
+		t.Errorf("clock during each sample = %v, want %v", clocks, want)
+	}
+	// The event at exactly 30µs runs after the 30µs sample; the 70µs and
+	// 150µs samples are the catch-up pair of the 31→160µs gap.
+	if want := []uint64{1, 2, 4, 4}; !reflect.DeepEqual(p.events, want) {
+		t.Errorf("sample event counts = %v, want %v", p.events, want)
+	}
+	if e.Processed() != 5 || e.Now() != 160*time.Microsecond {
+		t.Errorf("processed %d events to %v, want 5 to 160µs", e.Processed(), e.Now())
+	}
+}
+
+// TestProbeRejectsStaleBoundary pins that a probe asking for a boundary
+// no later than the one it is sampling panics rather than spinning.
+func TestProbeRejectsStaleBoundary(t *testing.T) {
+	for _, back := range []time.Duration{0, time.Microsecond} {
+		e := New()
+		e.SetProbe(&recProbe{next: func(now time.Duration) time.Duration { return now - back }}, 10*time.Microsecond)
+		e.Schedule(20*time.Microsecond, func() {})
+		if !mustPanic(func() { e.Step() }) {
+			t.Errorf("a probe returning now-%v did not panic", back)
+		}
+	}
+}
+
+// TestProbeAttachMidRun pins the first-boundary rule: a probe attached
+// mid-run first samples at the boundary SetProbe names, never in the
+// past.
 func TestProbeAttachMidRun(t *testing.T) {
 	e := New()
 	e.Schedule(25*time.Microsecond, func() {})
 	for e.Step() {
 	}
-	p := &recProbe{}
-	e.SetProbe(p, 10*time.Microsecond)
+	p := every(10 * time.Microsecond)
+	e.SetProbe(p, 30*time.Microsecond)
 	e.Schedule(10*time.Microsecond, func() {}) // at t=35µs
 	for e.Step() {
 	}
@@ -101,7 +169,7 @@ func TestProbeDoesNotAlterExecution(t *testing.T) {
 	run := func(probe bool) (order []int, clocks []time.Duration, processed uint64) {
 		e := New()
 		if probe {
-			e.SetProbe(&recProbe{}, 7*time.Microsecond)
+			e.SetProbe(every(7*time.Microsecond), 7*time.Microsecond)
 		}
 		delays := []time.Duration{11, 3, 29, 17, 3, 23}
 		for i, d := range delays {

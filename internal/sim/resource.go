@@ -49,27 +49,15 @@ type serveJob struct {
 
 // NewResource creates a resource with the given unit count.
 func NewResource(engine *Engine, name string, capacity int) (*Resource, error) {
-	return NewLazyResource(engine, func() string { return name }, capacity)
-}
-
-// NewLazyResource is NewResource with deferred naming: name is called at
-// most once, the first time the resource's name is actually needed (an
-// error message, a statistics report).  Simulators that build thousands
-// of resources per run use it to keep name formatting off the build
-// path.
-func NewLazyResource(engine *Engine, name func() string, capacity int) (*Resource, error) {
 	r := &Resource{engine: engine}
 	if err := r.units.init(name, capacity); err != nil {
 		return nil, err
 	}
 	if engine == nil {
-		return nil, fmt.Errorf("sim: resource %q needs an engine", r.Name())
+		return nil, fmt.Errorf("sim: resource %q needs an engine", name)
 	}
 	return r, nil
 }
-
-// Name returns the resource's name, resolving a lazy name on first use.
-func (r *Resource) Name() string { return r.units.Name() }
 
 // Capacity returns the number of units.
 func (r *Resource) Capacity() int { return r.units.limit }

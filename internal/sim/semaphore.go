@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Semaphore is a counting semaphore with a FIFO waiter queue, used for
 // credit-based flow control (e.g. the per-link incoming storage cells of
@@ -18,7 +15,6 @@ import (
 // Either way a hand-over allocates nothing once warm.
 type Semaphore struct {
 	name    string
-	nameFn  func() string
 	credits int
 	limit   int
 	// head and tail are the oldest and the newest waiter, and waiting
@@ -57,14 +53,6 @@ func runFunc(a any) { a.(func())() }
 
 // NewSemaphore creates a semaphore holding limit credits.
 func NewSemaphore(name string, limit int) (*Semaphore, error) {
-	return NewLazySemaphore(func() string { return name }, limit)
-}
-
-// NewLazySemaphore is NewSemaphore with deferred naming: name is called
-// at most once, the first time the semaphore's name is actually needed.
-// Builders that create one semaphore per mesh link use it to keep name
-// formatting off the build path.
-func NewLazySemaphore(name func() string, limit int) (*Semaphore, error) {
 	s := new(Semaphore)
 	if err := s.init(name, limit); err != nil {
 		return nil, err
@@ -72,28 +60,19 @@ func NewLazySemaphore(name func() string, limit int) (*Semaphore, error) {
 	return s, nil
 }
 
-// init names the semaphore lazily and fills it with limit credits.  It
-// is the one validation behind the semaphore and resource constructors.
-func (s *Semaphore) init(name func() string, limit int) error {
-	if name == nil {
-		return errors.New("sim: lazy name needs a name function")
-	}
-	s.nameFn = name
+// init names the semaphore and fills it with limit credits.  It is the
+// one validation behind the semaphore and resource constructors.
+func (s *Semaphore) init(name string, limit int) error {
+	s.name = name
 	if limit < 1 {
-		return fmt.Errorf("sim: %q needs at least 1 unit, got %d", s.Name(), limit)
+		return fmt.Errorf("sim: %q needs at least 1 unit, got %d", name, limit)
 	}
 	s.credits, s.limit = limit, limit
 	return nil
 }
 
-// Name returns the semaphore's name, resolving a lazy name on first use.
-func (s *Semaphore) Name() string {
-	if s.nameFn != nil {
-		s.name = s.nameFn()
-		s.nameFn = nil
-	}
-	return s.name
-}
+// Name returns the semaphore's name.
+func (s *Semaphore) Name() string { return s.name }
 
 // Limit returns the total credit count.
 func (s *Semaphore) Limit() int { return s.limit }

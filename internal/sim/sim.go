@@ -79,28 +79,29 @@ type Engine struct {
 	// less than a 4-ary heap's four over a tree one level shallower.
 	heads []headEntry
 
-	// probe, when non-nil, is sampled at every probeInterval boundary of
-	// simulated time (see SetProbe).  The disabled path costs one nil
-	// check per Step and allocates nothing.
-	probe         Probe
-	probeInterval time.Duration
-	probeNext     time.Duration
+	// probe, when non-nil, is sampled at probeNext, the boundary of
+	// simulated time it asked for last (see SetProbe).  The disabled
+	// path costs one nil check per Step and allocates nothing.
+	probe     Probe
+	probeNext time.Duration
 }
 
 // fifoSlack is the constant in the sweep threshold 2×pending+fifoSlack:
 // the FIFOs an engine may hold before it recycles drained ones.
 const fifoSlack = 64
 
-// Probe observes the engine at fixed simulated-time boundaries.  It is
-// the telemetry hook of the tracing layer: Step calls Sample(t, n) for
-// every boundary t the clock crosses, before executing the event that
-// crosses it, with n the events executed so far.  Sampling happens
-// outside the event queue — a probe never schedules events, so a probed
-// run executes exactly the same events as an unprobed one (Processed
-// and every model counter are unaffected).  Sample must not mutate the
-// model; it runs on the engine's goroutine.
+// Probe observes the engine at simulated-time boundaries it chooses.
+// It is the telemetry hook of the tracing layer: Step calls Sample(t, n)
+// for every boundary t the clock crosses, before executing the event
+// that crosses it, with n the events executed so far, and Sample
+// returns the next boundary it wants, which must be later than t.  A
+// quiet gap that spans several boundaries gets one call per boundary,
+// in order.  Sampling happens outside the event queue — a probe never
+// schedules events, so a probed run executes exactly the same events as
+// an unprobed one (Processed and every model counter are unaffected).
+// Sample must not mutate the model; it runs on the engine's goroutine.
 type Probe interface {
-	Sample(now time.Duration, processed uint64)
+	Sample(now time.Duration, processed uint64) (next time.Duration)
 }
 
 // event is one pending event: its ordering key and its continuation,
@@ -153,36 +154,36 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Processed() uint64 { return e.stepped }
 
 // SetProbe installs (or, with a nil probe, removes) the engine's
-// sampling probe.  The first sample fires at the first multiple of
-// interval strictly after the current clock, then every interval of
-// simulated time after that — boundaries are exact multiples of the
-// interval, so two runs of the same model sample at identical instants
-// regardless of their event times.  interval must be positive when a
-// probe is installed.
-func (e *Engine) SetProbe(p Probe, interval time.Duration) {
+// sampling probe, with first its first boundary, which must be later
+// than the current clock.  Every later boundary is the one the probe's
+// previous Sample returned, so a probe that returns exact multiples of
+// an interval samples two runs of the same model at identical instants
+// regardless of their event times.
+func (e *Engine) SetProbe(p Probe, first time.Duration) {
 	if p == nil {
 		e.probe = nil
 		return
 	}
-	if interval <= 0 {
-		panic(fmt.Sprintf("sim: probe interval must be positive, got %v", interval))
+	if first <= e.now {
+		panic(fmt.Sprintf("sim: probe boundary %v is not after the clock %v", first, e.now))
 	}
 	e.probe = p
-	e.probeInterval = interval
-	e.probeNext = (e.now/interval + 1) * interval
+	e.probeNext = first
 }
 
-// runProbe fires the probe for every interval boundary up to and
-// including t, advancing the clock to each boundary first so time-based
-// statistics (resource busy time) are exact at the sampling instant.
-// It is kept out of line so the probe-disabled Step stays small.
+// runProbe fires the probe for every boundary up to and including t,
+// advancing the clock to each boundary first so time-based statistics
+// (resource busy time) are exact at the sampling instant.  Every
+// boundary is later than the clock, so the clock never goes back.  It
+// is kept out of line so the probe-disabled Step stays small.
 func (e *Engine) runProbe(t time.Duration) {
 	for t >= e.probeNext {
-		if e.probeNext > e.now {
-			e.now = e.probeNext
+		e.now = e.probeNext
+		next := e.probe.Sample(e.now, e.stepped)
+		if next <= e.now {
+			panic(fmt.Sprintf("sim: probe asked for boundary %v at %v", next, e.now))
 		}
-		e.probe.Sample(e.probeNext, e.stepped)
-		e.probeNext += e.probeInterval
+		e.probeNext = next
 	}
 }
 

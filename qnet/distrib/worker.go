@@ -51,8 +51,9 @@ func WithWorkerParallelism(n int) WorkerOption {
 
 // WithWorkerTelemetry attaches a telemetry tracer (qnet/trace) to every
 // point the worker simulates (a point its store serves gets none),
-// sampled at the given simulated-time interval (non-positive selects
-// the trace package default).  The live snapshots feed Worker.Status —
+// starting at the given simulated-time sampling interval (non-positive
+// selects the trace package default), which the tracer doubles
+// whenever its series fills.  The live snapshots feed Worker.Status —
 // and through it the /v1/status endpoint and the coordinator's
 // WithProgress callback — with the in-flight runs' event rates and
 // router occupancy.  Tracers are observers:

@@ -6,11 +6,14 @@
 package simulate
 
 import (
+	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/qnet"
 	"repro/qnet/route"
+	"repro/qnet/trace"
 )
 
 // maxKeyAllocs bounds the allocations of one cache key.  The 8x8
@@ -102,5 +105,32 @@ func TestExpandAllocations(t *testing.T) {
 	if allocs > expandFixedAllocs || bytes > 2*shardBytes {
 		t.Errorf("a %d-index shard of %d points made %.0f allocations of %d bytes, want <= %d allocations and <= twice the %d bytes it takes of %d points",
 			len(shard), large.Size(), allocs, bytes, expandFixedAllocs, shardBytes, space.Size())
+	}
+}
+
+// maxTraceAllocs bounds what tracing adds to a run's allocations: the
+// series Bind allocates once, whatever the run's length or interval.
+const maxTraceAllocs = 16
+
+// TestTraceAllocations pins that a traced run allocates at most
+// maxTraceAllocs objects more than the same run untraced, sampling
+// finely (1µs, where the series fills and halves seven times) and
+// coarsely (1ms).
+func TestTraceAllocations(t *testing.T) {
+	m, prog := tracedQFT25(t)
+	ctx := context.Background()
+	run := func(m *Machine) func() {
+		return func() {
+			if _, err := m.Run(ctx, prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plain := testing.AllocsPerRun(3, run(m))
+	for _, iv := range []time.Duration{time.Microsecond, time.Millisecond} {
+		traced := testing.AllocsPerRun(3, run(m.WithTrace(trace.New(trace.Config{Interval: iv}))))
+		if traced > plain+maxTraceAllocs {
+			t.Errorf("traced at %v: %.0f allocations, untraced %.0f, want at most %d more", iv, traced, plain, maxTraceAllocs)
+		}
 	}
 }

@@ -77,6 +77,53 @@ func TestTraceObserverParity(t *testing.T) {
 	}
 }
 
+// tracedQFT25 is the tracer benchmark's run: a 5x5 MobileQubit QFT-25
+// at t=g=16, p=8, about 485 ms of simulated time and 71,576 events.
+func tracedQFT25(t *testing.T) (*Machine, qnet.Program) {
+	t.Helper()
+	grid := testGrid(t, 5)
+	m, err := New(grid, MobileQubit, WithResources(16, 16, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, qnet.QFT(grid.Tiles())
+}
+
+// TestTraceCoversWholeRun pins that a trace at the default interval
+// covers the whole run in bounded memory: the series starts at its
+// first interval, steps by the (doubled) interval, ends within one
+// interval of Exec and never holds more than Capacity samples.
+func TestTraceCoversWholeRun(t *testing.T) {
+	m, prog := tracedQFT25(t)
+	tr := trace.New(trace.Config{})
+	res, err := m.WithTrace(tr).Run(context.Background(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := tr.Export()
+	n, iv := len(ex.Times), ex.IntervalNS
+	if n == 0 || n > trace.DefaultCapacity || 2*n < trace.DefaultCapacity {
+		t.Fatalf("%d samples, want between %d and %d", n, trace.DefaultCapacity/2, trace.DefaultCapacity)
+	}
+	if iv <= int64(trace.DefaultInterval) {
+		t.Errorf("interval %v, want the default doubled for a %v run", time.Duration(iv), res.Exec)
+	}
+	if ex.Times[0] != iv {
+		t.Errorf("first sample at %v, want the interval %v", time.Duration(ex.Times[0]), time.Duration(iv))
+	}
+	for i := 1; i < n; i++ {
+		if ex.Times[i]-ex.Times[i-1] != iv {
+			t.Fatalf("samples %d and %d are %v apart, want %v", i-1, i, time.Duration(ex.Times[i]-ex.Times[i-1]), time.Duration(iv))
+		}
+	}
+	if last := time.Duration(ex.Times[n-1]); last > res.Exec || res.Exec-last >= time.Duration(iv) {
+		t.Errorf("last sample at %v, want within one %v interval of Exec %v", last, time.Duration(iv), res.Exec)
+	}
+	if ex.Events[n-1] == 0 || ex.Events[n-1] > res.Events {
+		t.Errorf("last sample saw %d events of %d", ex.Events[n-1], res.Events)
+	}
+}
+
 // TestTraceExportDeterministic pins the export's reproducibility: the
 // same configuration traced twice yields byte-identical exports — the
 // probe fires at the same simulated instants on every run.

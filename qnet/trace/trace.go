@@ -1,7 +1,7 @@
 // Package trace is the time-series telemetry layer of the simulator: a
-// ring-buffered, sampling tracer that observes a run over simulated
-// time — per-router queue occupancy, per-link utilization, and the
-// drop/resend events of the fault and failure layers.
+// sampling tracer that observes a whole run over simulated time —
+// per-router queue occupancy, per-link utilization, and the drop/resend
+// events of the fault and failure layers.
 //
 // A Tracer attaches to a machine with simulate.WithTrace (or
 // Machine.WithTrace):
@@ -12,24 +12,31 @@
 //	err = tr.Export().Encode(file) // versioned JSON time series
 //
 // The tracer is an observer, never part of the model: it attaches to
-// the event engine through the sim.Probe hook, which fires at exact
-// multiples of the sampling interval without scheduling events, so a
-// traced run executes the same events — and produces a byte-identical
-// Result — as an untraced one.  That is also why the tracer is
-// excluded from Machine.CacheKey.  A traced Run always simulates (a
-// cached Result has nothing to observe) but still stores its result
-// back into an attached cache.
+// the event engine through the sim.Probe hook, which fires at the exact
+// boundaries the tracer asks for without scheduling events, so a traced
+// run executes the same events — and produces a byte-identical Result —
+// as an untraced one.  That is also why the tracer is excluded from
+// Machine.CacheKey.  A traced Run always simulates (a cached Result has
+// nothing to observe) but still stores its result back into an attached
+// cache.
 //
-// All sample storage is preallocated when the tracer binds to a run
-// (Bind): sampling in steady state reuses ring slots and allocates
-// nothing, and a disabled tracer (no tracer attached at all) costs the
-// engine exactly one nil check per event.
+// The series covers the whole run in bounded memory.  Each sample holds
+// instantaneous readings — every tile's occupancy, every link
+// generator's cumulative busy time and the events processed — at a
+// multiple of the interval.  When the series holds Capacity samples and
+// another is due, the tracer keeps every second sample and doubles its
+// interval: what remains is exactly the series a tracer started at the
+// doubled interval records, so a run of any length ends with between
+// Capacity/2 and Capacity samples (fewer only if it is shorter than
+// Capacity intervals).  Export derives each window's link utilization
+// from the busy-time differences.  Bind allocates the series once:
+// sampling allocates nothing, and a disabled tracer (no tracer attached
+// at all) costs the engine exactly one nil check per event.
 //
 // The exported series follow the route.Loads contract: occupancy and
 // utilization are counter-over-capacity ratios that exceed 1.0 under
-// backlog.  Clamp01 bounds them for color scaling; the congestion
-// heatmap (internal/figures, `figures -fig congestion`) renders them
-// that way.
+// backlog.  The congestion heatmap (internal/figures, `figures -fig
+// congestion`) clamps them when it shades a cell.
 package trace
 
 import (
@@ -42,29 +49,29 @@ import (
 	"repro/internal/mesh"
 )
 
-// DefaultInterval is the sampling interval used when Config.Interval is
-// unset: one microsecond of simulated time, roughly one sample per few
-// thousand events on the paper's parameters.
+// DefaultInterval is the starting sampling interval used when
+// Config.Interval is unset: one microsecond of simulated time.  A run
+// longer than DefaultCapacity microseconds doubles it as often as the
+// series needs.
 const DefaultInterval = time.Microsecond
 
-// DefaultCapacity is the sample-ring capacity used when Config.Capacity
-// is unset.  Once the ring is full the oldest samples are overwritten;
-// Export reports how many were taken in total so truncation is never
-// silent.
+// DefaultCapacity is the series capacity used when Config.Capacity is
+// unset: at most this many samples, and as many drop/resend events, are
+// kept however long the run.
 const DefaultCapacity = 4096
 
 // Config parameterizes a Tracer.
 type Config struct {
-	// Interval is the sampling period in simulated time; boundaries are
-	// exact multiples of it, so equal runs sample at identical instants.
+	// Interval is the starting sampling period in simulated time;
+	// boundaries are exact multiples of it, so equal runs sample at
+	// identical instants.  The series doubles it each time it fills.
 	// 0 selects DefaultInterval.
 	Interval time.Duration
-	// Capacity is the sample-ring size; the ring keeps the most recent
-	// Capacity samples.  0 selects DefaultCapacity.
+	// Capacity bounds the series: when it holds Capacity samples and
+	// another is due, it keeps every second one and doubles the
+	// interval.  The drop/resend log keeps the most recent Capacity
+	// events.  0 selects DefaultCapacity.
 	Capacity int
-	// EventCapacity bounds the drop/resend event ring; 0 selects
-	// Capacity.
-	EventCapacity int
 }
 
 // EventKind classifies one traced network event.
@@ -99,16 +106,6 @@ type Event struct {
 	Link int           `json:"link"`
 }
 
-// sample is one ring slot: the state of every router and link at one
-// interval boundary.  The slices are allocated once by Bind and
-// overwritten in place on ring wrap.
-type sample struct {
-	at        time.Duration
-	events    uint64
-	occupancy []float64
-	linkUtil  []float64
-}
-
 // Source is the tracer's view into the running simulator, implemented
 // by the netsim layer over its router nodes and generator resources.
 // Both methods fill caller-owned slices (sized to the bound grid) and
@@ -118,6 +115,8 @@ type Source interface {
 	// routers' live queue occupancy in batches: teleporter-set jobs in
 	// service or queued plus storage credits taken or waited for —
 	// exactly the counters route.Loads normalizes for adaptive routing.
+	// Occupancy changes only when an event runs, so the tracer copies
+	// the previous sample's instead when none has run since.
 	SampleOccupancy(dst []float64)
 	// SampleLinkBusy fills dst (one slot per link, in Grid.Links order)
 	// with each link generator's cumulative unit-busy time.
@@ -135,8 +134,7 @@ type Live struct {
 	At time.Duration
 	// Events is the engine's processed-event count at the latest sample.
 	Events uint64
-	// Samples is the total number of samples taken (including any that
-	// have been overwritten in the ring).
+	// Samples is the number of samples the series holds.
 	Samples uint64
 	// MeanOccupancy is the mesh-wide mean router occupancy of the latest
 	// sample, in batches per router.
@@ -151,33 +149,33 @@ type Live struct {
 // while the run executes.  A Tracer records one run at a time: binding
 // it to a new run resets all recorded state.
 type Tracer struct {
-	interval time.Duration
+	start    time.Duration // the configured interval
 	capacity int
-	evCap    int
 
-	grid    mesh.Grid
-	linkCap int
-	source  Source
+	grid         mesh.Grid
+	tiles, links int
+	linkCap      int
+	source       Source
 
-	samples []sample
-	taken   uint64 // total samples, ring position = taken % capacity
+	// The series: sample i (0 <= i < n) is the reading at
+	// (i+1)·interval, row i of the flat per-sample slices.
+	interval  time.Duration
+	n         int
+	processed []uint64        // events processed, one per sample
+	occupancy []float64       // tiles per sample
+	busy      []time.Duration // cumulative link busy time, links per sample
 
-	events  []Event
-	evTaken uint64
-	drops   uint64
-	resends uint64
-
-	prevBusy []time.Duration // cumulative link busy at the previous sample
-	prevAt   time.Duration   // time of the previous sample (0 before the first)
-	busyBuf  []time.Duration // scratch for the current sample's cumulative busy
+	log            []Event // drop/resend ring, logged entries in all
+	logged         uint64
+	drops, resends uint64
 
 	mu   sync.Mutex
 	live Live
 }
 
 // New builds a tracer with the given configuration (zero fields select
-// the defaults).  The tracer allocates its rings lazily at Bind time,
-// when the mesh dimensions are known.
+// the defaults).  The tracer allocates its series at Bind time, when
+// the mesh dimensions are known.
 func New(cfg Config) *Tracer {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
@@ -185,82 +183,87 @@ func New(cfg Config) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	if cfg.EventCapacity <= 0 {
-		cfg.EventCapacity = cfg.Capacity
-	}
-	return &Tracer{interval: cfg.Interval, capacity: cfg.Capacity, evCap: cfg.EventCapacity}
+	return &Tracer{start: cfg.Interval, interval: cfg.Interval, capacity: cfg.Capacity}
 }
 
-// Interval returns the sampling period.
+// Interval returns the sampling period: the configured one until the
+// series first fills, then doubled at each fill.
 func (t *Tracer) Interval() time.Duration { return t.interval }
 
 // Bind attaches the tracer to one run: the mesh it will sample and the
-// simulator-side source of its counters.  It allocates every ring slot
-// up front — sampling afterwards reuses them and allocates nothing —
-// and resets any previously recorded run.
+// simulator-side source of its counters.  It allocates the series up
+// front — sampling afterwards allocates nothing — and resets any
+// previously recorded run, the interval included.
 func (t *Tracer) Bind(grid mesh.Grid, src Source) {
 	t.grid = grid
+	t.tiles, t.links = grid.Tiles(), grid.NumLinks()
 	t.source = src
 	t.linkCap = src.LinkCapacity()
-	tiles, links := grid.Tiles(), grid.NumLinks()
-	t.samples = make([]sample, t.capacity)
-	for i := range t.samples {
-		t.samples[i].occupancy = make([]float64, tiles)
-		t.samples[i].linkUtil = make([]float64, links)
-	}
-	t.events = make([]Event, 0, t.evCap)
-	t.prevBusy = make([]time.Duration, links)
-	t.busyBuf = make([]time.Duration, links)
-	t.taken, t.evTaken, t.drops, t.resends = 0, 0, 0, 0
-	t.prevAt = 0
+	t.interval, t.n = t.start, 0
+	t.processed = make([]uint64, t.capacity)
+	t.occupancy = make([]float64, t.capacity*t.tiles)
+	t.busy = make([]time.Duration, t.capacity*t.links)
+	t.log = make([]Event, 0, t.capacity)
+	t.logged, t.drops, t.resends = 0, 0, 0
 	t.mu.Lock()
 	t.live = Live{}
 	t.mu.Unlock()
 }
 
-// Sample records one interval boundary; it implements sim.Probe and is
-// called by the engine with the exact boundary time and the events
-// executed so far.  Steady-state cost is two counter sweeps over the
-// mesh and no allocation.
-func (t *Tracer) Sample(now time.Duration, processed uint64) {
-	s := &t.samples[t.taken%uint64(t.capacity)]
-	s.at = now
-	s.events = processed
-	t.source.SampleOccupancy(s.occupancy)
-
-	// Per-link utilization over this interval: the generator busy-time
-	// delta normalized by capacity × elapsed.  Like route.Loads values
-	// it is a pure counter ratio — saturated links read 1.0, and the
-	// first sample's longer elapsed window (from time zero) keeps it
-	// bounded the same way.
-	t.source.SampleLinkBusy(t.busyBuf)
-	elapsed := now - t.prevAt
-	denom := float64(t.linkCap) * float64(elapsed)
-	for i, busy := range t.busyBuf {
-		u := 0.0
-		if denom > 0 {
-			u = float64(busy-t.prevBusy[i]) / denom
+// Sample records the reading at boundary now and returns the next
+// boundary; it implements sim.Probe and is called by the engine with
+// the events executed so far.  A full series first halves, and a
+// boundary that is not a multiple of the doubled interval is skipped.
+// Steady-state cost is at most two counter sweeps over the mesh and no
+// allocation.
+func (t *Tracer) Sample(now time.Duration, processed uint64) time.Duration {
+	if t.n == t.capacity {
+		t.halve()
+		if next := time.Duration(t.n+1) * t.interval; now < next {
+			return next
 		}
-		s.linkUtil[i] = u
 	}
-	t.prevBusy, t.busyBuf = t.busyBuf, t.prevBusy
-	t.prevAt = now
-	t.taken++
+	occ := t.occupancy[t.n*t.tiles : (t.n+1)*t.tiles]
+	if t.n > 0 && t.processed[t.n-1] == processed {
+		// No event ran since the previous sample, so no router's
+		// occupancy changed.
+		copy(occ, t.occupancy[(t.n-1)*t.tiles:t.n*t.tiles])
+	} else {
+		t.source.SampleOccupancy(occ)
+	}
+	t.processed[t.n] = processed
+	t.source.SampleLinkBusy(t.busy[t.n*t.links : (t.n+1)*t.links])
+	t.n++
 
-	var occ float64
-	for _, v := range s.occupancy {
-		occ += v
+	var sum float64
+	for _, v := range occ {
+		sum += v
 	}
 	t.mu.Lock()
 	t.live = Live{
 		At:            now,
 		Events:        processed,
-		Samples:       t.taken,
-		MeanOccupancy: occ / float64(len(s.occupancy)),
+		Samples:       uint64(t.n),
+		MeanOccupancy: sum / float64(t.tiles),
 		Drops:         t.drops,
 		Resends:       t.resends,
 	}
 	t.mu.Unlock()
+	return time.Duration(t.n+1) * t.interval
+}
+
+// halve keeps every second sample, the ones at multiples of twice the
+// interval, and doubles the interval.
+func (t *Tracer) halve() {
+	tiles, links := t.tiles, t.links
+	for i := 0; i < t.n/2; i++ {
+		j := 2*i + 1
+		t.processed[i] = t.processed[j]
+		copy(t.occupancy[i*tiles:(i+1)*tiles], t.occupancy[j*tiles:(j+1)*tiles])
+		copy(t.busy[i*links:(i+1)*links], t.busy[j*links:(j+1)*links])
+	}
+	t.n /= 2
+	t.interval *= 2
 }
 
 // RecordDrop records a batch dropped in flight on the link with the
@@ -280,21 +283,16 @@ func (t *Tracer) RecordResend(at time.Duration, link int) {
 // record appends into the event ring, overwriting the oldest entry once
 // full.
 func (t *Tracer) record(ev Event) {
-	if len(t.events) < t.evCap {
-		t.events = append(t.events, ev)
+	if len(t.log) < t.capacity {
+		t.log = append(t.log, ev)
 	} else {
-		t.events[t.evTaken%uint64(t.evCap)] = ev
+		t.log[t.logged%uint64(t.capacity)] = ev
 	}
-	t.evTaken++
+	t.logged++
 }
 
-// Samples returns the number of samples currently retained in the ring.
-func (t *Tracer) Samples() int {
-	if t.taken < uint64(t.capacity) {
-		return int(t.taken)
-	}
-	return t.capacity
-}
+// Samples returns the number of samples the series holds.
+func (t *Tracer) Samples() int { return t.n }
 
 // Live returns the latest concurrent snapshot.  It is the one method
 // safe to call from other goroutines while the traced run executes.
@@ -309,8 +307,8 @@ func (t *Tracer) Live() Live {
 const Version = "qnet-trace-v1"
 
 // Export is the compact, versioned serialization of one recorded run:
-// columnar time series (one row per retained sample, oldest first) plus
-// the drop/resend event log.  Equal runs export byte-identical traces.
+// columnar time series (one row per sample, oldest first) plus the
+// drop/resend event log.  Equal runs export byte-identical traces.
 type Export struct {
 	// Version identifies the format (the Version constant).
 	Version string `json:"version"`
@@ -320,27 +318,26 @@ type Export struct {
 	GridW int `json:"grid_w"`
 	GridH int `json:"grid_h"`
 	// IntervalNS is the sampling period in nanoseconds of simulated
-	// time.
+	// time: the configured interval, doubled each time the series
+	// filled.
 	IntervalNS int64 `json:"interval_ns"`
-	// TotalSamples counts every sample taken; when it exceeds
-	// len(Times) the ring wrapped and only the most recent samples are
-	// retained.
+	// TotalSamples is the number of samples, len(Times).
 	TotalSamples uint64 `json:"total_samples"`
-	// Times are the retained samples' boundary times (ns), oldest
-	// first.
+	// Times are the samples' boundary times (ns), oldest first: the
+	// multiples of the interval up to the end of the run.
 	Times []int64 `json:"times"`
 	// Events are the engine's cumulative processed-event counts, one
-	// per retained sample.
+	// per sample.
 	Events []uint64 `json:"events"`
 	// Occupancy is per-sample, per-tile router queue occupancy in
-	// batches.  Values exceed 1 per unit of capacity under backlog —
-	// clamp with Clamp01 before color-scaling.
+	// batches.  Values exceed 1 per unit of capacity under backlog, so
+	// clamp them before color-scaling.
 	Occupancy [][]float64 `json:"occupancy"`
 	// LinkUtil is per-sample, per-link generator utilization over the
 	// preceding interval.
 	LinkUtil [][]float64 `json:"link_util"`
-	// TotalDrops and TotalResends are the full event totals; Drops and
-	// Resends retain the most recent EventCapacity entries.
+	// TotalDrops and TotalResends are the full event totals; Log keeps
+	// the most recent Capacity entries, oldest first.
 	TotalDrops   uint64  `json:"total_drops"`
 	TotalResends uint64  `json:"total_resends"`
 	Log          []Event `json:"log"`
@@ -350,13 +347,13 @@ type Export struct {
 // it after the traced run completes (it is not safe concurrently with
 // Sample).
 func (t *Tracer) Export() *Export {
-	n := t.Samples()
+	n, tiles, links := t.n, t.tiles, t.links
 	ex := &Export{
 		Version:      Version,
 		GridW:        t.grid.Width,
 		GridH:        t.grid.Height,
 		IntervalNS:   int64(t.interval),
-		TotalSamples: t.taken,
+		TotalSamples: uint64(n),
 		Times:        make([]int64, n),
 		Events:       make([]uint64, n),
 		Occupancy:    make([][]float64, n),
@@ -364,26 +361,34 @@ func (t *Tracer) Export() *Export {
 		TotalDrops:   t.drops,
 		TotalResends: t.resends,
 	}
-	start := uint64(0)
-	if t.taken > uint64(n) {
-		start = t.taken - uint64(n)
+	copy(ex.Events, t.processed)
+	occ := make([]float64, n*tiles)
+	copy(occ, t.occupancy)
+	util := make([]float64, n*links)
+	// Per-link utilization over each window: the generator busy-time
+	// delta normalized by capacity × interval.  Like route.Loads values
+	// it is a pure counter ratio — saturated links read 1.0.
+	denom := float64(t.linkCap) * float64(t.interval)
+	for i := range n {
+		ex.Times[i] = int64(time.Duration(i+1) * t.interval)
+		ex.Occupancy[i] = occ[i*tiles : (i+1)*tiles : (i+1)*tiles]
+		row := util[i*links : (i+1)*links : (i+1)*links]
+		for l := range row {
+			d := t.busy[i*links+l]
+			if i > 0 {
+				d -= t.busy[(i-1)*links+l]
+			}
+			if denom > 0 {
+				row[l] = float64(d) / denom
+			}
+		}
+		ex.LinkUtil[i] = row
 	}
-	for i := 0; i < n; i++ {
-		s := &t.samples[(start+uint64(i))%uint64(t.capacity)]
-		ex.Times[i] = int64(s.at)
-		ex.Events[i] = s.events
-		ex.Occupancy[i] = append([]float64(nil), s.occupancy...)
-		ex.LinkUtil[i] = append([]float64(nil), s.linkUtil...)
-	}
-	ex.Log = make([]Event, 0, len(t.events))
-	if t.evTaken > uint64(len(t.events)) {
-		// Ring wrapped: unroll oldest-first.
-		pos := t.evTaken % uint64(t.evCap)
-		ex.Log = append(ex.Log, t.events[pos:]...)
-		ex.Log = append(ex.Log, t.events[:pos]...)
-	} else {
-		ex.Log = append(ex.Log, t.events...)
-	}
+	// The log ring, oldest first: until it wraps, pos is len(t.log).
+	pos := t.logged % uint64(t.capacity)
+	ex.Log = make([]Event, 0, len(t.log))
+	ex.Log = append(ex.Log, t.log[pos:]...)
+	ex.Log = append(ex.Log, t.log[:pos]...)
 	return ex
 }
 
@@ -410,21 +415,4 @@ func Decode(r io.Reader) (*Export, error) {
 		return nil, fmt.Errorf("trace: version %q, want %q", ex.Version, Version)
 	}
 	return &ex, nil
-}
-
-// Clamp01 clamps a load or utilization value into [0, 1] for color and
-// glyph scaling.  The router's load contract (route.Loads) reports
-// queue pressure as occupancy over capacity, which exceeds 1.0 under
-// backlog — a correct congestion signal for adaptive routing, but one
-// that would blow a naive normalization's scale; every heatmap layer
-// clamps through here instead of assuming bounded inputs.
-func Clamp01(v float64) float64 {
-	switch {
-	case v < 0:
-		return 0
-	case v > 1:
-		return 1
-	default:
-		return v
-	}
 }

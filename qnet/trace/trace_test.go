@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,7 +44,9 @@ func TestSampleSeries(t *testing.T) {
 	}
 	tr := newBound(t, Config{Interval: time.Microsecond}, src)
 
-	tr.Sample(time.Microsecond, 100)
+	if next := tr.Sample(time.Microsecond, 100); next != 2*time.Microsecond {
+		t.Errorf("Sample(1µs) asked for %v next, want 2µs", next)
+	}
 	// Link 0 was busy 1µs of a 1µs window with 2 units: utilization 0.5.
 	src.busy[0] = 3 * time.Microsecond // +2µs over the next 1µs window: saturated
 	src.occ[0] = 5
@@ -75,24 +76,117 @@ func TestSampleSeries(t *testing.T) {
 	}
 }
 
-// TestSampleRingWrap pins the ring contract: only the most recent
-// Capacity samples are retained, oldest first, and TotalSamples still
-// counts every one taken.
-func TestSampleRingWrap(t *testing.T) {
-	src := &fakeSource{occ: make([]float64, 4), busy: make([]time.Duration, 4), linkCap: 1}
-	tr := newBound(t, Config{Interval: time.Microsecond, Capacity: 4}, src)
-	for i := 1; i <= 10; i++ {
-		tr.Sample(time.Duration(i)*time.Microsecond, uint64(i*10))
+// clockSource is a fake source whose readings are functions of the
+// simulated time alone, so two tracers sampling it at different
+// intervals read the same values at every boundary they share.  Its
+// events run every 7ns, and occupancy, like a router's, changes only
+// when one runs.
+type clockSource struct {
+	now  time.Duration
+	occ  func(events uint64, tile int) float64
+	busy func(now time.Duration, link int) time.Duration
+}
+
+// events is the count of events run before now.
+func (c *clockSource) events() uint64 { return uint64(c.now / 7) }
+
+func (c *clockSource) SampleOccupancy(dst []float64) {
+	for i := range dst {
+		dst[i] = c.occ(c.events(), i)
 	}
-	if got := tr.Samples(); got != 4 {
-		t.Fatalf("Samples() = %d, want 4", got)
+}
+
+func (c *clockSource) SampleLinkBusy(dst []time.Duration) {
+	for i := range dst {
+		dst[i] = c.busy(c.now, i)
 	}
-	ex := tr.Export()
-	if ex.TotalSamples != 10 {
-		t.Errorf("TotalSamples = %d, want 10", ex.TotalSamples)
+}
+
+func (c *clockSource) LinkCapacity() int { return 3 }
+
+// drive plays the engine's part: it samples every boundary the tracer
+// asks for up to end, with an event count that grows with time.
+func drive(t *testing.T, tr *Tracer, src *clockSource, end time.Duration) {
+	t.Helper()
+	for next := tr.Interval(); next <= end; {
+		src.now = next
+		after := tr.Sample(next, src.events())
+		if after <= next {
+			t.Fatalf("Sample(%v) asked for %v next", next, after)
+		}
+		next = after
 	}
-	if want := []int64{7000, 8000, 9000, 10000}; !reflect.DeepEqual(ex.Times, want) {
-		t.Errorf("Times = %v, want %v (oldest first)", ex.Times, want)
+}
+
+// TestHalvingMatchesDoubledInterval pins the series contract: a tracer
+// whose series filled and halved k times exports exactly what a tracer
+// started at 2^k times its interval exports, at odd and even capacities
+// down to 2, and holds between Capacity/2 and Capacity samples once it
+// has halved.
+func TestHalvingMatchesDoubledInterval(t *testing.T) {
+	grid, err := mesh.NewGrid(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]*clockSource{
+		"ramp": {
+			occ:  func(n uint64, i int) float64 { return float64(n%uint64(5+i)) / 4 },
+			busy: func(now time.Duration, l int) time.Duration { return now * time.Duration(l%3) / 2 },
+		},
+		"bursts": {
+			occ: func(n uint64, i int) float64 {
+				if (n/150+uint64(i))%3 == 0 {
+					return 2.5
+				}
+				return 0
+			},
+			busy: func(now time.Duration, l int) time.Duration {
+				// Busy in the first 400ns of every 1µs, on every link.
+				whole, part := now/1000, now%1000
+				return 3 * (whole*400 + min(part, 400)) * time.Duration(1+l%2) / 2
+			},
+		},
+		"idle": {
+			occ:  func(uint64, int) float64 { return 0 },
+			busy: func(time.Duration, int) time.Duration { return 0 },
+		},
+	}
+	halved := 0
+	for name, src := range series {
+		for _, iv := range []time.Duration{1, 3, 250, time.Microsecond} {
+			for _, capacity := range []int{2, 3, 4, 5, 7, 16} {
+				for _, end := range []time.Duration{iv, 5 * iv, 17 * iv, 64*iv + iv/2, 1000 * iv} {
+					tr := New(Config{Interval: iv, Capacity: capacity})
+					tr.Bind(grid, src)
+					drive(t, tr, src, end)
+					ex := tr.Export()
+					k := 0
+					for iv<<k < tr.Interval() {
+						k++
+					}
+					if iv<<k != tr.Interval() {
+						t.Fatalf("%s iv=%v cap=%d end=%v: interval %v is not a doubling", name, iv, capacity, end, tr.Interval())
+					}
+					if n := len(ex.Times); n > capacity || (k > 0 && 2*n < capacity) || int(ex.TotalSamples) != n {
+						t.Errorf("%s iv=%v cap=%d end=%v: %d samples (total %d) after %d halvings",
+							name, iv, capacity, end, n, ex.TotalSamples, k)
+					}
+					if k > 0 {
+						halved++
+					}
+					ref := New(Config{Interval: iv << k, Capacity: capacity})
+					ref.Bind(grid, src)
+					drive(t, ref, src, end)
+					if want := ref.Export(); !reflect.DeepEqual(ex, want) {
+						t.Errorf("%s iv=%v cap=%d end=%v: halved %d times, export differs from a tracer started at %v:\n got %+v\nwant %+v",
+							name, iv, capacity, end, k, iv<<k, ex, want)
+					}
+				}
+			}
+		}
+	}
+	if halved == 0 {
+		t.Fatal("no case halved its series")
 	}
 }
 
@@ -100,7 +194,7 @@ func TestSampleRingWrap(t *testing.T) {
 // counting while the log retains the most recent entries oldest-first.
 func TestEventRingWrap(t *testing.T) {
 	src := &fakeSource{occ: make([]float64, 4), busy: make([]time.Duration, 4), linkCap: 1}
-	tr := newBound(t, Config{Interval: time.Microsecond, EventCapacity: 3}, src)
+	tr := newBound(t, Config{Interval: time.Microsecond, Capacity: 3}, src)
 	tr.RecordDrop(1*time.Microsecond, 0)
 	tr.RecordResend(2*time.Microsecond, 1)
 	tr.RecordDrop(3*time.Microsecond, 2)
@@ -138,11 +232,17 @@ func TestLiveSnapshot(t *testing.T) {
 }
 
 // TestBindResets pins that rebinding a tracer to a new run clears every
-// recorded series — a tracer records one run at a time.
+// recorded series, the doubled interval included — a tracer records one
+// run at a time.
 func TestBindResets(t *testing.T) {
 	src := &fakeSource{occ: make([]float64, 4), busy: make([]time.Duration, 4), linkCap: 1}
-	tr := newBound(t, Config{Interval: time.Microsecond}, src)
-	tr.Sample(time.Microsecond, 10)
+	tr := newBound(t, Config{Interval: time.Microsecond, Capacity: 2}, src)
+	for at := time.Microsecond; at <= 3*time.Microsecond; at += time.Microsecond {
+		tr.Sample(at, 10)
+	}
+	if tr.Interval() != 2*time.Microsecond {
+		t.Fatalf("interval %v after the series filled, want 2µs", tr.Interval())
+	}
 	tr.RecordDrop(time.Microsecond, 0)
 
 	grid, err := mesh.NewGrid(2, 2)
@@ -152,6 +252,9 @@ func TestBindResets(t *testing.T) {
 	tr.Bind(grid, src)
 	if got := tr.Samples(); got != 0 {
 		t.Errorf("Samples() after rebind = %d, want 0", got)
+	}
+	if tr.Interval() != time.Microsecond {
+		t.Errorf("interval after rebind = %v, want the configured 1µs", tr.Interval())
 	}
 	ex := tr.Export()
 	if ex.TotalSamples != 0 || ex.TotalDrops != 0 || len(ex.Log) != 0 {
@@ -206,29 +309,5 @@ func TestDecodeRejectsVersion(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader(`{`)); err == nil {
 		t.Error("Decode accepted malformed JSON")
-	}
-}
-
-// TestClamp01 is the normalization-layer half of the route.Loads
-// contract: loads legitimately exceed 1.0 under backlog, and the
-// figure/heatmap layer clamps them rather than assuming bounded inputs.
-func TestClamp01(t *testing.T) {
-	cases := []struct {
-		in, want float64
-	}{
-		{-1, 0},
-		{-0.001, 0},
-		{0, 0},
-		{0.5, 0.5},
-		{1, 1},
-		{1.001, 1}, // just over capacity: one queued batch
-		{1.75, 1},  // the backlog regime route.Loads reports
-		{3.25, 1},  // deep backlog
-		{math.Inf(1), 1},
-	}
-	for _, c := range cases {
-		if got := Clamp01(c.in); got != c.want {
-			t.Errorf("Clamp01(%v) = %v, want %v", c.in, got, c.want)
-		}
 	}
 }

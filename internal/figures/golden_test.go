@@ -12,7 +12,7 @@ import (
 	"repro/qnet/channel"
 )
 
-// TestAnalyticGolden pins every number the closed-form models produce:
+// TestAnalyticGolden pins every number the analytical models produce:
 // Tables 1 and 2, the text claims and Figures 8-12 as cmd/figures
 // renders them (Figure 12 at 10 hops), the planner's Channel at hops
 // {1, 2, 3, 5, 7, 15, 30} × t = g = p {1, 4, 16, 1024}, and the
@@ -48,7 +48,7 @@ func TestAnalyticGolden(t *testing.T) {
 
 	b.WriteString("# plan\n")
 	b.WriteString("Hops,Units,ErrorRate,EndpointRounds,Turns,PairsPerLogical,PairHopsPerLogical," +
-		"SetupLatency,DataLatency,Bandwidth,Bottleneck,HopCells,TurnCells,CodeLevel,Scheme," +
+		"SetupLatency,DataLatency,Bandwidth,Bottleneck,HopCells,TurnCells,CodeLevel,PurifyDepth," +
 		"Teleporters,Generators,Purifiers,Err\n")
 	for _, hops := range []int{1, 2, 3, 5, 7, 15, 30} {
 		for _, n := range []int{1, 4, 16, 1024} {
@@ -58,10 +58,10 @@ func TestAnalyticGolden(t *testing.T) {
 				continue
 			}
 			s := ch.Spec
-			fmt.Fprintf(&b, "%d,%d,%v,%d,%d,%d,%v,%v,%v,%v,%s,%d,%d,%d,%q,%d,%d,%d,\n",
+			fmt.Fprintf(&b, "%d,%d,%v,%d,%d,%d,%v,%v,%v,%v,%s,%d,%d,%d,%d,%d,%d,%d,\n",
 				hops, n, ch.ErrorRate, ch.EndpointRounds, ch.Turns, ch.PairsPerLogical, ch.PairHopsPerLogical,
 				ch.SetupLatency, ch.DataLatency, ch.Bandwidth, ch.Bottleneck,
-				s.HopCells, s.TurnCells, s.CodeLevel, s.Scheme.String(), s.Teleporters, s.Generators, s.Purifiers)
+				s.HopCells, s.TurnCells, s.CodeLevel, s.PurifyDepth, s.Teleporters, s.Generators, s.Purifiers)
 		}
 	}
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestExecAtLeastContentionFreeBound checks whole runs against a bound
-// that shares none of the op flow's code: recurrence's one channel on
+// that shares none of the op flow's code: channel.Plan's one channel on
 // an idle mesh, folded over the program's op DAG (see contentionFree).
 // Contention only makes a channel wait longer, so no run may finish
 // before the bound.  The runs are the default Figure 16 space, an 8×8
@@ -50,7 +50,7 @@ func TestExecAtLeastContentionFreeBound(t *testing.T) {
 }
 
 // contentionFree returns the Exec a run of prog would take if no two
-// channels ever contended: every channel takes recurrence's idle-mesh
+// channels ever contended: every channel takes its planned idle-mesh
 // latency over its xy path, and an op starts when the last ops on both
 // its qubits have ended.  Under HomeBase an op pays the channel from
 // B's home to A's home, the gate and the channel back.  Under
@@ -77,15 +77,11 @@ func contentionFree(t *testing.T, cfg Config, prog workload.Program) time.Durati
 		if dx+dy == 0 {
 			return 0
 		}
+		// An xy path's shape, dx hops along X and then dy along Y, sets
+		// its latency.
 		l, ok := latencies[[2]int{dx, dy}]
 		if !ok {
-			// An xy path runs dx hops along X, then dy along Y,
-			// turning at the first Y hop.
-			turn := make([]bool, dx+dy)
-			if dx > 0 && dy > 0 {
-				turn[dx] = true
-			}
-			l = recurrence(cfg, turn)
+			l = planned(t, cfg, a, b)
 			latencies[[2]int{dx, dy}] = l
 		}
 		return l

@@ -187,7 +187,11 @@ type Cost struct {
 
 // Evaluate computes the delivery cost of one above-threshold EPR pair
 // over hops teleporter hops under scheme s.
-func (c Distribution) Evaluate(s Scheme, hops int) Cost {
+func (c Distribution) Evaluate(s Scheme, hops int) Cost { return c.evaluate(s, hops, 0) }
+
+// evaluate is Evaluate with the endpoint tree at least depth rounds
+// deep (see purifyEnds).
+func (c Distribution) evaluate(s Scheme, hops, depth int) Cost {
 	if hops < 0 {
 		hops = 0
 	}
@@ -208,7 +212,7 @@ func (c Distribution) Evaluate(s Scheme, hops int) Cost {
 		// input — this matches the paper's method of stitching Figure 8's
 		// (Werner-start) purification curves onto Figure 9's distribution
 		// error.
-		rounds, final, eEnd, ok := purify.RoundsToReach(c.Protocol, state.Twirl(), c.TargetError, c.MaxEndpointRounds)
+		rounds, final, eEnd, ok := c.purifyEnds(state.Twirl(), depth)
 		res.EndpointRounds = rounds
 		res.FinalError = final.Error()
 		res.Feasible = ok
@@ -255,7 +259,7 @@ func (c Distribution) Evaluate(s Scheme, hops int) Cost {
 		}
 		res.ArrivalError = state.Error()
 		// See the EndpointsOnly branch for why arrivals are twirled.
-		rounds, final, eEnd, ok := purify.RoundsToReach(c.Protocol, state.Twirl(), c.TargetError, c.MaxEndpointRounds)
+		rounds, final, eEnd, ok := c.purifyEnds(state.Twirl(), depth)
 		res.EndpointRounds = rounds
 		res.FinalError = final.Error()
 		res.Feasible = ok
@@ -268,4 +272,18 @@ func (c Distribution) Evaluate(s Scheme, hops int) Cost {
 		res.TotalPairs = eEnd * total
 		return res
 	}
+}
+
+// purifyEnds purifies the arrived pair at the endpoints in the fewest
+// rounds that reach the target, then on to depth rounds if that is
+// deeper: each further round lowers the error and multiplies the pairs
+// consumed by 2 over its acceptance probability.
+func (c Distribution) purifyEnds(arrived fidelity.Bell, depth int) (int, fidelity.Bell, float64, bool) {
+	rounds, final, pairs, ok := purify.RoundsToReach(c.Protocol, arrived, c.TargetError, c.MaxEndpointRounds)
+	for ; ok && rounds < depth; rounds++ {
+		next, ps := c.Protocol.Round(final, final)
+		pairs *= 2 / ps
+		final = next
+	}
+	return rounds, final, pairs, ok
 }

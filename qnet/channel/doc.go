@@ -1,11 +1,11 @@
-// Package channel is the closed-form model of the paper's primary
+// Package channel is the analytical model of the paper's primary
 // contribution, the reliable quantum channel (Section 4).  A channel
 // connects two points of the quantum datapath by distributing
 // high-fidelity EPR pairs to its endpoints; once set up, it teleports
 // logical qubits with near-classical latency.  The package answers the
 // questions the paper's abstract promises — the latency, bandwidth,
-// error rate and resources of such a channel — instantly, for one path
-// at a time:
+// error rate and resources of such a channel — without simulating a
+// mesh, for one path at a time:
 //
 //   - EPR-pair distribution (Distribution, Figures 9-12): chained
 //     teleportation over virtual-wire links, the five purification
@@ -22,9 +22,19 @@
 //     far below movement error for ion traps, while their latencies
 //     cross over near 600 cells.
 //   - Channel planning (Plan): the latency, bandwidth, error-rate and
-//     resource metrics of one channel, from the device parameters, the
-//     error-correction level, the purification policy and the path
-//     length.
+//     resource metrics of one channel alone on the mesh, from the
+//     device parameters, the error-correction level, the endpoint
+//     purification depth, the per-node resources and the path.  Its
+//     batches of 2^PurifyDepth pairs run through an exact pipeline of
+//     the simulator's stages (storage slot, generator, teleporter,
+//     correction, endpoint purifiers), a max-plus recurrence that
+//     shares no code with qnet/simulate yet matches its idle channel
+//     to the nanosecond.  SetupLatency runs until the last batch is
+//     purified and its correction bits have crossed the path,
+//     Bandwidth is the pipeline's steady state, and Bottleneck names
+//     the stage that sets it, storage included.  PurifyDepth 0 picks
+//     the depth the 7.5e-5 threshold needs; a positive depth plans the
+//     fixed-depth channel the simulator runs.
 //
 // Terminology (Sections 3 and 4):
 //
@@ -46,6 +56,8 @@
 //	p := qnet.IonTrap2006()
 //	cost := channel.DefaultDistribution(p).Evaluate(channel.EndpointsOnly, 30)
 //	ch, err := channel.Plan(channel.Spec{Params: p, Hops: 30})
+//	// ch.EndpointRounds 3, ch.SetupLatency 19.9268ms, ch.DataLatency
+//	// 140µs, ch.Bandwidth 83.4 logical/s, ch.Bottleneck "storage"
 //
 // A Spec can also pin the channel to a concrete mesh path: set Grid,
 // Src and Dst (plus an optional qnet/route policy), and the planner

@@ -16,8 +16,8 @@ import (
 // abstractly (Hops, a straight path with no turns) or concretely (Grid
 // with Src/Dst endpoints plus an optional Route policy), in which case
 // the planner derives the hop count and turn count from the same
-// routing decision the simulator makes, so the closed-form model and
-// the measured one agree on geometry.
+// routing decision the simulator makes, so the planned channel and
+// the simulated one agree on geometry.
 type Spec struct {
 	// Params are the device constants.
 	Params phys.Params
@@ -41,12 +41,19 @@ type Spec struct {
 	// CodeLevel is the Steane concatenation level of the transported
 	// logical qubits (default 2).
 	CodeLevel int
-	// Scheme is the purification placement policy (default
-	// EndpointsOnly).
-	Scheme Scheme
+	// PurifyDepth is the endpoint purification tree depth d, in [0,
+	// 16]: every delivered pair is purified from a batch of 2^d.  0
+	// selects the shallowest depth whose output reaches the 7.5e-5
+	// threshold.  A positive depth plans the fixed-depth channel the
+	// simulator runs (qnetsim -depth, simulate.WithPurifyDepth), with
+	// every output of the Channel at that depth; a depth below the one
+	// the threshold needs is a *qnet.ConfigError.
+	PurifyDepth int
 	// Teleporters, Generators, Purifiers are the per-node resource
-	// counts available to this channel, used for the bandwidth model.
-	// Zero values default to 16/16/16.
+	// counts available to this channel: t teleporters per T' node (an
+	// X and a Y set of ⌊t/2⌋, and t storage cells per incoming link),
+	// g generators per link and p purifiers per endpoint.  Zero values
+	// default to 16/16/16.
 	Teleporters, Generators, Purifiers int
 }
 
@@ -63,7 +70,8 @@ type Channel struct {
 	// Turns is the number of X/Y direction changes of the planned
 	// path: 0 for an abstract straight-line Spec, and the routed
 	// path's turn count when the Spec pins Grid/Src/Dst.  Each turn
-	// adds one ballistic set-switch to the setup pipeline fill.
+	// adds a ballistic move between the node's teleporter sets to every
+	// batch's teleport over the hop that turns.
 	Turns int
 	// PairsPerLogical is the EPR pairs delivered to the endpoints per
 	// logical-qubit teleportation.
@@ -71,26 +79,31 @@ type Channel struct {
 	// PairHopsPerLogical is the pair-teleport operations consumed per
 	// logical-qubit teleportation (network strain).
 	PairHopsPerLogical float64
-	// SetupLatency is the uncontended time from the first EPR pair
-	// entering the network to the last purified pair being ready.
+	// SetupLatency is the time from the first EPR pair entering an
+	// idle mesh until the last batch is purified and its correction
+	// bits have crossed the path, so the data can teleport.
 	SetupLatency time.Duration
 	// DataLatency is the logical teleportation time once the channel is
 	// up: local operations plus the classical round trip.  This is the
 	// paper's "qubit communication time can approach the latency of
 	// classical communication".
 	DataLatency time.Duration
-	// Bandwidth is the sustainable logical-qubit teleportations per
-	// second through this channel given its resource counts.
+	// Bandwidth is the logical-qubit teleportations per second the
+	// channel sustains once its batch pipeline is in steady state,
+	// given its resource counts.
 	Bandwidth float64
-	// BottleneckStage names the stage limiting Bandwidth: "generator",
-	// "teleporter" or "purifier".
+	// Bottleneck names the stage limiting Bandwidth: "generator",
+	// "teleporter", "purifier" or "storage" (the receiving nodes'
+	// storage slots, each held from the batch's generation to its next
+	// teleport).
 	Bottleneck string
 }
 
 // Plan builds the analytical channel model.  A negative resource
-// count, span or code level, or an abstract path shorter than one hop,
-// is a *qnet.ConfigError naming the field; zero values select the
-// defaults documented on Spec.
+// count, span or code level, a purification depth outside [0, 16] or
+// below the one the threshold needs, or an abstract path shorter than
+// one hop, is a *qnet.ConfigError naming the field; zero values select
+// the defaults documented on Spec.
 func Plan(spec Spec) (Channel, error) {
 	for _, f := range []struct {
 		name  string
@@ -107,6 +120,9 @@ func Plan(spec Spec) (Channel, error) {
 			return Channel{}, &qnet.ConfigError{Field: f.name, Value: f.value, Reason: "must be >= 0 (0 selects the default)"}
 		}
 	}
+	if spec.PurifyDepth < 0 || spec.PurifyDepth > 16 {
+		return Channel{}, &qnet.ConfigError{Field: "PurifyDepth", Value: spec.PurifyDepth, Reason: "must be in [0,16] (0 selects the threshold's depth)"}
+	}
 	if spec.HopCells == 0 {
 		spec.HopCells = 600
 	}
@@ -122,7 +138,7 @@ func Plan(spec Spec) (Channel, error) {
 	if spec.Purifiers == 0 {
 		spec.Purifiers = 16
 	}
-	turns := 0
+	var dirs []mesh.Direction
 	if spec.Grid.Tiles() > 0 {
 		// Concrete path: the routing policy decides hops and turns,
 		// exactly as the simulator would for the same endpoints.
@@ -133,7 +149,8 @@ func Plan(spec Spec) (Channel, error) {
 		if policy == nil {
 			policy = route.Default()
 		}
-		dirs, err := policy.Route(spec.Grid, spec.Src, spec.Dst, nil)
+		var err error
+		dirs, err = policy.Route(spec.Grid, spec.Src, spec.Dst, nil)
 		if err != nil {
 			return Channel{}, err
 		}
@@ -141,7 +158,6 @@ func Plan(spec Spec) (Channel, error) {
 			return Channel{}, fmt.Errorf("channel: endpoints %v and %v coincide", spec.Src, spec.Dst)
 		}
 		spec.Hops = len(dirs)
-		turns = route.Turns(dirs)
 	}
 	if spec.Hops < 1 {
 		return Channel{}, &qnet.ConfigError{Field: "Hops", Value: spec.Hops, Reason: "must be >= 1"}
@@ -157,74 +173,138 @@ func Plan(spec Spec) (Channel, error) {
 
 	dist := DefaultDistribution(spec.Params)
 	dist.HopCells = spec.HopCells
-	cost := dist.Evaluate(spec.Scheme, spec.Hops)
+	cost := dist.evaluate(EndpointsOnly, spec.Hops, spec.PurifyDepth)
 	if !cost.Feasible {
 		return Channel{}, fmt.Errorf("channel: no purification depth reaches the threshold over %d hops at these error rates", spec.Hops)
 	}
-
-	ch := Channel{
-		Spec:           spec,
-		ErrorRate:      cost.FinalError,
-		EndpointRounds: cost.EndpointRounds,
-		Turns:          turns,
+	if spec.PurifyDepth > 0 && cost.EndpointRounds > spec.PurifyDepth {
+		return Channel{}, &qnet.ConfigError{Field: "PurifyDepth", Value: spec.PurifyDepth,
+			Reason: fmt.Sprintf("the threshold needs %d endpoint rounds over %d hops", cost.EndpointRounds, spec.Hops)}
 	}
-	pairsPerQubit := 1 << uint(cost.EndpointRounds)
-	ch.PairsPerLogical = pairsPerQubit * code.PhysicalQubits()
-	ch.PairHopsPerLogical = cost.TeleportedPairs * float64(code.PhysicalQubits())
 
-	p := spec.Params
-	// Stage service times for one EPR pair (pairs flow in parallel
-	// across resource units).
-	genTime := p.GenerateTime()
-	teleTime := p.TeleportTime(spec.HopCells)
-	// Endpoint purification processes pairsPerQubit arrivals through one
-	// queue purifier: the bottom level dominates with pairsPerQubit/2
-	// sequential rounds, plus a drain tail of (rounds-1).
-	purifyRound := p.PurifyRoundTime(spec.Hops * spec.HopCells)
-	purifyBatch := time.Duration(pairsPerQubit/2+cost.EndpointRounds-1) * purifyRound
-
-	// Setup latency: the first batch fills the pipeline (one generate +
-	// one teleport per hop), the remaining pairs stream through the
-	// slowest stage at its aggregate rate, and the last batch drains
-	// through its endpoint purifier.
-	setSize := spec.Teleporters / 2
-	if setSize < 1 {
-		setSize = 1
+	if dirs == nil {
+		// An abstract path runs straight: Hops steps along one axis.
+		dirs = make([]mesh.Direction, spec.Hops)
 	}
-	fill := time.Duration(spec.Hops) * (genTime + teleTime)
-	// A routed path's turns each add one ballistic set switch to the
-	// pipeline fill (turns is 0 for an abstract straight-line Spec, so
-	// legacy plans are unchanged).
-	fill += time.Duration(turns) * p.BallisticTime(spec.TurnCells)
-	totalPairs := ch.PairsPerLogical
-	perPair := maxDuration(
-		genTime/time.Duration(spec.Generators),
-		teleTime/time.Duration(setSize),
-		purifyBatch/time.Duration(pairsPerQubit*spec.Purifiers),
-	)
-	stream := time.Duration(totalPairs-pairsPerQubit) * perPair
-	ch.SetupLatency = fill + stream + purifyBatch
-
-	// Data latency: Eq 5 over the full physical distance, with the
-	// classical bits crossing the same span.
+	batches := code.PhysicalQubits()
+	purified, period, stage := pipeline(spec, cost.EndpointRounds, dirs, batches)
 	span := spec.Hops * spec.HopCells
-	ch.DataLatency = p.TeleportTime(span)
+	return Channel{
+		Spec:               spec,
+		ErrorRate:          cost.FinalError,
+		EndpointRounds:     cost.EndpointRounds,
+		Turns:              route.Turns(dirs),
+		PairsPerLogical:    code.RawPairsPerLogicalTeleport(cost.EndpointRounds),
+		PairHopsPerLogical: cost.TeleportedPairs * float64(batches),
+		// The data teleport waits for the last batch's correction
+		// bits to cross the path, then takes Eq 5 over the full span.
+		SetupLatency: purified + time.Duration(span)*spec.Params.Times.ClassicalBitPerCell,
+		DataLatency:  spec.Params.TeleportTime(span),
+		Bandwidth:    float64(time.Second) / (period * float64(batches)),
+		Bottleneck:   stage,
+	}, nil
+}
 
-	// Bandwidth: the slowest per-stage pair throughput, divided by the
-	// pairs a logical teleport consumes.
-	genRate := float64(spec.Generators) / genTime.Seconds()
-	teleRate := float64(setSize) / teleTime.Seconds()
-	purifyRate := float64(spec.Purifiers) * float64(pairsPerQubit) / purifyBatch.Seconds()
-	rate, stage := genRate, "generator"
-	if teleRate < rate {
-		rate, stage = teleRate, "teleporter"
+// pipeline runs a channel's batches, one per delivered pair (batches
+// of them, 2^d EPR pairs each), through an idle mesh along dirs, and
+// returns the end of the last batch's purification, the steady-state
+// period between batches in nanoseconds and the stage that sets it.
+//
+// Alone on the mesh, every stage serves all of a channel's batches for
+// the same time, so the batches keep their order at every FIFO stage
+// and batch j takes unit j mod c of a stage with c units, once batch
+// j−c has freed it.  Their grant times follow a max-plus recurrence.
+// Batch j takes, at hop k of h:
+//
+//   - a storage slot of the receiving tile, A(j,k) = max(R(j,k),
+//     Rel(j−W,k)), where R is the time the batch reaches the hop (0 at
+//     the source, else the end of its previous teleport) and Rel(j,k)
+//     the time it frees that slot: W = max(1, ⌊t/2^d⌋) slots;
+//   - a generator, G(j,k) = max(A(j,k), G(j−g,k)+γ), held for
+//     γ = GenerateTime·⌈2^d/g⌉;
+//   - a teleporter of the sending tile's set, T(j,k) = max(G(j,k)+γ,
+//     T(j−s,k)+τ_k), held for τ_k = TeleportTime(HopCells)·⌈2^d/s⌉
+//     plus BallisticTime(TurnCells) on a turn, with s = max(1, ⌊t/2⌋);
+//     the slot of the previous hop frees at its end, Rel(j,k−1) =
+//     T(j,k)+τ_k.
+//
+// After the last hop and the correction κ = 2·OneQubitGate, the batch
+// takes both endpoint purifiers, P(j) = max(arrival+κ, P(j−p)+π),
+// with π = PurifyRoundTime(h·HopCells)·(2^(d−1)+d−1) (0 at d = 0, when
+// nothing is purified), and frees its last slot, Rel(j,h−1) = P(j).
+// The last purification ends at max_j P(j) + π.
+//
+// The recurrence's only cycles are each stage's units and each hop's
+// storage slots, so in steady state a batch leaves every period, the
+// largest of γ/g, τ_k/s, π/p and each slot's uncontended hold over W:
+// 2γ+τ_k+τ_{k+1} at hop k, γ+τ_{h−1}+κ at the last hop.
+func pipeline(spec Spec, depth int, dirs []mesh.Direction, batches int) (purified time.Duration, period float64, stage string) {
+	p := spec.Params
+	pairs := 1 << depth
+	perUnit := func(units int) time.Duration { return time.Duration((pairs + units - 1) / units) }
+	window := max(1, spec.Teleporters/pairs)
+	set := max(1, spec.Teleporters/2)
+	gamma := p.GenerateTime() * perUnit(spec.Generators)
+	h := len(dirs)
+	tau := make([]time.Duration, h)
+	for k := range tau {
+		tau[k] = p.TeleportTime(spec.HopCells) * perUnit(set)
+		if k > 0 && dirs[k].Axis() != dirs[k-1].Axis() {
+			tau[k] += p.BallisticTime(spec.TurnCells)
+		}
 	}
-	if purifyRate < rate {
-		rate, stage = purifyRate, "purifier"
+	kappa := 2 * p.Times.OneQubitGate
+	var pi time.Duration
+	if depth > 0 {
+		pi = p.PurifyRoundTime(h*spec.HopCells) * time.Duration(1<<(depth-1)+depth-1)
 	}
-	ch.Bandwidth = rate / float64(ch.PairsPerLogical)
-	ch.Bottleneck = stage
-	return ch, nil
+
+	period, stage = float64(gamma)/float64(spec.Generators), "generator"
+	bound := func(hold time.Duration, units int, name string) {
+		if v := float64(hold) / float64(units); v > period {
+			period, stage = v, name
+		}
+	}
+	for k := range tau {
+		bound(tau[k], set, "teleporter")
+	}
+	bound(pi, spec.Purifiers, "purifier")
+	for k := range tau {
+		hold := gamma + tau[k] + kappa
+		if k+1 < h {
+			hold = 2*gamma + tau[k] + tau[k+1]
+		}
+		bound(hold, window, "storage")
+	}
+
+	// Each stage keeps the time each of its units frees, one ring of at
+	// most batches units per hop.
+	nw, ng, ns := min(window, batches), min(spec.Generators, batches), min(set, batches)
+	slot := make([]time.Duration, h*nw)
+	gen := make([]time.Duration, h*ng)
+	tel := make([]time.Duration, h*ns)
+	pur := make([]time.Duration, min(spec.Purifiers, batches))
+	var last time.Duration
+	for j := range batches {
+		var reach time.Duration
+		for k := range h {
+			g := &gen[k*ng+j%ng]
+			start := max(reach, slot[k*nw+j%nw], *g)
+			*g = start + gamma
+			u := &tel[k*ns+j%ns]
+			*u = max(start+gamma, *u) + tau[k]
+			reach = *u
+			if k > 0 {
+				slot[(k-1)*nw+j%nw] = reach
+			}
+		}
+		u := &pur[j%len(pur)]
+		start := max(reach+kappa, *u)
+		*u = start + pi
+		slot[(h-1)*nw+j%nw] = start
+		last = max(last, start)
+	}
+	return last + pi, period, stage
 }
 
 // String renders a channel plan summary.
@@ -232,14 +312,4 @@ func (c Channel) String() string {
 	return fmt.Sprintf(
 		"channel{%d hops, error %.2e, %d pairs/logical, setup %v, data %v, %.1f logical/s (%s-bound)}",
 		c.Spec.Hops, c.ErrorRate, c.PairsPerLogical, c.SetupLatency, c.DataLatency, c.Bandwidth, c.Bottleneck)
-}
-
-func maxDuration(ds ...time.Duration) time.Duration {
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

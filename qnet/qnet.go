@@ -10,7 +10,7 @@
 //     Figure 14 queue purifier, error-correction sizing, mesh grids,
 //     workload programs, and the structured error types shared by the
 //     whole tree.
-//   - qnet/channel: the closed-form reliable-channel model — EPR
+//   - qnet/channel: the analytical reliable-channel model — EPR
 //     distribution over chained teleporters, the five purification
 //     placement policies (Figs 9-12), the ballistic methodology and
 //     its comparison with teleportation (Figs 2, 4-5), and channel
